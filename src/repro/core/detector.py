@@ -9,8 +9,6 @@ needs to be inferred.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .usage import UsageMonitor
 
 
@@ -55,41 +53,6 @@ def culprit_margin(
         reverse=True,
     )
     return averages[0] - averages[1]
-
-
-def identify_culprits(
-    averages: np.ndarray, candidate_mask: np.ndarray
-) -> np.ndarray:
-    """Vector form of :func:`identify_culprit` over stacked lanes.
-
-    ``averages`` holds each thread's EWMA at one resource, thread-indexed
-    along the last axis (any number of leading lane axes);
-    ``candidate_mask`` marks eligible threads the same way.  Returns the
-    winning thread id per lane, ``-1`` where a lane has no candidates.
-    Ties break toward the lower thread id (``argmax`` keeps the first
-    maximum), matching the scalar detector.  EWMAs are access rates and
-    therefore non-negative, which is the domain where this agrees exactly
-    with the scalar loop's ``> -1.0`` sentinel.
-    """
-    masked = np.where(candidate_mask, averages, -np.inf)
-    best = np.argmax(masked, axis=-1)
-    return np.where(candidate_mask.any(axis=-1), best, -1)
-
-
-def culprit_margins(
-    averages: np.ndarray, candidate_mask: np.ndarray
-) -> np.ndarray:
-    """Vector form of :func:`culprit_margin`: top-two EWMA gap per lane.
-
-    Lanes with fewer than two candidates report ``0.0`` — no separation,
-    exactly as the scalar form defines it.
-    """
-    if averages.shape[-1] < 2:
-        return np.zeros(averages.shape[:-1])
-    masked = np.where(candidate_mask, averages, -np.inf)
-    top_two = -np.partition(-masked, 1, axis=-1)
-    margins = top_two[..., 0] - top_two[..., 1]
-    return np.where(candidate_mask.sum(axis=-1) >= 2, margins, 0.0)
 
 
 def rank_by_usage(

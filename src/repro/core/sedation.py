@@ -24,6 +24,8 @@ Sedations are reported to the OS (:mod:`repro.core.reporting`).
 
 from __future__ import annotations
 
+import math
+
 from ..blocks import NUM_BLOCKS
 from ..config import SedationConfig
 from ..pipeline.smt import SMTCore
@@ -34,14 +36,9 @@ from .detector import culprit_margin, identify_culprit
 from .reporting import OffenderReport, OSReportLog, ReportKind
 from .usage import UsageMonitor
 
-#: Per-resource FSM states.  Public because the vectorized sedation bank
-#: (:mod:`repro.sim.cohort`) mirrors this exact state machine per lane and
-#: must agree on the encoding.
-SEDATION_IDLE = 0
-SEDATION_WAITING = 1
-
-_IDLE = SEDATION_IDLE
-_WAITING = SEDATION_WAITING
+#: Per-resource FSM states.
+_IDLE = 0
+_WAITING = 1
 
 
 class SelectiveSedationController:
@@ -126,7 +123,7 @@ class SelectiveSedationController:
                             "direction": "rise" if above else "fall",
                         },
                     )
-            if self._state[block] == _IDLE:  # repro: twin(sedation-fsm)
+            if self._state[block] == _IDLE:
                 if temperature >= upper:
                     if self._sedate_culprit(block, reading.cycle, temperature):
                         self._state[block] = _WAITING
@@ -139,6 +136,18 @@ class SelectiveSedationController:
                     # power-density problem — sedate the next one.
                     self._sedate_culprit(block, reading.cycle, temperature)
                     self._deadline[block] = reading.cycle + wait
+
+    def quiet_below(self) -> float:
+        """Hottest reading below which :meth:`on_sensor` changes nothing.
+
+        With every resource IDLE only an upper-threshold crossing acts; a
+        WAITING resource may release or re-examine on any reading, so then
+        no reading is quiet.  Holds with no telemetry and no actuator fault
+        model attached.
+        """
+        if _WAITING in self._state:
+            return -math.inf
+        return self.config.upper_threshold_k
 
     def _apply(self, tid: int) -> None:
         """Engage the configured slowdown on one thread."""
@@ -162,11 +171,11 @@ class SelectiveSedationController:
             self.actuator.submit(cycle, action, tid, block, fn)
 
     def _sedate_culprit(self, block: int, cycle: int, temperature: float) -> bool:
-        candidates = self._candidates()  # repro: twin(sedation-culprit-floor) begin
+        candidates = self._candidates()
         if len(candidates) < 2:
             # The last unsedated thread cannot degrade any other thread:
             # let it run; the stop-and-go safety net guards the emergency.
-            return False  # repro: twin(sedation-culprit-floor) end
+            return False
         culprit = identify_culprit(self.monitor, block, candidates)
         if culprit is None:
             return False

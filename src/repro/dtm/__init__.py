@@ -2,6 +2,7 @@
 fetch gating, and selective sedation."""
 
 from .base import DTMPolicy
+from .build import build_policy
 from .dvfs import DVFS
 from .fetch_gating import FetchGating
 from .sedation import SedationPolicy
@@ -15,4 +16,5 @@ __all__ = [
     "SedationPolicy",
     "StopAndGo",
     "TTDFS",
+    "build_policy",
 ]

@@ -14,6 +14,8 @@ sensor interval, every block instrumented.
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.session import NULL_TELEMETRY
 from ..thermal.sensors import SensorReading
 
@@ -39,6 +41,17 @@ class DTMPolicy:
     def on_sensor(self, reading: SensorReading) -> None:
         """Observe a sensor reading; update throttle state."""
         return None
+
+    def quiet_band(self) -> tuple[float, float]:
+        """Open interval ``(lo, hi)`` of hottest readings that change nothing.
+
+        Contract: with no telemetry attached, :meth:`on_sensor` leaves every
+        attribute of the policy untouched while ``lo < hottest_k < hi``.
+        The band depends on the current state, so it must be re-read after
+        every call that may have changed it.  The lock-step batch kernel
+        calls only the lanes whose reading falls outside their band.
+        """
+        return -math.inf, math.inf
 
     def describe(self) -> str:
         return f"{self.name} (engaged {self.engagements}x)"

@@ -14,13 +14,13 @@ the standard discrete approximation.
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.events import EventType
 from ..thermal.sensors import SensorReading
 from .base import DTMPolicy
 
-#: Default frequency divisor while engaged.  Module-level so the vectorized
-#: policy bank (:mod:`repro.sim.cohort`) applies the identical step the
-#: scalar class default would.
+#: Default frequency divisor while engaged.
 DEFAULT_SLOWDOWN = 2
 
 #: Default voltage ratio while engaged; dynamic power scales by its square.
@@ -52,7 +52,7 @@ class DVFS(DTMPolicy):
         self._scaled_power = voltage_ratio * voltage_ratio
         self.throttled = False
 
-    def on_sensor(self, reading: SensorReading) -> None:  # repro: twin(dvfs)
+    def on_sensor(self, reading: SensorReading) -> None:
         hottest = reading.hottest_k
         if self.throttled:
             if hottest <= self.resume_k:
@@ -66,6 +66,11 @@ class DVFS(DTMPolicy):
             self.power_scale = self._scaled_power
             self.engagements += 1
             self._emit_step(reading, hottest)
+
+    def quiet_band(self) -> tuple[float, float]:
+        if self.throttled:
+            return self.resume_k, math.inf
+        return -math.inf, self.emergency_k
 
     def _emit_step(self, reading: SensorReading, hottest: float) -> None:
         self.telemetry.emit(

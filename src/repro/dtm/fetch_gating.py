@@ -10,6 +10,8 @@ every thread pays, which is why none of these baselines stop heat stroke
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.events import EventType
 from ..thermal.sensors import SensorReading
 from .base import DTMPolicy
@@ -28,7 +30,7 @@ class FetchGating(DTMPolicy):
         self.resume_k = resume_k
         self.gating = False
 
-    def on_sensor(self, reading: SensorReading) -> None:  # repro: twin(fetch-gating)
+    def on_sensor(self, reading: SensorReading) -> None:
         hottest = reading.hottest_k
         if self.gating:
             if hottest <= self.resume_k:
@@ -40,6 +42,11 @@ class FetchGating(DTMPolicy):
             self.slowdown = 2
             self.engagements += 1
             self._emit_step(reading, hottest)
+
+    def quiet_band(self) -> tuple[float, float]:
+        if self.gating:
+            return self.resume_k, math.inf
+        return -math.inf, self.emergency_k
 
     def _emit_step(self, reading: SensorReading, hottest: float) -> None:
         self.telemetry.emit(

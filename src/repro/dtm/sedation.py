@@ -9,6 +9,8 @@ normal operation, and all sedated threads are restored.
 
 from __future__ import annotations
 
+import math
+
 from ..core.sedation import SelectiveSedationController
 from ..telemetry.events import EventType
 from ..thermal.sensors import SensorReading
@@ -39,7 +41,7 @@ class SedationPolicy(DTMPolicy):
         self.controller.telemetry = session
 
     def on_sensor(self, reading: SensorReading) -> None:
-        if self.global_stall:  # repro: twin(sedation-stall-release)
+        if self.global_stall:
             if reading.hottest_k <= self.resume_k:
                 self.global_stall = False
                 self.telemetry.emit(
@@ -48,7 +50,7 @@ class SedationPolicy(DTMPolicy):
                     value=reading.hottest_k,
                 )
             return
-        if reading.hottest_k >= self.emergency_k:  # repro: twin(sedation-safety-net)
+        if reading.hottest_k >= self.emergency_k:
             self.global_stall = True
             self.engagements += 1
             self.safety_net_engagements += 1
@@ -65,6 +67,11 @@ class SedationPolicy(DTMPolicy):
             self.controller.on_safety_net(reading.cycle, reading.hottest_k)
             return
         self.controller.on_sensor(reading)
+
+    def quiet_band(self) -> tuple[float, float]:
+        if self.global_stall:
+            return self.resume_k, math.inf
+        return -math.inf, min(self.emergency_k, self.controller.quiet_below())
 
     @property
     def reports(self):

@@ -12,6 +12,8 @@ slow, and the stall is *global*, so one thread's hot spot stalls everyone.
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.events import EventType
 from ..thermal.sensors import SensorReading
 from .base import DTMPolicy
@@ -28,9 +30,8 @@ class StopAndGo(DTMPolicy):
             raise ValueError("resume threshold must be below emergency")
         self.emergency_k = emergency_k
         self.resume_k = resume_k
-        self.stall_cycles = 0
 
-    def on_sensor(self, reading: SensorReading) -> None:  # repro: twin(stopgo)
+    def on_sensor(self, reading: SensorReading) -> None:
         hottest = reading.hottest_k
         if self.global_stall:
             if hottest <= self.resume_k:
@@ -47,3 +48,8 @@ class StopAndGo(DTMPolicy):
                 block=reading.hottest_block,
                 value=hottest,
             )
+
+    def quiet_band(self) -> tuple[float, float]:
+        if self.global_stall:
+            return self.resume_k, math.inf
+        return -math.inf, self.emergency_k

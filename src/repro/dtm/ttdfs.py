@@ -16,14 +16,14 @@ is no stall and no upper bound on temperature.
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.events import EventType
 from ..thermal.sensors import SensorReading
 from .base import DTMPolicy
 
 #: How far (K) the tracking threshold sits below the emergency point when
-#: the simulator builds a TTDFS policy from a config.  Shared with the
-#: vectorized policy bank (:mod:`repro.sim.cohort`) so both paths derive
-#: the identical threshold.
+#: a TTDFS policy is built from a config.
 TRACKING_OFFSET_K = 1.0
 
 #: Default kelvin per frequency notch.
@@ -31,6 +31,10 @@ DEFAULT_DEGREES_PER_STEP = 1.0
 
 #: Default deepest frequency divisor.
 DEFAULT_MAX_SLOWDOWN = 4
+
+#: How far (K) :meth:`TTDFS.quiet_band` keeps inside each notch edge, so
+#: float rounding in the notch arithmetic can never act inside the band.
+_EDGE_MARGIN_K = 1e-9
 
 
 class TTDFS(DTMPolicy):
@@ -52,20 +56,17 @@ class TTDFS(DTMPolicy):
         self.tracking_threshold_k = tracking_threshold_k
         self.degrees_per_step = degrees_per_step
         self.max_slowdown = max_slowdown
-        self.peak_seen_k = 0.0
 
     def on_sensor(self, reading: SensorReading) -> None:
         hottest = reading.hottest_k
-        if hottest > self.peak_seen_k:
-            self.peak_seen_k = hottest
-        over = hottest - self.tracking_threshold_k  # repro: twin(ttdfs-cool) begin
+        over = hottest - self.tracking_threshold_k
         if over <= 0:
             if self.slowdown != 1:
                 self.slowdown = 1
                 self.power_scale = 1.0
                 self._emit_step(reading, hottest)
-            return  # repro: twin(ttdfs-cool) end
-        steps = 1 + int(over / self.degrees_per_step)  # repro: twin(ttdfs-step) begin
+            return
+        steps = 1 + int(over / self.degrees_per_step)
         new_slowdown = min(self.max_slowdown, 1 + steps)
         if new_slowdown != self.slowdown:
             self.slowdown = new_slowdown
@@ -73,7 +74,18 @@ class TTDFS(DTMPolicy):
             # constant (TTDFS relaxes timing, it does not lower voltage).
             self.power_scale = 1.0
             self.engagements += 1
-            self._emit_step(reading, hottest)  # repro: twin(ttdfs-step) end
+            self._emit_step(reading, hottest)
+
+    def quiet_band(self) -> tuple[float, float]:
+        tracking = self.tracking_threshold_k
+        if self.slowdown == 1:
+            return -math.inf, tracking
+        # The readings whose notch count maps back to the current slowdown.
+        step = self.degrees_per_step
+        lo = tracking + (self.slowdown - 2) * step + _EDGE_MARGIN_K
+        if self.slowdown >= self.max_slowdown:
+            return lo, math.inf
+        return lo, tracking + (self.slowdown - 1) * step - _EDGE_MARGIN_K
 
     def _emit_step(self, reading: SensorReading, hottest: float) -> None:
         self.telemetry.emit(

@@ -11,19 +11,19 @@ RPR002    fingerprint-completeness        every spec field keys the cache
 RPR003    paper-constant-hygiene          one canonical site per paper constant
 RPR004    telemetry-coverage              no dead or undefined event types
 RPR005    threshold-ordering              lower < upper < emergency ladder
-RPR006    twin-path-drift                 scalar/vector mirrors stay in sync
 RPR007    transitive-determinism-taint    no ambient reads through helpers
 RPR008    payload-schema                  one key set per EventType emit
 RPR009    bank-shape                      SoA banks allocate = take = split
 ========  ==============================  ==================================
 
-RPR001–RPR005 are per-module checks; RPR006–RPR009 query the shared
+RPR001–RPR005 are per-module checks; RPR007–RPR009 query the shared
 :class:`~repro.lint.project.ProjectContext` (cross-module symbol table,
-import graph, call graph, constant lattice) built once per run.
+import graph, call graph, constant lattice) built once per run.  RPR006
+(twin-path drift) is retired: the scalar/vector pairs it guarded are gone.
 
 See ``docs/linting.md`` for the full catalog, rationale, the
-``# repro: noqa(CODE) reason`` suppression syntax, the
-``# repro: twin(tag)`` anchor grammar, and the baseline workflow.
+``# repro: noqa(CODE) reason`` suppression syntax, and the baseline
+workflow.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ job is just the bare invocation.
 
 Fast local iteration::
 
-    python -m repro.lint --rule RPR006          # one rule, whole tree
+    python -m repro.lint --rule RPR009          # one rule, whole tree
     python -m repro.lint --diff                 # only changed files report
     python -m repro.lint --baseline tools/lint_baseline.json
     python -m repro.lint --format sarif --output lint.sarif
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Repo-specific static analysis: determinism, cache-fingerprint "
             "completeness, paper-constant hygiene, telemetry coverage, "
-            "threshold ordering, twin-path drift, transitive taint, "
+            "threshold ordering, transitive taint, "
             "payload schemas, bank shapes."
         ),
     )

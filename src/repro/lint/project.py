@@ -21,36 +21,17 @@ Rules receive the finished :class:`ProjectContext` through the
 ``check_project`` hook and query it instead of re-walking single modules;
 the per-module ``check_module`` + ``finalize`` protocol stays untouched as
 a compatibility shim for the v1 rules.
-
-The context also collects ``# repro: twin(<tag>)`` anchor comments (see
-``docs/linting.md`` for the grammar) into per-tag region lists so the
-twin-path rule can fingerprint both sides of every scalar↔vector pair.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-import tokenize
 from dataclasses import dataclass, field
-from io import StringIO
 
 from .registry import Module
 
 #: Sentinel for "could not evaluate" in the constant lattice.
 UNKNOWN = object()
-
-#: ``# repro: twin(tag[, tag...])`` with an optional ``begin``/``end`` kind.
-_TWIN = re.compile(
-    r"#\s*repro:\s*twin\(\s*([A-Za-z0-9_.\-]+(?:\s*,\s*[A-Za-z0-9_.\-]+)*)\s*\)"
-    r"(?:\s+(begin|end)\b)?",
-    re.IGNORECASE,
-)
-
-#: Vector-side twin files: the batched NumPy mirrors of the scalar DTMs
-#: and the heterogeneous-lane SoA banks.
-VECTOR_FILES = frozenset({"cohort.py", "batch.py", "soa.py"})
-
 
 def module_dotted_name(module: Module) -> str:
     """A stable dotted name for a module, derived from its path.
@@ -84,18 +65,6 @@ class FunctionInfo:
     @property
     def short(self) -> str:
         return self.local_qualname
-
-
-@dataclass
-class TwinRegion:
-    """One side-tagged source region declared by a twin anchor comment."""
-
-    tag: str
-    side: str  # "scalar" | "vector"
-    module: Module
-    start: int  # first physical line, inclusive
-    end: int  # last physical line, inclusive
-    anchor_line: int  # where the comment sits (for finding locations)
 
 
 @dataclass
@@ -368,10 +337,6 @@ class ProjectContext:
         self.functions: dict[str, FunctionInfo] = {}
         #: caller qualname -> list of (callee qualname, call node)
         self.call_graph: dict[str, list[tuple[str, ast.Call]]] = {}
-        #: tag -> side -> regions sorted by (path, start)
-        self.twin_regions: dict[str, dict[str, list[TwinRegion]]] = {}
-        #: malformed twin declarations: (module, line, message)
-        self.twin_errors: list[tuple[Module, int, str]] = []
 
         for module in modules:
             info = self._index_module(module)
@@ -379,11 +344,6 @@ class ProjectContext:
             self.by_dotted[info.dotted] = info
         for info in self.modules:
             self._resolve_calls(info)
-        for info in self.modules:
-            self._collect_twins(info.module)
-        for sides in self.twin_regions.values():
-            for regions in sides.values():
-                regions.sort(key=lambda r: (r.module.path, r.start, r.tag))
 
     # -- symbol table -------------------------------------------------
 
@@ -576,94 +536,6 @@ class ProjectContext:
                 if best is None or fi.node.lineno > best.node.lineno:
                     best = fi
         return best
-
-    # -- twin regions -------------------------------------------------
-
-    def _collect_twins(self, module: Module) -> None:
-        side = (
-            "vector"
-            if module.filename in VECTOR_FILES and module.in_package("sim")
-            else "scalar"
-        )
-        stmts = [
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.stmt) and hasattr(node, "lineno")
-        ]
-        open_spans: dict[str, int] = {}  # tag -> begin line
-        try:
-            tokens = list(tokenize.generate_tokens(StringIO(module.source).readline))
-        except tokenize.TokenError:
-            return
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _TWIN.search(token.string)
-            if not match:
-                continue
-            tags = [t.strip() for t in match.group(1).split(",") if t.strip()]
-            kind = (match.group(2) or "").lower()
-            line = token.start[0]
-            for tag in tags:
-                if kind == "begin":
-                    if tag in open_spans:
-                        self.twin_errors.append(
-                            (module, line,
-                             f"twin({tag}) begin while a span for the same "
-                             f"tag is already open (line {open_spans[tag]})")
-                        )
-                    open_spans[tag] = line
-                elif kind == "end":
-                    start = open_spans.pop(tag, None)
-                    if start is None:
-                        self.twin_errors.append(
-                            (module, line,
-                             f"twin({tag}) end without a matching begin")
-                        )
-                    else:
-                        self._add_region(tag, side, module, start, line, line)
-                else:
-                    span = _anchored_statement(stmts, line)
-                    if span is None:
-                        self.twin_errors.append(
-                            (module, line,
-                             f"twin({tag}) anchor has no statement to attach "
-                             "to; place it on or directly above a statement")
-                        )
-                    else:
-                        self._add_region(tag, side, module, span[0], span[1], line)
-        for tag, start in sorted(open_spans.items()):
-            self.twin_errors.append(
-                (module, start, f"twin({tag}) begin is never closed")
-            )
-
-    def _add_region(
-        self, tag: str, side: str, module: Module, start: int, end: int,
-        anchor_line: int,
-    ) -> None:
-        region = TwinRegion(tag, side, module, start, end, anchor_line)
-        self.twin_regions.setdefault(tag, {}).setdefault(side, []).append(region)
-
-
-def _anchored_statement(
-    stmts: list[ast.stmt], line: int
-) -> tuple[int, int] | None:
-    """(start, end) span of the statement a bare twin anchor refers to.
-
-    A trailing anchor attaches to the outermost statement starting on its
-    own line; a standalone anchor attaches to the next statement below.
-    """
-    on_line = [s for s in stmts if s.lineno == line]
-    if on_line:
-        end = max(getattr(s, "end_lineno", s.lineno) or s.lineno for s in on_line)
-        return line, end
-    below = [s for s in stmts if s.lineno > line]
-    if not below:
-        return None
-    first = min(s.lineno for s in below)
-    starters = [s for s in below if s.lineno == first]
-    end = max(getattr(s, "end_lineno", s.lineno) or s.lineno for s in starters)
-    return first, end
 
 
 def _attr_chain(node: ast.expr) -> tuple[str, ...]:

@@ -11,7 +11,6 @@ from . import (
     taint,
     telemetry,
     thresholds,
-    twins,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "taint",
     "telemetry",
     "thresholds",
-    "twins",
 ]

@@ -1,7 +1,7 @@
 """RPR009 — SoA bank-shape consistency across allocate / take / split.
 
-The lock-step kernel's structure-of-arrays banks (``LaneDTM``,
-``EwmaBank``, ``BatchUsageMonitor``, ``BatchCrossingDetector``, the
+The lock-step kernel's structure-of-arrays banks (``EwmaBank``,
+``BatchUsageMonitor``, ``BatchCrossingDetector``, ``LaneRngBank``, the
 ``Cohort`` slots) all follow one clone protocol: ``__init__`` allocates
 per-lane arrays, and a clone method builds a sibling via
 ``SomeClass.__new__`` and gathers each field with fancy indexing.  A field

@@ -8,13 +8,14 @@ their thermal/DTM configs differ.  This engine exploits that: lanes are
 grouped by :func:`trajectory_key` (workloads + seed; machine and time base
 are already fingerprint-shared), each trajectory group runs **one** SMT
 core, and everything that can differ per lane — thermal network state,
-sensor crossing counters, peak temperatures, EWMA banks, per-lane RNG
-banks, and the full DTM policy state (:class:`~repro.sim.cohort.LaneDTM`)
-— is carried as structure-of-arrays NumPy state advanced in lock step at
-the shared sample/sensor boundaries.  Heterogeneous lanes (mixed workload
-pairs × mixed seeds) therefore batch in a single kernel call: one cohort
-tree per trajectory, one shared worklist, and one generated uop stream per
-distinct ``(workload, thread, seed)`` triple across all of them
+sensor crossing counters, peak temperatures, EWMA banks and per-lane RNG
+banks — is carried as structure-of-arrays NumPy state advanced in lock
+step at the shared sample/sensor boundaries, and every lane runs its own
+scalar DTM policy object (:mod:`repro.sim.cohort`).  Heterogeneous lanes
+(mixed workload pairs × mixed seeds) therefore batch in a single kernel
+call: one cohort tree per trajectory, one shared worklist, and one
+generated uop stream per distinct ``(workload, thread, seed)`` triple
+across all of them
 (:mod:`repro.sim.soa`).
 
 The contract is the fast path's: results **byte-identical** to the scalar
@@ -28,9 +29,12 @@ episode derivation is untouched).  Exactness is by construction:
   group* whose packed state advances with the very expression
   ``E(dt) @ state + F(dt) @ source`` the scalar model applies — same
   cached propagators, same float operations, same bits;
-* EWMA updates, threshold-crossing detection, and every DTM transition are
-  elementwise float comparisons with the scalar expressions, which are
-  IEEE-identical whether applied to one value or an array.
+* EWMA updates and threshold-crossing detection are elementwise float
+  comparisons with the scalar expressions, which are IEEE-identical
+  whether applied to one value or an array;
+* every DTM transition is the scalar policy's own code, called with the
+  lane's reading whenever that reading lies outside the policy's quiet
+  band (inside it, the call would change nothing).
 
 **Divergence.**  When a lane's policy takes a *pipeline-visible* action —
 a stop-and-go/safety-net stall, a DVFS/TTDFS/fetch-gating slowdown or
@@ -38,7 +42,7 @@ power-scale step, a sedation or release changing the per-thread actuation
 flags (see :mod:`repro.sim.cohort` for the contract) — lanes whose visible
 state still agrees can keep sharing a pipeline, and lanes that disagree no
 longer can.  The batch therefore runs as a worklist of **cohorts**: at
-every sensor boundary each cohort evaluates all its lanes' policies; if the
+every sensor boundary each cohort feeds its lanes' policies; if the
 resulting visible tuples differ, the cohort splits — the largest partition
 keeps the live pipeline, the others resume from a snapshot of the shared
 state at the boundary — and every child continues in lock step.  Nothing is
@@ -64,12 +68,13 @@ import numpy as np
 from ..blocks import NUM_BLOCKS
 from ..config import SimulationConfig
 from ..core.usage import BatchUsageMonitor
+from ..dtm import build_policy
 from ..errors import SimulationError
 from ..perf import PerfCounters
 from ..power import EnergyModel, PowerAccountant
 from ..thermal import RCThermalModel
 from ..thermal.sensors import BatchCrossingDetector
-from .cohort import CODE_SEDATION, Cohort, LaneDTM, NetworkGroup, network_key
+from .cohort import Cohort, LanePort, NetworkGroup, network_key
 from .soa import (
     LaneRngBank,
     StreamBank,
@@ -77,6 +82,7 @@ from .soa import (
     release_cursors,
     sample_sensors,
 )
+from .simulator import policy_counts, run_span
 from .stats import RunResult, ThreadStats
 
 #: Batch-compatibility key schema.  Bump when the set of lane-shared inputs
@@ -304,21 +310,19 @@ def _build_root(
             ]
         ),
     )
-    # Expected cooling time per lane — the scalar Simulator's derivation:
-    # configured override, else 1.5 thermal time constants in cycles.
-    cooling_cycles = [
-        spec_list[index].config.sedation.expected_cooling_cycles
-        if spec_list[index].config.sedation.expected_cooling_cycles is not None
-        else spec_list[index].config.thermal.cycles_from_seconds(
-            groups[key].model.expected_cooling_seconds()
+    # One scalar policy per lane, built exactly as the Simulator builds it;
+    # sedation lanes actuate through their own port.
+    policies = []
+    ports = []
+    for row, (index, key) in enumerate(zip(members, group_keys, strict=True)):
+        config = spec_list[index].config
+        port = (
+            LanePort(core, monitor, row)
+            if config.dtm_policy == "sedation"
+            else None
         )
-        for index, key in zip(members, group_keys, strict=True)
-    ]
-    dtm = LaneDTM(
-        [spec_list[index].config for index in members],
-        cooling_cycles,
-        len(core.threads),
-    )
+        policies.append(build_policy(config, port, port, groups[key].model))
+        ports.append(port)
     return Cohort(
         np.asarray(members, dtype=np.int64),
         workload_names,
@@ -327,7 +331,8 @@ def _build_root(
         monitor,
         detector,
         rng,
-        dtm,
+        policies,
+        ports,
         groups,
         group_keys,
         next_sample=sample_interval,
@@ -345,17 +350,15 @@ def _advance_cohort(
     """Run one cohort to the end of the quantum or its next divergence.
 
     The scalar run loop — stall branch and boundary branch — applied to the
-    cohort's shared pipeline, with every per-lane quantity evaluated on the
-    SoA banks.  Returns ``None`` when the cohort reached ``target`` intact,
+    cohort's shared pipeline, with the per-lane observers on the SoA banks
+    and each lane's own DTM policy.  Returns ``None`` when the cohort reached ``target`` intact,
     or the list of child cohorts when its lanes' visible state diverged at
     a sensor boundary.
     """
     core = cohort.core
     accountant = cohort.accountant
     monitor = cohort.monitor
-    dtm = cohort.dtm
-    width = cohort.width
-    temps = np.empty((width, NUM_BLOCKS))
+    temps = np.empty((cohort.width, NUM_BLOCKS))
     group_list = cohort.group_list
 
     while core.cycle < target:
@@ -368,21 +371,18 @@ def _advance_cohort(
             for thread in core.threads:
                 thread.cycles_cooling += chunk
             sample_sensors(cohort, temps)
-            changed = dtm.on_sensor_stalled(temps.max(axis=1))
             # The stall supersedes the grids: both restart from here.
             cohort.next_sample = core.cycle + sample_interval
             cohort.next_sensor = core.cycle + sensor_interval
-            if changed:
-                partitions = _partition(dtm, width)
-                if len(partitions) > 1:
-                    return cohort.split(partitions)
-                cohort.adopt_visible()
+            children = cohort.on_sensor(temps)
+            if children is not None:
+                return children
             continue
 
         boundary = min(cohort.next_sample, cohort.next_sensor, target)
         span = boundary - core.cycle
         if span > 0:
-            _run_span(core, cohort.slowdown, span)
+            run_span(core, cohort.slowdown, span)
         if core.cycle >= cohort.next_sample:
             frozen = None
             if any(thread.sedated for thread in core.threads):
@@ -395,42 +395,11 @@ def _advance_cohort(
             powers = accountant.block_powers(cohort.power_scale)
             _advance_groups(cohort, group_list, powers, seconds_per_cycle)
             sample_sensors(cohort, temps)
-            halted = [thread.halted for thread in core.threads]
-            changed = dtm.on_sensor(
-                core.cycle, temps, temps.max(axis=1), halted,
-                monitor.bank.values,
-            )
             cohort.next_sensor += sensor_interval
-            if changed:
-                partitions = _partition(dtm, width)
-                if len(partitions) > 1:
-                    return cohort.split(partitions)
-                cohort.adopt_visible()
+            children = cohort.on_sensor(temps)
+            if children is not None:
+                return children
     return None
-
-
-def _run_span(core, slowdown: int, span: int) -> None:  # repro: twin(run-span)
-    """The scalar ``Simulator._run_span``, driven by the cohort's slowdown."""
-    if slowdown > 1:
-        active = span // slowdown
-        throttled = span - active
-        if active:
-            core.run_cycles(active)
-        if throttled:
-            core.skip_cycles(throttled)
-        for thread in core.threads:
-            thread.cycles_cooling += throttled
-            if thread.sedated:
-                thread.cycles_sedated += active
-            else:
-                thread.cycles_normal += active
-        return
-    core.run_cycles(span)
-    for thread in core.threads:
-        if thread.sedated:
-            thread.cycles_sedated += span
-        else:
-            thread.cycles_normal += span
 
 
 def _advance_groups(
@@ -457,14 +426,6 @@ def _advance_groups(
     cohort.last_thermal = cycle
 
 
-def _partition(dtm: LaneDTM, width: int) -> list[list[int]]:
-    """Group lane positions by visible key, in first-occurrence order."""
-    partitions: dict[tuple, list[int]] = {}
-    for position in range(width):
-        partitions.setdefault(dtm.visible_key(position), []).append(position)
-    return list(partitions.values())
-
-
 def _collect_cohort(
     cohort: Cohort,
     spec_list: list,
@@ -473,7 +434,6 @@ def _collect_cohort(
 ) -> None:
     """Per-lane result assembly (the scalar ``_collect``, zero baselines)."""
     core = cohort.core
-    dtm = cohort.dtm
     detector = cohort.detector
     workload_names = cohort.workloads
     cycles = core.cycle
@@ -505,7 +465,9 @@ def _collect_cohort(
             thermal_advances=group.advances,
             propagator_builds=group.model.perf_propagator_builds,
         )
-        is_sedation = int(dtm.code[position]) == CODE_SEDATION
+        sedations, safety_nets, engagements = policy_counts(
+            cohort.policies[position]
+        )
         results[lane] = RunResult(
             workloads=workload_names,
             policy=spec_list[lane].config.dtm_policy,
@@ -517,11 +479,9 @@ def _collect_cohort(
                 for count in detector.emergencies_per_block[position]
             ),
             peak_temperature_k=float(detector.peak_k[position]),
-            sedations=int(dtm.sedations[position]) if is_sedation else 0,
-            safety_net_engagements=(
-                int(dtm.safety_nets[position]) if is_sedation else 0
-            ),
-            stall_engagements=int(dtm.engagements[position]),
+            sedations=sedations,
+            safety_net_engagements=safety_nets,
+            stall_engagements=engagements,
             trace=(),
             perf=perf,
             telemetry=None,

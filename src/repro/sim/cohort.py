@@ -1,47 +1,49 @@
-"""Cohorts: lock-step lane groups with vectorized DTM state.
+"""Cohorts: lock-step lane groups, each lane with its own scalar DTM policy.
 
 The batch engine (:mod:`repro.sim.batch`) runs one SMT pipeline on behalf
 of many config-variant lanes.  That is sound exactly as long as every lane
 would drive the pipeline identically — and a DTM action is the one thing
-that breaks it.  This module carries the full per-lane DTM state as
-structure-of-arrays NumPy banks (:class:`LaneDTM`) and defines the
+that breaks it.  Every lane therefore owns the ordinary policy object a
+scalar :class:`~repro.sim.simulator.Simulator` would build
+(:func:`repro.dtm.build_policy`), and this module defines the
 **pipeline-visible divergence contract** that decides when lanes can no
 longer share a pipeline:
 
 *Pipeline-visible state* is everything the scalar run loop or the shared
 power accountant consumes:
 
-* ``stalled`` — the policy's global stall flag (stop-and-go, sedation's
+* ``global_stall`` — the policy's stall flag (stop-and-go, sedation's
   safety net), which selects the run loop's skip branch;
 * ``slowdown`` — the DVFS/TTDFS/fetch-gating frequency divisor, which
   changes how a span is split into run and skip cycles;
 * ``power_scale`` — the dynamic-power factor handed to
   ``PowerAccountant.block_powers`` (the accountant advances its snapshot
   once per boundary, so lanes sharing it must agree on the scale);
-* the per-thread ``sedated`` / ``throttle`` actuation flags, which gate
-  fetch inside the pipeline.
+* the per-thread ``sedated`` / ``throttle_modulus`` actuation flags, which
+  gate fetch inside the pipeline.
 
-Everything else a policy owns — engagement counters, TTDFS's running peak,
-the sedation controller's per-resource FSM states, deadlines, and
-culprit-membership sets — is *invisible*: it influences nothing until it
-changes one of the visible knobs, so it rides along per lane without
-constraining the batch.
+Everything else a policy owns — engagement counters, the sedation
+controller's per-resource FSM states, deadlines and culprit sets — is
+*invisible*: it influences nothing until it changes one of the visible
+knobs, so it rides along per lane without constraining the batch.
 
 A :class:`Cohort` is a set of lanes whose visible state (and therefore
-whole visible *history*) is identical.  At every sensor boundary the bank
-evaluates the exact scalar policy expressions per lane; if the resulting
-visible tuples disagree, the cohort **splits**: lanes are partitioned by
-:meth:`LaneDTM.visible_key`, the largest partition keeps the live pipeline,
-and every other partition deep-copies the pipeline/accountant at the
-boundary — a snapshot of the shared prefix — and continues as its own
-(possibly width-1) lock-step group.  Nothing ever restarts from cycle 0.
+whole visible *history*) is identical.  At every sensor boundary the
+cohort calls the policies of the lanes whose hottest reading lies outside
+their :meth:`~repro.dtm.base.DTMPolicy.quiet_band` — one vectorized
+compare finds them — and if the resulting visible keys disagree, the
+cohort **splits**: lanes are partitioned by :func:`visible_key`, the
+largest partition keeps the live pipeline, and every other partition
+forks the pipeline/accountant at the boundary — a snapshot of the shared
+prefix — and continues as its own (possibly width-1) lock-step group.
+Nothing ever restarts from cycle 0, and a lane's policy object moves by
+reference into its child cohort, the way its noise stream does.
 
-Exactness is by construction: the transition expressions below are the
-scalar policies' own comparisons applied elementwise (see each policy's
-module), culprit selection replays :func:`repro.core.detector.identify_culprit`
-against the lane's EWMA bank values, and the sedation FSM is a line-by-line
-mirror of :class:`repro.core.sedation.SelectiveSedationController` minus
-telemetry/fault hooks (batch lanes carry neither).
+Sedation lanes cannot actuate the shared core directly: their controller
+acts on a :class:`LanePort` holding the lane's own thread flags, and the
+cohort applies the agreed flags to the core.  Exactness is by
+construction: every lane runs the scalar policy code itself, fed the
+reading a scalar run would see.
 """
 
 from __future__ import annotations
@@ -51,62 +53,8 @@ import json
 
 import numpy as np
 
-from ..blocks import NUM_BLOCKS
-from ..core.sedation import SEDATION_IDLE, SEDATION_WAITING
-from ..dtm.dvfs import DEFAULT_SLOWDOWN, DEFAULT_VOLTAGE_RATIO
-from ..dtm.ttdfs import (
-    DEFAULT_DEGREES_PER_STEP,
-    DEFAULT_MAX_SLOWDOWN,
-    TRACKING_OFFSET_K,
-)
 from ..thermal import RCThermalModel
-
-#: Policy-name → lane code (int8 column of the bank).  The codes gate every
-#: vector transition below, so a lane only ever evaluates its own policy.
-POLICY_CODES = {
-    "ideal": 0,
-    "stop_and_go": 1,
-    "dvfs": 2,
-    "ttdfs": 3,
-    "fetch_gating": 4,
-    "sedation": 5,
-}
-
-CODE_IDEAL = POLICY_CODES["ideal"]
-CODE_STOP_AND_GO = POLICY_CODES["stop_and_go"]
-CODE_DVFS = POLICY_CODES["dvfs"]
-CODE_TTDFS = POLICY_CODES["ttdfs"]
-CODE_FETCH_GATING = POLICY_CODES["fetch_gating"]
-CODE_SEDATION = POLICY_CODES["sedation"]
-
-#: ndarray attributes of :class:`LaneDTM`, sliced wholesale on a split.
-_ARRAY_FIELDS = (
-    "code",
-    "emergency",
-    "resume",
-    "dvfs_slowdown",
-    "dvfs_power",
-    "ttdfs_tracking",
-    "ttdfs_degrees",
-    "ttdfs_max",
-    "peak_seen",
-    "sed_upper",
-    "sed_lower",
-    "sed_wait",
-    "sed_throttle_mode",
-    "sed_modulus",
-    "sed_state",
-    "sed_deadline",
-    "stalled",
-    "slowdown",
-    "power_scale",
-    "sedated",
-    "throttle",
-    "engagements",
-    "sedations",
-    "releases",
-    "safety_nets",
-)
+from ..thermal.sensors import SensorReading
 
 
 def network_key(thermal) -> str:
@@ -155,320 +103,73 @@ class NetworkGroup:
         return clone
 
 
-class LaneDTM:
-    """Structure-of-arrays DTM state for the lanes of one cohort.
+class _LaneThread:
+    """One thread as a sedation lane sees it: its own flags, the core's halt."""
 
-    One row per lane; columns hold the parameters and mutable state of
-    *whichever* policy that lane runs (unused columns stay at their
-    defaults).  Transition evaluation applies the scalar policies' exact
-    expressions under per-policy code masks, so adding a lane of a
-    different policy to the cohort costs one more row, not a new code path.
+    __slots__ = ("tid", "sedated", "throttle_modulus", "core_thread")
+
+    def __init__(self, core_thread) -> None:
+        self.tid = core_thread.tid
+        self.sedated = False
+        self.throttle_modulus = 0
+        self.core_thread = core_thread
+
+    @property
+    def halted(self) -> bool:
+        return self.core_thread.halted
+
+
+class LanePort:
+    """A sedation lane's stand-in for the core and the usage monitor.
+
+    The controller reads ``threads`` and ``weighted_average`` and actuates
+    through ``set_sedated``/``set_throttled``, exactly as it would on an
+    :class:`~repro.pipeline.smt.SMTCore` and a
+    :class:`~repro.core.usage.UsageMonitor`.  Flags land on the port, not
+    the shared core (the cohort applies them once its lanes agree); halt
+    state and EWMA values come from the lane's cohort, so the port is
+    rebound whenever its lane moves to a child cohort.
     """
 
-    def __init__(self, configs, cooling_cycles, num_threads: int) -> None:
-        lanes = len(configs)
-        self.code = np.array(
-            [POLICY_CODES[config.dtm_policy] for config in configs],
-            dtype=np.int8,
+    def __init__(self, core, monitor, row: int) -> None:
+        self.threads = [_LaneThread(thread) for thread in core.threads]
+        #: per-thread ``(sedated, throttle_modulus)``, ``None`` when all clear
+        self.flags: tuple | None = None
+        self.bind(core, monitor, row)
+
+    def bind(self, core, monitor, row: int) -> None:
+        """Point the port at the lane's (new) cohort core and monitor row."""
+        for view, thread in zip(self.threads, core.threads, strict=True):
+            view.core_thread = thread
+        self.monitor = monitor
+        self.row = row
+
+    def set_sedated(self, tid: int, sedated: bool) -> None:
+        self.threads[tid].sedated = sedated
+        self._refresh_flags()
+
+    def set_throttled(self, tid: int, modulus: int) -> None:
+        self.threads[tid].throttle_modulus = modulus
+        self._refresh_flags()
+
+    def weighted_average(self, tid: int, block: int) -> float:
+        return float(self.monitor.bank.values[self.row, tid, block])
+
+    def _refresh_flags(self) -> None:
+        flags = tuple(
+            (view.sedated, view.throttle_modulus) for view in self.threads
         )
-        self.emergency = np.array(
-            [config.thermal.emergency_k for config in configs]
-        )
-        self.resume = np.array(
-            [config.thermal.normal_operating_k for config in configs]
-        )
-        self.dvfs_slowdown = np.full(lanes, DEFAULT_SLOWDOWN, dtype=np.int64)
-        self.dvfs_power = np.full(
-            lanes, DEFAULT_VOLTAGE_RATIO * DEFAULT_VOLTAGE_RATIO
-        )
-        self.ttdfs_tracking = self.emergency - TRACKING_OFFSET_K
-        self.ttdfs_degrees = np.full(lanes, DEFAULT_DEGREES_PER_STEP)
-        self.ttdfs_max = np.full(lanes, DEFAULT_MAX_SLOWDOWN, dtype=np.int64)
-        self.peak_seen = np.zeros(lanes)
-        self.sed_upper = np.array(
-            [config.sedation.upper_threshold_k for config in configs]
-        )
-        self.sed_lower = np.array(
-            [config.sedation.lower_threshold_k for config in configs]
-        )
-        # The scalar controller clamps the derived cooling time to >= 1 and
-        # truncates the multiplied wait once; both are constants per run.
-        self.sed_wait = np.array(
-            [
-                int(config.sedation.cooling_wait_multiplier * max(1, cycles))
-                for config, cycles in zip(
-                    configs, cooling_cycles, strict=True
-                )
-            ],
-            dtype=np.int64,
-        )
-        self.sed_throttle_mode = np.array(
-            [config.sedation.sedation_mode == "throttle" for config in configs],
-            dtype=bool,
-        )
-        self.sed_modulus = np.array(
-            [config.sedation.throttle_modulus for config in configs],
-            dtype=np.int64,
-        )
-        self.sed_state = np.full(
-            (lanes, NUM_BLOCKS), SEDATION_IDLE, dtype=np.int8
-        )
-        self.sed_deadline = np.zeros((lanes, NUM_BLOCKS), dtype=np.int64)
-        #: per-lane, per-block culprit membership — the scalar controller's
-        #: ``_sedated_for`` sets, one copy per lane.
-        self.sedated_for: list[list[set[int]]] = [
-            [set() for _ in range(NUM_BLOCKS)] for _ in range(lanes)
-        ]
-        # Pipeline-visible state (the cohort invariant: identical rows).
-        self.stalled = np.zeros(lanes, dtype=bool)
-        self.slowdown = np.ones(lanes, dtype=np.int64)
-        self.power_scale = np.ones(lanes)
-        self.sedated = np.zeros((lanes, num_threads), dtype=bool)
-        self.throttle = np.zeros((lanes, num_threads), dtype=np.int64)
-        # Counters surfaced in RunResult (exact scalar semantics: DTM
-        # engagements of any policy report as stall_engagements).
-        self.engagements = np.zeros(lanes, dtype=np.int64)
-        self.sedations = np.zeros(lanes, dtype=np.int64)
-        self.releases = np.zeros(lanes, dtype=np.int64)
-        self.safety_nets = np.zeros(lanes, dtype=np.int64)
+        self.flags = flags if any(s or m for s, m in flags) else None
 
-    # -- transition evaluation ---------------------------------------------
 
-    def on_sensor_stalled(self, hottest: np.ndarray) -> bool:  # repro: twin(stopgo, sedation-stall-release)
-        """Stalled-cohort boundary: the resume check, nothing else.
-
-        Only stop-and-go and sedation lanes can be in a stalled cohort, and
-        both do exactly ``hottest <= resume_k → disengage`` while stalled.
-        Returns True when any lane's visible state changed.
-        """
-        resumed = self.stalled & (hottest <= self.resume)
-        if not resumed.any():
-            return False
-        self.stalled[resumed] = False
-        return True
-
-    def on_sensor(
-        self,
-        cycle: int,
-        temps: np.ndarray,
-        hottest: np.ndarray,
-        halted: list[bool],
-        ewma_values: np.ndarray,
-    ) -> bool:
-        """Unstalled-cohort boundary: every policy's exact engage logic.
-
-        ``temps``/``hottest`` are the lanes' *reported* (noise-included)
-        readings, ``ewma_values`` the monitor bank ``(lanes, threads,
-        blocks)``.  Returns True when any lane's visible state may have
-        changed (the caller then partitions by :meth:`visible_key`).
-        """
-        changed = False
-        code = self.code
-        throttled = self.slowdown > 1  # pre-boundary state, like the scalar
-
-        mask = (code == CODE_STOP_AND_GO) & (hottest >= self.emergency)  # repro: twin(stopgo) begin
-        if mask.any():
-            self.stalled[mask] = True
-            self.engagements[mask] += 1
-            changed = True  # repro: twin(stopgo) end
-
-        is_dvfs = code == CODE_DVFS  # repro: twin(dvfs) begin
-        mask = is_dvfs & throttled & (hottest <= self.resume)
-        if mask.any():
-            self.slowdown[mask] = 1
-            self.power_scale[mask] = 1.0
-            changed = True
-        mask = is_dvfs & ~throttled & (hottest >= self.emergency)
-        if mask.any():
-            self.slowdown[mask] = self.dvfs_slowdown[mask]
-            self.power_scale[mask] = self.dvfs_power[mask]
-            self.engagements[mask] += 1
-            changed = True  # repro: twin(dvfs) end
-
-        is_ttdfs = code == CODE_TTDFS
-        if is_ttdfs.any():
-            np.maximum(
-                self.peak_seen, hottest, out=self.peak_seen, where=is_ttdfs
-            )
-            over = hottest - self.ttdfs_tracking  # repro: twin(ttdfs-cool) begin
-            mask = is_ttdfs & (over <= 0.0) & (self.slowdown != 1)
-            if mask.any():
-                self.slowdown[mask] = 1
-                self.power_scale[mask] = 1.0
-                changed = True  # repro: twin(ttdfs-cool) end
-            hot = np.flatnonzero(is_ttdfs & (over > 0.0))
-            if hot.size:  # repro: twin(ttdfs-step) begin
-                # int() truncation == floor for the positive values here.
-                steps = 1 + (
-                    over[hot] / self.ttdfs_degrees[hot]
-                ).astype(np.int64)
-                wanted = np.minimum(self.ttdfs_max[hot], 1 + steps)
-                delta = wanted != self.slowdown[hot]
-                if delta.any():
-                    moved = hot[delta]
-                    self.slowdown[moved] = wanted[delta]
-                    self.power_scale[moved] = 1.0
-                    self.engagements[moved] += 1
-                    changed = True  # repro: twin(ttdfs-step) end
-
-        is_gating = code == CODE_FETCH_GATING  # repro: twin(fetch-gating) begin
-        mask = is_gating & throttled & (hottest <= self.resume)
-        if mask.any():
-            self.slowdown[mask] = 1
-            changed = True
-        mask = is_gating & ~throttled & (hottest >= self.emergency)
-        if mask.any():
-            self.slowdown[mask] = 2
-            self.engagements[mask] += 1
-            changed = True  # repro: twin(fetch-gating) end
-
-        is_sedation = code == CODE_SEDATION
-        if is_sedation.any():
-            safety = is_sedation & (hottest >= self.emergency)  # repro: twin(sedation-safety-net) begin
-            for lane in np.flatnonzero(safety):
-                self._safety_net(int(lane))
-                changed = True  # repro: twin(sedation-safety-net) end
-            calm = np.flatnonzero(is_sedation & ~safety)
-            if calm.size:
-                # Vector gate: a lane's FSM only has work when some block
-                # is WAITING or crosses its upper threshold while IDLE.
-                state = self.sed_state[calm]
-                busy = (
-                    (
-                        (state == SEDATION_IDLE)
-                        & (temps[calm] >= self.sed_upper[calm, None])
-                    )
-                    | (state == SEDATION_WAITING)
-                ).any(axis=1)
-                for lane in calm[busy]:
-                    lane = int(lane)
-                    if self._sedation_fsm(
-                        lane, cycle, temps[lane], halted, ewma_values[lane]
-                    ):
-                        changed = True
-        return changed
-
-    # -- the per-lane sedation FSM (scalar controller, minus telemetry) ----
-
-    def _sedation_fsm(  # repro: twin(sedation-fsm)
-        self,
-        lane: int,
-        cycle: int,
-        temps_row: np.ndarray,
-        halted: list[bool],
-        ewma_lane: np.ndarray,
-    ) -> bool:
-        upper = self.sed_upper[lane]
-        lower = self.sed_lower[lane]
-        wait = int(self.sed_wait[lane])
-        state = self.sed_state[lane]
-        deadline = self.sed_deadline[lane]
-        changed = False
-        for block in range(NUM_BLOCKS):
-            temperature = float(temps_row[block])
-            if state[block] == SEDATION_IDLE:
-                if temperature >= upper:
-                    if self._sedate_culprit(lane, block, halted, ewma_lane):
-                        state[block] = SEDATION_WAITING
-                        deadline[block] = cycle + wait
-                        changed = True
-            else:  # SEDATION_WAITING
-                if temperature <= lower:
-                    self._release_block(lane, block)
-                    changed = True
-                elif cycle >= deadline[block]:
-                    # Not cooling: another thread must also have a
-                    # power-density problem — sedate the next one.
-                    if self._sedate_culprit(lane, block, halted, ewma_lane):
-                        changed = True
-                    deadline[block] = cycle + wait
-        return changed
-
-    def _sedate_culprit(
-        self,
-        lane: int,
-        block: int,
-        halted: list[bool],
-        ewma_lane: np.ndarray,
-    ) -> bool:
-        sed_row = self.sedated[lane]
-        throttle_row = self.throttle[lane]
-        candidates = [  # repro: twin(sedation-culprit-floor) begin
-            tid
-            for tid in range(len(sed_row))
-            if not sed_row[tid] and not throttle_row[tid] and not halted[tid]
-        ]
-        if len(candidates) < 2:
-            # The last unsedated thread cannot degrade any other thread:
-            # let it run; the stop-and-go safety net guards the emergency.
-            return False  # repro: twin(sedation-culprit-floor) end
-        best = -1
-        best_average = -1.0
-        for tid in candidates:
-            average = ewma_lane[tid, block]
-            if average > best_average:
-                best_average = average
-                best = tid
-        self.sedated_for[lane][block].add(best)
-        if self.sed_throttle_mode[lane]:
-            throttle_row[best] = self.sed_modulus[lane]
-        else:
-            sed_row[best] = True
-        self.sedations[lane] += 1
-        return True
-
-    def _release_block(self, lane: int, block: int) -> None:
-        sets = self.sedated_for[lane]
-        for tid in sorted(sets[block]):
-            sets[block].discard(tid)
-            if not any(tid in members for members in sets):
-                if self.sed_throttle_mode[lane]:
-                    self.throttle[lane][tid] = 0
-                else:
-                    self.sedated[lane][tid] = False
-            self.releases[lane] += 1
-        self.sed_state[lane][block] = SEDATION_IDLE
-
-    def _safety_net(self, lane: int) -> None:
-        """Emergency despite sedation: stall, release everyone, reset FSMs."""
-        self.stalled[lane] = True  # repro: twin(sedation-safety-net) begin
-        self.engagements[lane] += 1
-        self.safety_nets[lane] += 1  # repro: twin(sedation-safety-net) end
-        sets = self.sedated_for[lane]
-        members: set[int] = set()
-        for block_members in sets:
-            members |= block_members
-        for tid in sorted(members):
-            if self.sed_throttle_mode[lane]:
-                self.throttle[lane][tid] = 0
-            else:
-                self.sedated[lane][tid] = False
-        for block in range(NUM_BLOCKS):
-            sets[block].clear()
-        self.sed_state[lane][:] = SEDATION_IDLE
-
-    # -- splitting ----------------------------------------------------------
-
-    def visible_key(self, pos: int) -> tuple:
-        """The pipeline-visible tuple partitioning lanes into cohorts."""
-        return (
-            bool(self.stalled[pos]),
-            int(self.slowdown[pos]),
-            float(self.power_scale[pos]),
-            self.sedated[pos].tobytes(),
-            self.throttle[pos].tobytes(),
-        )
-
-    def take(self, indices: np.ndarray) -> "LaneDTM":
-        """New bank carrying the selected lanes' rows (copies throughout)."""
-        clone = object.__new__(LaneDTM)
-        for name in _ARRAY_FIELDS:
-            setattr(clone, name, getattr(self, name)[indices])
-        clone.sedated_for = [
-            [set(members) for members in self.sedated_for[int(index)]]
-            for index in indices
-        ]
-        return clone
+def visible_key(policy, port: LanePort | None) -> tuple:
+    """The pipeline-visible state of one lane: what a cohort's lanes share."""
+    return (
+        policy.global_stall,
+        policy.slowdown,
+        policy.power_scale,
+        None if port is None else port.flags,
+    )
 
 
 def _group_layout(groups: dict, group_keys: list[str]) -> tuple[list, list[int]]:
@@ -487,11 +188,12 @@ class Cohort:
     """One lock-step group: lanes with identical pipeline-visible history.
 
     Owns one pipeline (+ power accountant), one usage-monitor bank, one
-    crossing detector, the per-lane sensor-noise RNG bank, the DTM bank,
-    and one thermal network group per distinct thermal config among its
-    lanes.  ``lanes`` maps row position → original spec index;
-    ``workloads`` names the trajectory every lane of this cohort shares
-    (heterogeneous batches run one cohort tree per trajectory).
+    crossing detector, the per-lane sensor-noise RNG bank, one DTM policy
+    (and, for sedation lanes, one :class:`LanePort`) per lane with the
+    lanes' quiet bands, and one thermal network group per distinct thermal
+    config among its lanes.  ``lanes`` maps row position → original spec
+    index; ``workloads`` names the trajectory every lane of this cohort
+    shares (heterogeneous batches run one cohort tree per trajectory).
     """
 
     __slots__ = (
@@ -502,7 +204,11 @@ class Cohort:
         "monitor",
         "detector",
         "rng",
-        "dtm",
+        "policies",
+        "ports",
+        "quiet_lo",
+        "quiet_hi",
+        "key",
         "groups",
         "group_keys",
         "group_list",
@@ -524,7 +230,8 @@ class Cohort:
         monitor,
         detector,
         rng,
-        dtm,
+        policies,
+        ports,
         groups,
         group_keys,
         next_sample: int,
@@ -537,41 +244,72 @@ class Cohort:
         self.monitor = monitor
         self.detector = detector
         self.rng = rng
-        self.dtm = dtm
+        self.policies = list(policies)
+        self.ports = list(ports)
+        bands = [policy.quiet_band() for policy in self.policies]
+        self.quiet_lo = np.array([lo for lo, _ in bands])
+        self.quiet_hi = np.array([hi for _, hi in bands])
         self.groups = dict(groups)
         self.group_keys = list(group_keys)
         self.group_list, rows = _group_layout(self.groups, self.group_keys)
         self.group_rows = np.array(rows, dtype=np.int64)
-        self.stalled = False
-        self.slowdown = 1
-        self.power_scale = 1.0
         self.next_sample = next_sample
         self.next_sensor = next_sensor
         self.last_thermal = core.cycle
+        self.adopt_visible()
 
     @property
     def width(self) -> int:
         return len(self.lanes)
 
-    def adopt_visible(self) -> None:
-        """Make the cohort (and its pipeline) match the bank's visible rows.
+    def on_sensor(self, temps: np.ndarray) -> list["Cohort"] | None:
+        """Feed this boundary's readings to every lane outside its quiet band.
 
-        Callable only when every lane agrees (post-partition invariant), so
-        row 0 speaks for the cohort.  Thread flags are applied through the
-        core's own setters, exactly as the scalar controller would.
+        ``temps`` holds the lanes' reported ``(width, blocks)`` readings.
+        Returns the child cohorts when the lanes' visible states no longer
+        agree, ``None`` while they still do.
         """
-        dtm = self.dtm
-        self.stalled = bool(dtm.stalled[0])
-        self.slowdown = int(dtm.slowdown[0])
-        self.power_scale = float(dtm.power_scale[0])
+        hottest = temps.max(axis=1)
+        acting = np.flatnonzero(
+            (hottest <= self.quiet_lo) | (hottest >= self.quiet_hi)
+        )
+        diverged = False
+        cycle = self.core.cycle
+        for position in acting.tolist():
+            policy = self.policies[position]
+            policy.on_sensor(SensorReading(cycle, temps[position]))
+            self.quiet_lo[position], self.quiet_hi[position] = policy.quiet_band()
+            if visible_key(policy, self.ports[position]) != self.key:
+                diverged = True
+        return self._settle() if diverged else None
+
+    def _settle(self) -> list["Cohort"] | None:
+        """Regroup after a divergence: split by visible key, or adopt it."""
+        # Partitions keep first-occurrence order.
+        partitions: dict[tuple, list[int]] = {}
+        for position, (policy, port) in enumerate(
+            zip(self.policies, self.ports, strict=True)
+        ):
+            partitions.setdefault(visible_key(policy, port), []).append(position)
+        if len(partitions) > 1:
+            return self.split(list(partitions.values()))
+        self.adopt_visible()
+        return None
+
+    def adopt_visible(self) -> None:
+        """Make the cohort (and its pipeline) match its lanes' visible state.
+
+        Callable only when every lane agrees, so lane 0 speaks for the
+        cohort.  Thread flags are applied through the core's own setters,
+        exactly as the scalar controller would.
+        """
+        self.key = visible_key(self.policies[0], self.ports[0])
+        self.stalled, self.slowdown, self.power_scale, flags = self.key
         core = self.core
-        sed_row = dtm.sedated[0]
-        throttle_row = dtm.throttle[0]
         for tid, thread in enumerate(core.threads):
-            wanted = bool(sed_row[tid])
-            if thread.sedated != wanted:
-                core.set_sedated(tid, wanted)
-            modulus = int(throttle_row[tid])
+            sedated, modulus = (False, 0) if flags is None else flags[tid]
+            if thread.sedated != sedated:
+                core.set_sedated(tid, sedated)
             if thread.throttle_modulus != modulus:
                 core.set_throttled(tid, modulus)
 
@@ -580,7 +318,7 @@ class Cohort:
 
         The largest partition (first on ties) keeps the live pipeline,
         accountant, thermal models, and propagator caches; every other
-        child deep-copies the pipeline state at this boundary — the shared
+        child forks the pipeline state at this boundary — the shared
         prefix becomes each child's own history.  All children are built
         before any visible state is applied, so every copy snapshots the
         same pre-divergence pipeline.
@@ -614,7 +352,16 @@ class Cohort:
         child.monitor = self.monitor.take(indices, child.core)
         child.detector = self.detector.take(indices)
         child.rng = self.rng.take(indices)
-        child.dtm = self.dtm.take(indices)
+        # Policies and ports move by reference: a lane lives in exactly
+        # one cohort, so its DTM state continues wherever the lane goes.
+        child.policies = [self.policies[position] for position in positions]
+        child.ports = [self.ports[position] for position in positions]
+        for row, port in enumerate(child.ports):
+            if port is not None:
+                port.bind(child.core, child.monitor, row)
+        child.quiet_lo = self.quiet_lo[indices]
+        child.quiet_hi = self.quiet_hi[indices]
+        child.key = self.key
         child.group_keys = [self.group_keys[position] for position in positions]
         child.groups = {}
         for key in dict.fromkeys(child.group_keys):

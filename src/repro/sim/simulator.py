@@ -18,10 +18,8 @@ import time
 
 from ..config import SimulationConfig
 from ..core.reporting import OSReportLog
-from ..core.sedation import SelectiveSedationController
 from ..core.usage import UsageMonitor
-from ..dtm import DTMPolicy, DVFS, FetchGating, SedationPolicy, StopAndGo, TTDFS
-from ..dtm.ttdfs import TRACKING_OFFSET_K
+from ..dtm import DTMPolicy, SedationPolicy, build_policy
 from ..errors import SimulationError
 from ..faults.injectors import SAMPLE_MISS, FaultController
 from ..perf import PerfCounters
@@ -62,6 +60,45 @@ def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
         if prefill is not None:
             prefill(core.hierarchy)
     return core
+
+
+def run_span(core: SMTCore, slowdown: int, span: int) -> None:
+    """Run the pipeline for ``span`` cycles, honoring a DVFS ``slowdown``.
+
+    The scalar run loop and every batch cohort advance through this one
+    function, so per-thread cycle classification cannot drift between them.
+    """
+    if slowdown > 1:
+        active = span // slowdown
+        throttled = span - active
+        if active:
+            core.run_cycles(active)
+        if throttled:
+            core.skip_cycles(throttled)
+        for thread in core.threads:
+            thread.cycles_cooling += throttled
+            if thread.sedated:
+                thread.cycles_sedated += active
+            else:
+                thread.cycles_normal += active
+        return
+    core.run_cycles(span)
+    for thread in core.threads:
+        if thread.sedated:
+            thread.cycles_sedated += span
+        else:
+            thread.cycles_normal += span
+
+
+def policy_counts(policy: DTMPolicy) -> tuple[int, int, int]:
+    """``(sedations, safety-net engagements, engagements)`` of a policy."""
+    if isinstance(policy, SedationPolicy):
+        return (
+            policy.controller.sedations,
+            policy.safety_net_engagements,
+            policy.engagements,
+        )
+    return 0, 0, policy.engagements
 
 
 class Simulator:
@@ -111,7 +148,9 @@ class Simulator:
         )
         self.monitor = UsageMonitor(self.core, config.sedation)
         self.reports = OSReportLog()
-        self.policy = self._build_policy()
+        self.policy = build_policy(
+            config, self.core, self.monitor, self.thermal, self.reports
+        )
         #: optional observability session (``None`` = zero-overhead default);
         #: the policy, sedation controller, and pipeline all share it
         self.telemetry = telemetry
@@ -142,39 +181,6 @@ class Simulator:
             if telemetry is not None:
                 controller.attach_telemetry(telemetry)
             self.faults = controller
-
-    def _build_policy(self) -> DTMPolicy:
-        thermal = self.config.thermal
-        name = self.config.dtm_policy
-        if name == "ideal":
-            return DTMPolicy()
-        if name == "stop_and_go":
-            return StopAndGo(thermal.emergency_k, thermal.normal_operating_k)
-        if name == "dvfs":
-            return DVFS(thermal.emergency_k, thermal.normal_operating_k)
-        if name == "ttdfs":
-            return TTDFS(
-                tracking_threshold_k=thermal.emergency_k - TRACKING_OFFSET_K
-            )
-        if name == "fetch_gating":
-            return FetchGating(thermal.emergency_k, thermal.normal_operating_k)
-        if name == "sedation":
-            cooling = self.config.sedation.expected_cooling_cycles
-            if cooling is None:
-                cooling = thermal.cycles_from_seconds(
-                    self.thermal.expected_cooling_seconds()
-                )
-            controller = SelectiveSedationController(
-                self.core,
-                self.monitor,
-                self.config.sedation,
-                expected_cooling_cycles=cooling,
-                report_log=self.reports,
-            )
-            return SedationPolicy(
-                controller, thermal.emergency_k, thermal.normal_operating_k
-            )
-        raise SimulationError(f"unknown DTM policy {name!r}")
 
     # -- the run loop ------------------------------------------------------------
 
@@ -244,7 +250,7 @@ class Simulator:
             boundary = min(next_sample, next_sensor, target)
             span = boundary - core.cycle
             if span > 0:
-                self._run_span(span)
+                run_span(core, policy.slowdown, span)
             if core.cycle >= next_sample:
                 fire = True
                 if fault_sampler is not None and not sampler_late_fire:
@@ -292,17 +298,7 @@ class Simulator:
         return self._collect(start, baseline, trace_rows, wall_seconds)
 
     def _snapshot(self) -> dict:
-        policy = self.policy
-        sedations = (
-            policy.controller.sedations
-            if isinstance(policy, SedationPolicy)
-            else 0
-        )
-        safety_nets = (
-            policy.safety_net_engagements
-            if isinstance(policy, SedationPolicy)
-            else 0
-        )
+        sedations, safety_nets, engagements = policy_counts(self.policy)
         return {
             "threads": [
                 (t.committed, t.fetched, t.cycles_normal, t.cycles_cooling,
@@ -314,7 +310,7 @@ class Simulator:
             "per_block": list(self.sensors.emergencies_per_block),
             "sedations": sedations,
             "safety_nets": safety_nets,
-            "engagements": policy.engagements,
+            "engagements": engagements,
             "perf": (
                 self.core.perf_idle_skipped,
                 self.core.perf_stall_skipped,
@@ -322,31 +318,6 @@ class Simulator:
                 self.thermal.perf_propagator_builds,
             ),
         }
-
-    def _run_span(self, span: int) -> None:  # repro: twin(run-span)
-        """Run the pipeline for ``span`` cycles, honoring DVFS slowdown."""
-        core = self.core
-        slowdown = self.policy.slowdown
-        if slowdown > 1:
-            active = span // slowdown
-            throttled = span - active
-            if active:
-                core.run_cycles(active)
-            if throttled:
-                core.skip_cycles(throttled)
-            for thread in core.threads:
-                thread.cycles_cooling += throttled
-                if thread.sedated:
-                    thread.cycles_sedated += active
-                else:
-                    thread.cycles_normal += active
-            return
-        core.run_cycles(span)
-        for thread in core.threads:
-            if thread.sedated:
-                thread.cycles_sedated += span
-            else:
-                thread.cycles_normal += span
 
     def _advance_thermal(self, powers: list[float]) -> None:
         cycles = self.core.cycle - self._last_thermal_cycle

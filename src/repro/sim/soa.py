@@ -14,13 +14,14 @@ accept **heterogeneous** lanes:
 * :func:`build_streamed_pipeline` — :func:`repro.sim.simulator.build_pipeline`
   with stream cursors in place of live sources, so forking a pipeline at a
   cohort split costs O(in-flight uops), not a deep copy of generators.
-* :class:`LaneRngBank` — the vectorized counterpart of the per-lane
-  sensor-noise ``random.Random`` streams.  The **RNG-bank contract**: each
-  lane owns one scalar ``Random(sensor_noise_seed)`` and draws one Gaussian
-  per block, in block order, at every sensor boundary — byte-identical to
-  :meth:`repro.thermal.sensors.SensorBank.sample` — and the lane's stream
-  object travels with the lane across cohort splits, so its draw sequence
-  never depends on which cohort the lane currently rides in.
+* :class:`LaneRngBank` — the per-lane sensor-noise ``random.Random``
+  streams.  The **RNG-bank contract**: each lane owns one scalar
+  ``Random(sensor_noise_seed)`` and draws through the scalar bank's own
+  :func:`repro.thermal.sensors.add_sensor_noise` at every sensor boundary
+  — byte-identical to :meth:`repro.thermal.sensors.SensorBank.sample` —
+  and the lane's stream object travels with the lane across cohort
+  splits, so its draw sequence never depends on which cohort the lane
+  currently rides in.
 * :func:`sample_sensors` — the gather of every lane's reported reading
   from its thermal network group's packed state, vectorized over lanes.
 
@@ -40,6 +41,7 @@ from ..blocks import NUM_BLOCKS
 from ..errors import SimulationError
 from ..pipeline.banks import SharedStream, StreamCursor
 from ..pipeline.smt import SMTCore
+from ..thermal.sensors import add_sensor_noise
 from ..workloads.registry import make_source
 
 
@@ -140,14 +142,10 @@ class LaneRngBank:
         """Add each noisy lane's per-block Gaussian error to its row."""
         if not self.noisy:
             return
-        sigmas = self.sigmas  # repro: twin(sensor-noise) begin
         for lane, rng in enumerate(self.rngs):
-            sigma = sigmas[lane]
+            sigma = self.sigmas[lane]
             if sigma > 0.0:
-                gauss = rng.gauss
-                row = temps[lane]
-                for block in range(NUM_BLOCKS):
-                    row[block] += gauss(0.0, sigma)  # repro: twin(sensor-noise) end
+                add_sensor_noise(temps[lane], rng, sigma)
 
     def take(self, indices: np.ndarray) -> "LaneRngBank":
         """New bank carrying the selected lanes' streams and sigmas.

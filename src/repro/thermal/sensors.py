@@ -17,6 +17,17 @@ from ..blocks import NUM_BLOCKS, block_name
 from .rcmodel import RCThermalModel
 
 
+def add_sensor_noise(temperatures, rng: random.Random, sigma: float) -> None:
+    """Add one ``rng.gauss(0, sigma)`` draw per block, in block order.
+
+    The one place sensor noise is drawn, for the scalar bank and for every
+    batch lane alike, so a lane's draw sequence is the scalar run's.
+    """
+    gauss = rng.gauss
+    for block in range(NUM_BLOCKS):
+        temperatures[block] += gauss(0.0, sigma)
+
+
 @dataclass
 class SensorReading:
     """One sensor sample: temperatures plus upward emergency crossings."""
@@ -68,11 +79,8 @@ class SensorBank:
     def sample(self, cycle: int) -> SensorReading:
         """Read every sensor; record upward crossings of the emergency point."""
         temperatures = self.model.temperatures()
-        if self.noise_k > 0.0:  # repro: twin(sensor-noise) begin
-            gauss = self._rng.gauss
-            noise = self.noise_k
-            for block in range(NUM_BLOCKS):
-                temperatures[block] += gauss(0.0, noise)  # repro: twin(sensor-noise) end
+        if self.noise_k > 0.0:
+            add_sensor_noise(temperatures, self._rng, self.noise_k)
         if self.fault_injector is not None:
             self.fault_injector.apply(cycle, temperatures)
         crossings: list[int] = []

@@ -20,12 +20,6 @@ import pytest
 
 from repro.blocks import INT_RF, NUM_BLOCKS
 from repro.config import scaled_config
-from repro.core.detector import (
-    culprit_margin,
-    culprit_margins,
-    identify_culprit,
-    identify_culprits,
-)
 from repro.core.ewma import Ewma, EwmaBank
 from repro.core.usage import BatchUsageMonitor, UsageMonitor
 from repro.errors import SimulationError
@@ -426,27 +420,6 @@ class TestVectorForms:
             int(count) for count in detector.emergencies_per_block[0]
         ] == bank.emergencies_per_block
         assert float(detector.peak_k[0]) == bank.peak_k
-
-    def test_identify_and_margin_match_scalar_detector(self):
-        config = tiny_config()
-        core = build_pipeline(config, ["gcc", "swim"])
-        monitor = UsageMonitor(core, config.sedation)
-        monitor.set_weighted_average(0, INT_RF, 4.0)
-        monitor.set_weighted_average(1, INT_RF, 1.5)
-        averages = np.array(monitor.averages_at(INT_RF))
-        mask = np.array([True, True])
-        assert int(identify_culprits(averages, mask)) == identify_culprit(
-            monitor, INT_RF, [0, 1]
-        )
-        assert float(culprit_margins(averages, mask)) == culprit_margin(
-            monitor, INT_RF, [0, 1]
-        )
-        # one candidate: no winner change, zero margin — as the scalar form
-        solo_mask = np.array([False, True])
-        assert int(identify_culprits(averages, solo_mask)) == 1
-        assert float(culprit_margins(averages, solo_mask)) == 0.0
-        none_mask = np.array([False, False])
-        assert int(identify_culprits(averages, none_mask)) == -1
 
     def test_batch_usage_monitor_matches_scalar(self):
         config = tiny_config()

@@ -35,7 +35,6 @@ class TestTTDFS:
         policy.on_sensor(reading(0, 365.0))
         assert policy.global_stall is False
         assert policy.slowdown == 4
-        assert policy.peak_seen_k == pytest.approx(365.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

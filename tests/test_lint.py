@@ -480,11 +480,12 @@ class TestReporters:
             ],
         }
 
-    def test_rule_catalog_lists_all_nine(self):
+    def test_rule_catalog_lists_all_eight(self):
         catalog = render_rules()
         for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                     "RPR006", "RPR007", "RPR008", "RPR009"):
+                     "RPR007", "RPR008", "RPR009"):
             assert code in catalog
+        assert "RPR006" not in catalog  # retired with the twin anchors
 
 
 # -- the self-check: this repository must pass its own linter -----------------

@@ -2,8 +2,7 @@
 
 The v1 rules keep their fixtures in ``test_lint.py``; this file covers the
 project-wide analysis context (symbol table, import/call graph, constant
-lattice, dict shapes, twin regions) and everything built on it: RPR006
-twin-path drift (with the mutation matrix the CI gate relies on), RPR007
+lattice, dict shapes) and everything built on it: RPR007
 transitive determinism taint, RPR008 payload schemas, RPR009 bank shapes,
 the findings baseline, the SARIF reporter, multi-line suppression, and the
 ``--rule``/``--diff`` CLI flags.
@@ -186,192 +185,6 @@ class TestProjectContext:
         )
         shape = dict_shape_at(func, "data", call)
         assert shape.dynamic
-
-
-# -- RPR006: twin-path drift --------------------------------------------------
-
-
-SCALAR_TWIN = """\
-    class Policy:
-        def on_sensor(self, reading):  # repro: twin(demo)
-            if reading.hot >= self.emergency:
-                self.stalled = True
-                self.engagements += 1
-    """
-
-VECTOR_TWIN = """\
-    def on_sensor(hot, emergency, stalled, engagements):  # repro: twin(demo)
-        mask = hot >= emergency
-        stalled[mask] = True
-        engagements[mask] += 1
-    """
-
-
-class TestTwinPathRule:
-    def test_matching_pair_is_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": SCALAR_TWIN,
-            "sim/cohort.py": VECTOR_TWIN,
-        }, select=("RPR006",))
-        assert result.findings == []
-
-    def test_threshold_constant_edit_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": SCALAR_TWIN,
-            "sim/cohort.py": VECTOR_TWIN.replace("+= 1", "+= 2"),
-        }, select=("RPR006",))
-        assert codes(result) == ["RPR006"]
-        message = result.findings[0].message
-        assert "constants" in message and "scalar" in message
-
-    def test_operator_flip_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": SCALAR_TWIN,
-            "sim/cohort.py": VECTOR_TWIN.replace(">=", ">"),
-        }, select=("RPR006",))
-        assert codes(result) == ["RPR006"]
-        assert "'x0 <= x1' vs 'x0 < x1'" in result.findings[0].message
-
-    def test_rename_only_stays_clean(self, tmp_path):
-        renamed = (
-            VECTOR_TWIN.replace("hot", "temp_k").replace("emergency", "limit")
-        )
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": SCALAR_TWIN,
-            "sim/cohort.py": renamed,
-        }, select=("RPR006",))
-        assert result.findings == []
-
-    def test_reordered_comparisons_fire(self, tmp_path):
-        scalar = """\
-            class Policy:
-                def check(self, r):  # repro: twin(ladder)
-                    if r.hot <= self.resume:
-                        self.state = 0
-                    if r.hot >= self.emergency:
-                        self.state = 2
-            """
-        vector = """\
-            def check(hot, resume, emergency, state):  # repro: twin(ladder)
-                if (hot >= emergency).any():
-                    state = 2
-                if (hot <= resume).any():
-                    state = 0
-            """
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": scalar,
-            "sim/cohort.py": vector,
-        }, select=("RPR006",))
-        assert codes(result) == ["RPR006"]
-
-    def test_vector_dispatch_scaffolding_is_dropped(self, tmp_path):
-        scalar = """\
-            class Policy:
-                def on_sensor(self, reading):  # repro: twin(scaf)
-                    if reading.hot >= self.emergency:
-                        self.engagements += 1
-            """
-        vector = """\
-            CODE_STOP = 3
-
-            def step(code, hot, emergency, engagements):  # repro: twin(scaf)
-                mask = (code == CODE_STOP) & (hot >= emergency)
-                engagements[mask] += 1
-            """
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": scalar,
-            "sim/cohort.py": vector,
-        }, select=("RPR006",))
-        assert result.findings == []
-
-    def test_begin_end_span_pairs_with_trailing_anchor(self, tmp_path):
-        scalar = """\
-            class Policy:
-                def on_sensor(self, reading):  # repro: twin(span)
-                    if reading.hot >= self.emergency:
-                        self.engagements += 1
-            """
-        vector = """\
-            def step(hot, emergency, engagements, other):
-                mask = hot >= emergency  # repro: twin(span) begin
-                engagements[mask] += 1  # repro: twin(span) end
-                other[0] = 99
-            """
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": scalar,
-            "sim/cohort.py": vector,
-        }, select=("RPR006",))
-        # The 99 outside the span must not leak into the fingerprint.
-        assert result.findings == []
-
-    def test_one_sided_tag_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": SCALAR_TWIN,
-        }, select=("RPR006",))
-        assert codes(result) == ["RPR006"]
-        assert "no vector side" in result.findings[0].message
-
-    def test_unterminated_begin_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": "x = 1  # repro: twin(t1) begin\n",
-        }, select=("RPR006",))
-        assert codes(result) == ["RPR006"]
-        assert "never closed" in result.findings[0].message
-
-    def test_end_without_begin_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": "x = 1  # repro: twin(t2) end\n",
-        }, select=("RPR006",))
-        assert codes(result) == ["RPR006"]
-        assert "without a matching begin" in result.findings[0].message
-
-    def test_suppressed_one_sided_tag(self, tmp_path):
-        source = SCALAR_TWIN.replace(
-            "# repro: twin(demo)",
-            "# repro: twin(demo)  # repro: noqa(RPR006) scalar-only for now",
-        )
-        result = lint_tree(tmp_path, {
-            "dtm/policy.py": source,
-        }, select=("RPR006",))
-        assert result.findings == [] and result.suppressed == 1
-
-    def test_real_tree_sedation_threshold_mutation(self, tmp_path):
-        """The CI gate: drifting a sedation threshold in cohort.py fires."""
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        cohort = tmp_path / "src" / "repro" / "sim" / "cohort.py"
-        text = cohort.read_text()
-        pristine = "safety = is_sedation & (hottest >= self.emergency)"
-        assert pristine in text
-        cohort.write_text(
-            text.replace(pristine, pristine.replace(">=", ">"), 1)
-        )
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR006",)))
-        assert codes(result) == ["RPR006"]
-        assert "sedation-safety-net" in result.findings[0].message
-
-    def test_real_tree_run_span_mutation(self, tmp_path):
-        """Drifting the batch hot loop away from Simulator._run_span fires."""
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        batch = tmp_path / "src" / "repro" / "sim" / "batch.py"
-        text = batch.read_text()
-        pristine = "if slowdown > 1:"
-        assert pristine in text
-        batch.write_text(text.replace(pristine, "if slowdown > 2:", 1))
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR006",)))
-        assert codes(result) == ["RPR006"]
-        assert "run-span" in result.findings[0].message
-
-    def test_real_tree_sensor_noise_mutation(self, tmp_path):
-        """Drifting the RNG bank's noise guard off SensorBank.sample fires."""
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        soa = tmp_path / "src" / "repro" / "sim" / "soa.py"
-        text = soa.read_text()
-        pristine = "if sigma > 0.0:"
-        assert pristine in text
-        soa.write_text(text.replace(pristine, "if sigma > 0.5:", 1))
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR006",)))
-        assert codes(result) == ["RPR006"]
-        assert "sensor-noise" in result.findings[0].message
 
 
 # -- RPR007: transitive determinism taint -------------------------------------
@@ -825,7 +638,7 @@ class TestMultiLineSuppression:
 class TestSarifReporter:
     def test_structure_and_rule_index(self):
         result = LintResult(
-            findings=[Finding("src/a.py", 3, 5, "RPR006", "drifted")],
+            findings=[Finding("src/a.py", 3, 5, "RPR009", "drifted")],
             files_checked=1,
         )
         payload = json.loads(render_sarif(result))
@@ -833,10 +646,10 @@ class TestSarifReporter:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.lint"
         ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == sorted(ids) and len(ids) == 9
+        assert ids == sorted(ids) and len(ids) == 8
         entry = run["results"][0]
-        assert entry["ruleId"] == "RPR006"
-        assert ids[entry["ruleIndex"]] == "RPR006"
+        assert entry["ruleId"] == "RPR009"
+        assert ids[entry["ruleIndex"]] == "RPR009"
         location = entry["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "src/a.py"
         assert location["region"] == {"startLine": 3, "startColumn": 5}

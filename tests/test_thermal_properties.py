@@ -1,11 +1,19 @@
-"""Property-based thermal-model tests (hypothesis)."""
+"""Property-based thermal-model and DTM quiet-band tests (hypothesis)."""
+
+import copy
+import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blocks import NUM_BLOCKS
-from repro.config import ThermalConfig
+from repro.config import ThermalConfig, scaled_config
+from repro.dtm import build_policy
 from repro.thermal import RCThermalModel
+from repro.thermal.sensors import SensorReading
 
 powers_strategy = st.lists(
     st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
@@ -87,3 +95,111 @@ def test_sink_temperature_monotone_in_convection_resistance(r_conv):
         ThermalConfig(convection_resistance_k_per_w=r_conv + 0.05)
     )
     assert worse.nominal_sink_k > better.nominal_sink_k
+
+
+# -- DTM quiet bands -----------------------------------------------------------
+
+
+POLICIES = ("ideal", "stop_and_go", "dvfs", "ttdfs", "fetch_gating", "sedation")
+
+temps_strategy = st.lists(
+    st.floats(min_value=352.0, max_value=361.0, allow_nan=False),
+    min_size=NUM_BLOCKS,
+    max_size=NUM_BLOCKS,
+)
+
+
+class _Core:
+    """Just the thread flags and setters the sedation controller uses."""
+
+    def __init__(self) -> None:
+        self.threads = [
+            SimpleNamespace(tid=tid, sedated=False, throttle_modulus=0, halted=False)
+            for tid in range(2)
+        ]
+
+    def set_sedated(self, tid, sedated):
+        self.threads[tid].sedated = sedated
+
+    def set_throttled(self, tid, modulus):
+        self.threads[tid].throttle_modulus = modulus
+
+
+class _Monitor:
+    def weighted_average(self, tid, block):
+        return float((tid + 1) * (block % 3 + 1))
+
+
+def _policy(name, core):
+    config = scaled_config().with_policy(name)
+    config = dataclasses.replace(
+        config,
+        sedation=dataclasses.replace(config.sedation, expected_cooling_cycles=500),
+    )
+    return build_policy(config, core, _Monitor(), thermal=None)
+
+
+def _state(policy, core):
+    """Everything ``on_sensor`` may change: policy, controller, thread flags."""
+    state = {
+        key: value
+        for key, value in vars(policy).items()
+        if key not in ("controller", "telemetry")
+    }
+    controller = getattr(policy, "controller", None)
+    if controller is not None:
+        state["controller"] = {
+            key: value
+            for key, value in vars(controller).items()
+            if key not in ("core", "monitor", "config", "telemetry", "reports")
+        }
+        state["reports"] = len(controller.reports)
+    state["threads"] = [(t.sedated, t.throttle_modulus) for t in core.threads]
+    return copy.deepcopy(state)
+
+
+def _inside(lo, hi, where):
+    """A hottest reading strictly inside ``(lo, hi)``, or None if empty."""
+    if lo == -math.inf and hi == math.inf:
+        value = 340.0 + 30.0 * where
+    elif lo == -math.inf:
+        value = hi - 0.001 - 10.0 * where
+    elif hi == math.inf:
+        value = lo + 0.001 + 10.0 * where
+    else:
+        value = lo + (hi - lo) * where
+    return value if lo < value < hi else None
+
+
+@pytest.mark.parametrize("name", POLICIES)
+@given(
+    history=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=400), temps_strategy),
+        max_size=12,
+    ),
+    where=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    drops=st.lists(
+        st.floats(min_value=0.0, max_value=4.0),
+        min_size=NUM_BLOCKS,
+        max_size=NUM_BLOCKS,
+    ),
+    hottest_block=st.integers(min_value=0, max_value=NUM_BLOCKS - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_reading_inside_quiet_band_changes_nothing(
+    name, history, where, drops, hottest_block
+):
+    core = _Core()
+    policy = _policy(name, core)
+    cycle = 0
+    for step, temps in history:
+        cycle += step
+        policy.on_sensor(SensorReading(cycle, np.array(temps)))
+    hottest = _inside(*policy.quiet_band(), where)
+    if hottest is None:
+        return  # empty band: every reading is passed to the policy
+    temps = hottest - np.array(drops)
+    temps[hottest_block] = hottest
+    before = _state(policy, core)
+    policy.on_sensor(SensorReading(cycle + 1, temps))
+    assert _state(policy, core) == before
