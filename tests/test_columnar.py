@@ -7,13 +7,20 @@ Two contracts anchor this file:
   so re-serializing to JSONL is byte-identical to the original log (the
   round-trip golden), and the canonical 125k-style attack run packs to a
   fraction of the JSONL size;
-* **reducer equivalence** — the streaming summary renders byte-identical
-  text to the ring-materialized ``summarize()`` across the full 6-policy
-  × attack/sedation grid, without ever holding the event list.
+* **summary goldens** — the streaming summary renders the stored
+  ``--summary`` text (``tests/golden/summary/``) for every log of the
+  6-policy × attack/benign grid, without ever holding the event list.
+
+Regenerate the summary goldens (only when a change is meant to alter the
+report) with::
+
+    PYTHONPATH=src python tests/test_columnar.py --write
 """
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,11 +59,11 @@ CFG = scaled_config(time_scale=8000.0, quantum_cycles=8_000)
 POLICIES = ("ideal", "stop_and_go", "dvfs", "ttdfs", "fetch_gating",
             "sedation")
 MIXES = {"attack": ["gzip", "variant2"], "benign": ["gzip", "gzip"]}
+SUMMARY_GOLDEN = Path(__file__).resolve().parent / "golden" / "summary"
 
 
-@pytest.fixture(scope="module")
-def grid_sessions():
-    """One instrumented run per (policy, mix) — the equivalence grid."""
+def run_grid() -> dict[tuple[str, str], TelemetrySession]:
+    """One instrumented run per (policy, mix) — the summary grid."""
     sessions = {}
     for policy in POLICIES:
         for mix_name, workloads in MIXES.items():
@@ -66,6 +73,15 @@ def grid_sessions():
             )
             sessions[(policy, mix_name)] = session
     return sessions
+
+
+def summary_golden(policy: str, mix: str) -> Path:
+    return SUMMARY_GOLDEN / f"{policy}-{mix}.txt"
+
+
+@pytest.fixture(scope="module")
+def grid_sessions():
+    return run_grid()
 
 
 @pytest.fixture(scope="module")
@@ -227,13 +243,14 @@ class TestCaptureConfig:
 
 class TestStreamingEquivalence:
     def test_summary_grid_byte_identical(self, grid_sessions):
-        """6 policies × both mixes: streamed == materialized, byte for
-        byte (including the batch-counter section being absent)."""
+        """6 policies × both mixes: streamed == the stored ``--summary``
+        text, byte for byte (including the batch-counter section being
+        absent)."""
         for (policy, mix), session in grid_sessions.items():
-            events = session.events()
             reducer = StreamingSummary()
-            reducer.feed_all(iter(events))
-            assert reducer.render() == summarize(events), (policy, mix)
+            reducer.feed_all(iter(session.events()))
+            golden = summary_golden(policy, mix).read_text()
+            assert reducer.render() + "\n" == golden, (policy, mix)
 
     def test_summary_streams_from_columnar_archive(
         self, tmp_path, canonical_events
@@ -245,7 +262,8 @@ class TestStreamingEquivalence:
         reducer = StreamingSummary()
         for event in read_columnar(path):
             reducer.feed(event)
-        assert reducer.render() == summarize(canonical_events)
+        golden = summary_golden("sedation", "attack").read_text()
+        assert reducer.render() + "\n" == golden
 
     def test_duty_cycle_fold_matches_result(self, grid_sessions):
         session = grid_sessions[("stop_and_go", "attack")]
@@ -569,3 +587,13 @@ class TestCli:
         assert load_events(log)  # unchanged helper
         assert main(["events", str(log)]) == 0
         assert "sedate" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_columnar.py --write")
+    SUMMARY_GOLDEN.mkdir(parents=True, exist_ok=True)
+    for (policy, mix), session in run_grid().items():
+        summary_golden(policy, mix).write_text(
+            summarize(session.events()) + "\n"
+        )
