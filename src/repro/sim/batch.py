@@ -41,7 +41,9 @@ a stop-and-go/safety-net stall, a DVFS/TTDFS/fetch-gating slowdown or
 power-scale step, a sedation or release changing the per-thread actuation
 flags (see :mod:`repro.sim.cohort` for the contract) — lanes whose visible
 state still agrees can keep sharing a pipeline, and lanes that disagree no
-longer can.  The batch therefore runs as a worklist of **cohorts**: at
+longer can.  The batch therefore runs as a worklist of **cohorts**, each
+advanced by the scalar simulator's own loop
+(:func:`~repro.sim.simulator.run_loop`, with the cohort as its unit): at
 every sensor boundary each cohort feeds its lanes' policies; if the
 resulting visible tuples differ, the cohort splits — the largest partition
 keeps the live pipeline, the others resume from a snapshot of the shared
@@ -65,25 +67,17 @@ import time
 
 import numpy as np
 
-from ..blocks import NUM_BLOCKS
 from ..config import SimulationConfig
 from ..core.usage import BatchUsageMonitor
 from ..dtm import build_policy
 from ..errors import SimulationError
-from ..perf import PerfCounters
 from ..power import EnergyModel, PowerAccountant
 from ..thermal import RCThermalModel
 from ..thermal.sensors import BatchCrossingDetector
 from .cohort import Cohort, LanePort, NetworkGroup, network_key
-from .soa import (
-    LaneRngBank,
-    StreamBank,
-    build_streamed_pipeline,
-    release_cursors,
-    sample_sensors,
-)
-from .simulator import policy_counts, run_span
-from .stats import RunResult, ThreadStats
+from .soa import LaneRngBank, StreamBank, release_cursors
+from .simulator import build_core, build_result, run_loop, tally
+from .stats import RunResult
 
 #: Batch-compatibility key schema.  Bump when the set of lane-shared inputs
 #: changes (a new config field that influences the shared pipeline must be
@@ -155,17 +149,13 @@ def trajectory_key(spec) -> str:
     )
 
 
-def simulate_lockstep(
-    specs, metrics: dict | None = None
-) -> tuple[dict[int, RunResult], list[int]]:
+def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult]:
     """Advance every spec in lock step, splitting cohorts as policies act.
 
     ``specs`` must all share one :func:`batch_fingerprint`; their workloads
-    and seeds may differ (heterogeneous lanes).  Returns ``(results,
-    deferred)``: ``results`` maps input index → RunResult, byte-identical
-    to the scalar simulator, for **every** lane — acting lanes are carried
-    by cohort splitting, so ``deferred`` is always empty (kept for
-    interface stability with the scalar-fallback caller).
+    and seeds may differ (heterogeneous lanes).  Returns input index →
+    RunResult, byte-identical to the scalar simulator, for **every** lane:
+    acting lanes are carried by cohort splitting.
 
     ``metrics``, when given, receives batch-shape diagnostics: ``lanes``
     (input width), ``trajectories`` (distinct workload/seed groups, i.e.
@@ -175,7 +165,7 @@ def simulate_lockstep(
     """
     spec_list = list(specs)
     if not spec_list:
-        return {}, []
+        return {}
     first_key = batch_fingerprint(spec_list[0])
     if first_key is None or any(
         batch_fingerprint(spec) != first_key for spec in spec_list
@@ -206,7 +196,6 @@ def simulate_lockstep(
     streams = StreamBank(config0.machine, config0.thermal)
     sample_interval = config0.sedation.sample_interval
     sensor_interval = config0.thermal.sensor_interval
-    seconds_per_cycle = config0.thermal.seconds_per_cycle
 
     # -- the worklist: advance cohorts, splitting at visible divergence ----
     splits = 0
@@ -220,10 +209,7 @@ def simulate_lockstep(
     ]
     while worklist:
         cohort = worklist.pop()
-        children = _advance_cohort(
-            cohort, quantum, sample_interval, sensor_interval,
-            seconds_per_cycle,
-        )
+        children = run_loop(cohort, quantum, sample_interval, sensor_interval)
         if children is None:
             finished.append(cohort)
             # A finished pipeline stops reading its streams; trimming then
@@ -256,8 +242,28 @@ def simulate_lockstep(
     results: dict[int, RunResult] = {}
     wall_share = wall_seconds / lanes
     for cohort in finished:
-        _collect_cohort(cohort, spec_list, wall_share, results)
-    return results, []
+        core = cohort.core
+        detector = cohort.detector
+        for position, lane in enumerate(cohort.lanes.tolist()):
+            policy = cohort.policies[position]
+            group = cohort.groups[cohort.group_keys[position]]
+            results[lane] = build_result(
+                cohort.workloads,
+                policy.name,
+                core.cycle,
+                tally(
+                    core,
+                    policy,
+                    detector.total_emergencies[position],
+                    detector.emergencies_per_block[position],
+                    group.advances,
+                    group.model.perf_propagator_builds,
+                ),
+                None,
+                detector.peak_k[position],
+                wall_share,
+            )
+    return results
 
 
 def _build_root(
@@ -278,7 +284,13 @@ def _build_root(
     base = spec_list[members[0]]
     config0 = base.config
     workload_names = tuple(base.workloads)
-    core = build_streamed_pipeline(config0, workload_names, streams)
+    # The scalar pipeline, fed by shared stream cursors: sibling trajectory
+    # groups and split-off cohorts share one generation pass per stream.
+    core = build_core(
+        config0.machine,
+        workload_names,
+        lambda tid, name: streams.cursor(name, tid, config0.seed),
+    )
     accountant = PowerAccountant(core, energy, config0.thermal.frequency_hz)
     monitor = BatchUsageMonitor(
         core,
@@ -337,152 +349,5 @@ def _build_root(
         group_keys,
         next_sample=sample_interval,
         next_sensor=sensor_interval,
+        seconds_per_cycle=config0.thermal.seconds_per_cycle,
     )
-
-
-def _advance_cohort(
-    cohort: Cohort,
-    target: int,
-    sample_interval: int,
-    sensor_interval: int,
-    seconds_per_cycle: float,
-) -> list[Cohort] | None:
-    """Run one cohort to the end of the quantum or its next divergence.
-
-    The scalar run loop — stall branch and boundary branch — applied to the
-    cohort's shared pipeline, with the per-lane observers on the SoA banks
-    and each lane's own DTM policy.  Returns ``None`` when the cohort reached ``target`` intact,
-    or the list of child cohorts when its lanes' visible state diverged at
-    a sensor boundary.
-    """
-    core = cohort.core
-    accountant = cohort.accountant
-    monitor = cohort.monitor
-    temps = np.empty((cohort.width, NUM_BLOCKS))
-    group_list = cohort.group_list
-
-    while core.cycle < target:
-        if cohort.stalled:
-            chunk = min(sensor_interval, target - core.cycle)
-            core.skip_cycles(chunk)
-            powers = accountant.idle_powers(chunk)
-            _advance_groups(cohort, group_list, powers, seconds_per_cycle)
-            monitor.skip()
-            for thread in core.threads:
-                thread.cycles_cooling += chunk
-            sample_sensors(cohort, temps)
-            # The stall supersedes the grids: both restart from here.
-            cohort.next_sample = core.cycle + sample_interval
-            cohort.next_sensor = core.cycle + sensor_interval
-            children = cohort.on_sensor(temps)
-            if children is not None:
-                return children
-            continue
-
-        boundary = min(cohort.next_sample, cohort.next_sensor, target)
-        span = boundary - core.cycle
-        if span > 0:
-            run_span(core, cohort.slowdown, span)
-        if core.cycle >= cohort.next_sample:
-            frozen = None
-            if any(thread.sedated for thread in core.threads):
-                frozen = np.array(
-                    [thread.sedated for thread in core.threads], dtype=bool
-                )
-            monitor.sample(frozen)
-            cohort.next_sample += sample_interval
-        if core.cycle >= cohort.next_sensor:
-            powers = accountant.block_powers(cohort.power_scale)
-            _advance_groups(cohort, group_list, powers, seconds_per_cycle)
-            sample_sensors(cohort, temps)
-            cohort.next_sensor += sensor_interval
-            children = cohort.on_sensor(temps)
-            if children is not None:
-                return children
-    return None
-
-
-def _advance_groups(
-    cohort: Cohort,
-    group_list: list[NetworkGroup],
-    powers: list[float],
-    seconds_per_cycle: float,
-) -> None:
-    """Advance every network group over the cycles since the last advance."""
-    cycle = cohort.core.cycle
-    cycles = cycle - cohort.last_thermal
-    if cycles <= 0:
-        return
-    dt = cycles * seconds_per_cycle
-    for group in group_list:
-        if group.ideal:
-            continue
-        state_prop, input_prop = group.model.propagator(dt)
-        source = group.model.source_vector(powers)
-        # The exact scalar advance expression, applied to the group's
-        # packed state: same operands, same bits.
-        group.state = state_prop @ group.state + input_prop @ source
-        group.advances += 1
-    cohort.last_thermal = cycle
-
-
-def _collect_cohort(
-    cohort: Cohort,
-    spec_list: list,
-    wall_share: float,
-    results: dict[int, RunResult],
-) -> None:
-    """Per-lane result assembly (the scalar ``_collect``, zero baselines)."""
-    core = cohort.core
-    detector = cohort.detector
-    workload_names = cohort.workloads
-    cycles = core.cycle
-    idle_skipped = core.perf_idle_skipped
-    stall_skipped = core.perf_stall_skipped
-    threads = tuple(
-        ThreadStats(
-            thread=t.tid,
-            workload=workload_names[t.tid],
-            committed=t.committed,
-            fetched=t.fetched,
-            cycles=cycles,
-            cycles_normal=t.cycles_normal,
-            cycles_cooling=t.cycles_cooling,
-            cycles_sedated=t.cycles_sedated,
-            access_counts=tuple(core.access_counts[t.tid]),
-        )
-        for t in core.threads
-    )
-    for position, lane in enumerate(cohort.lanes):
-        lane = int(lane)
-        group = cohort.groups[cohort.group_keys[position]]
-        perf = PerfCounters(
-            cycles=cycles,
-            stepped_cycles=cycles - idle_skipped - stall_skipped,
-            idle_skipped_cycles=idle_skipped,
-            stall_skipped_cycles=stall_skipped,
-            wall_seconds=wall_share,
-            thermal_advances=group.advances,
-            propagator_builds=group.model.perf_propagator_builds,
-        )
-        sedations, safety_nets, engagements = policy_counts(
-            cohort.policies[position]
-        )
-        results[lane] = RunResult(
-            workloads=workload_names,
-            policy=spec_list[lane].config.dtm_policy,
-            cycles=cycles,
-            threads=threads,
-            emergencies=int(detector.total_emergencies[position]),
-            emergencies_per_block=tuple(
-                int(count)
-                for count in detector.emergencies_per_block[position]
-            ),
-            peak_temperature_k=float(detector.peak_k[position]),
-            sedations=sedations,
-            safety_net_engagements=safety_nets,
-            stall_engagements=engagements,
-            trace=(),
-            perf=perf,
-            telemetry=None,
-        )

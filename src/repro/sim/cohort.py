@@ -9,8 +9,13 @@ scalar :class:`~repro.sim.simulator.Simulator` would build
 **pipeline-visible divergence contract** that decides when lanes can no
 longer share a pipeline:
 
-*Pipeline-visible state* is everything the scalar run loop or the shared
-power accountant consumes:
+A cohort is a unit of the one run loop both engines share
+(:func:`repro.sim.simulator.run_loop`): it exposes the loop's state and
+callbacks, with per-lane observers on structure-of-arrays banks in place
+of the scalar sensor bank and usage monitor.
+
+*Pipeline-visible state* is everything the run loop or the shared power
+accountant consumes:
 
 * ``global_stall`` — the policy's stall flag (stop-and-go, sedation's
   safety net), which selects the run loop's skip branch;
@@ -53,8 +58,10 @@ import json
 
 import numpy as np
 
+from ..blocks import NUM_BLOCKS
 from ..thermal import RCThermalModel
 from ..thermal.sensors import SensorReading
+from .soa import sample_sensors
 
 
 def network_key(thermal) -> str:
@@ -194,6 +201,7 @@ class Cohort:
     config among its lanes.  ``lanes`` maps row position → original spec
     index; ``workloads`` names the trajectory every lane of this cohort
     shares (heterogeneous batches run one cohort tree per trajectory).
+    ``temps`` is the ``(width, blocks)`` buffer each reading fills.
     """
 
     __slots__ = (
@@ -219,6 +227,8 @@ class Cohort:
         "next_sample",
         "next_sensor",
         "last_thermal",
+        "seconds_per_cycle",
+        "temps",
     )
 
     def __init__(
@@ -236,6 +246,7 @@ class Cohort:
         group_keys,
         next_sample: int,
         next_sensor: int,
+        seconds_per_cycle: float,
     ) -> None:
         self.lanes = np.asarray(lanes, dtype=np.int64)
         self.workloads = tuple(workloads)
@@ -256,19 +267,44 @@ class Cohort:
         self.next_sample = next_sample
         self.next_sensor = next_sensor
         self.last_thermal = core.cycle
+        self.seconds_per_cycle = seconds_per_cycle
+        self.temps = np.empty((len(self.lanes), NUM_BLOCKS))
         self.adopt_visible()
 
-    @property
-    def width(self) -> int:
-        return len(self.lanes)
+    def advance_thermal(self, powers: list[float]) -> None:
+        """Advance every network group over the cycles since the last advance."""
+        cycle = self.core.cycle
+        cycles = cycle - self.last_thermal
+        if cycles <= 0:
+            return
+        dt = cycles * self.seconds_per_cycle
+        for group in self.group_list:
+            if group.ideal:
+                continue
+            state_prop, input_prop = group.model.propagator(dt)
+            source = group.model.source_vector(powers)
+            # The exact scalar advance expression, applied to the group's
+            # packed state: same operands, same bits.
+            group.state = state_prop @ group.state + input_prop @ source
+            group.advances += 1
+        self.last_thermal = cycle
 
-    def on_sensor(self, temps: np.ndarray) -> list["Cohort"] | None:
-        """Feed this boundary's readings to every lane outside its quiet band.
+    def on_sample(self) -> None:
+        """One usage-sample tick; sedated threads keep their EWMAs frozen."""
+        threads = self.core.threads
+        frozen = None
+        if any(thread.sedated for thread in threads):
+            frozen = np.array([thread.sedated for thread in threads], dtype=bool)
+        self.monitor.sample(frozen)
 
-        ``temps`` holds the lanes' reported ``(width, blocks)`` readings.
+    def on_reading(self, stalled: bool) -> list["Cohort"] | None:
+        """Read every lane's sensors and feed the lanes outside their quiet band.
+
         Returns the child cohorts when the lanes' visible states no longer
         agree, ``None`` while they still do.
         """
+        temps = self.temps
+        sample_sensors(self, temps)
         hottest = temps.max(axis=1)
         acting = np.flatnonzero(
             (hottest <= self.quiet_lo) | (hottest >= self.quiet_hi)
@@ -375,4 +411,6 @@ class Cohort:
         child.next_sample = self.next_sample
         child.next_sensor = self.next_sensor
         child.last_thermal = self.last_thermal
+        child.seconds_per_cycle = self.seconds_per_cycle
+        child.temps = np.empty((len(positions), NUM_BLOCKS))
         return child

@@ -833,9 +833,9 @@ def _run_lockstep_groups(
                 status, value = box[0]
                 if status == "error":
                     raise value
-                lane_results, deferred = value
+                lane_results = value
             else:
-                lane_results, deferred = simulate_lockstep(specs, batch_metrics)
+                lane_results = simulate_lockstep(specs, batch_metrics)
         except Exception:
             RUNNER_METRICS.inc("runner.batch_errors")
             continue  # every lane falls back to the scalar path
@@ -848,7 +848,6 @@ def _run_lockstep_groups(
                     info["cohort"] = lane_cohorts[lane]
                 lane_info[members[lane][0]] = info
         RUNNER_METRICS.inc("runner.batch_completed", len(lane_results))
-        RUNNER_METRICS.inc("runner.batch_deferred", len(deferred))
         RUNNER_METRICS.inc("runner.batch_cohorts", batch_metrics.get("cohorts", 0))
         RUNNER_METRICS.inc("runner.batch_splits", batch_metrics.get("splits", 0))
 

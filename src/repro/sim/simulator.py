@@ -7,14 +7,17 @@ periods (stop-and-go cooling) skip pipeline execution entirely and advance
 only the thermal model — both faithful (the core is clock-gated) and fast,
 since heat-stroke runs spend most of their time cooling.
 
-Per-thread cycle classification follows the paper's Figure 6: *normal*
-(running, including memory stalls), *cooling* (globally stalled, or DVFS
-throttle cycles), *sedated* (fetch gated by selective sedation).
+That loop is written once, in :func:`run_loop`.  It drives two kinds of
+*unit*: a :class:`Simulator` (one run, one policy) and a lock-step batch
+cohort (:class:`repro.sim.cohort.Cohort`: many config-variant runs on one
+shared pipeline).  Pipeline construction (:func:`build_core`) and result
+assembly (:func:`tally` + :func:`build_result`) are shared the same way.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from ..config import SimulationConfig
 from ..core.reporting import OSReportLog
@@ -33,6 +36,27 @@ from ..workloads.registry import is_malicious, make_source
 from .stats import RunResult, ThreadStats
 
 
+def build_core(machine, names: list, make) -> SMTCore:
+    """The SMT core over one source per hardware thread, caches prefilled.
+
+    Every pipeline is built here: the scalar simulator's (from workload
+    names or caller-supplied sources) and each batch trajectory's (from
+    shared stream cursors, :class:`repro.sim.soa.StreamBank`).
+    ``make(tid, name)`` turns entry ``tid`` of ``names`` into its source.
+    """
+    if len(names) != machine.num_threads:
+        raise SimulationError(
+            f"need {machine.num_threads} workloads, got {len(names)}"
+        )
+    sources = [make(tid, name) for tid, name in enumerate(names)]
+    core = SMTCore(machine, sources)
+    for source in sources:
+        prefill = getattr(source, "prefill", None)
+        if prefill is not None:
+            prefill(core.hierarchy)
+    return core
+
+
 def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
     """Construct the SMT core with seeded, prefilled workload sources.
 
@@ -46,28 +70,17 @@ def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
     sound.
     """
     machine = config.machine
-    if len(workloads) != machine.num_threads:
-        raise SimulationError(
-            f"need {machine.num_threads} workloads, got {len(workloads)}"
-        )
-    sources = [
-        make_source(name, tid, machine, config.thermal, seed=config.seed)
-        for tid, name in enumerate(workloads)
-    ]
-    core = SMTCore(machine, sources)
-    for source in sources:
-        prefill = getattr(source, "prefill", None)
-        if prefill is not None:
-            prefill(core.hierarchy)
-    return core
+    return build_core(
+        machine,
+        workloads,
+        lambda tid, name: make_source(
+            name, tid, machine, config.thermal, seed=config.seed
+        ),
+    )
 
 
 def run_span(core: SMTCore, slowdown: int, span: int) -> None:
-    """Run the pipeline for ``span`` cycles, honoring a DVFS ``slowdown``.
-
-    The scalar run loop and every batch cohort advance through this one
-    function, so per-thread cycle classification cannot drift between them.
-    """
+    """Run the pipeline for ``span`` cycles, honoring a DVFS ``slowdown``."""
     if slowdown > 1:
         active = span // slowdown
         throttled = span - active
@@ -90,19 +103,171 @@ def run_span(core: SMTCore, slowdown: int, span: int) -> None:
             thread.cycles_normal += span
 
 
-def policy_counts(policy: DTMPolicy) -> tuple[int, int, int]:
-    """``(sedations, safety-net engagements, engagements)`` of a policy."""
+def run_loop(unit, target: int, sample_interval: int, sensor_interval: int):
+    """Run ``unit`` to cycle ``target``, or until one of its readings splits it.
+
+    The co-simulation loop of both engines.  The pipeline runs between
+    usage samples and sensor readings; a global stall (stop-and-go, the
+    sedation safety net) skips straight to the next reading and advances
+    only the thermal model, since the core is clock-gated.  A *unit* is a
+    :class:`Simulator` or a batch :class:`~repro.sim.cohort.Cohort`.  The
+    loop reads its ``core``, ``accountant`` and ``monitor``, its
+    pipeline-visible ``stalled``/``slowdown``/``power_scale``, and its
+    ``next_sample``/``next_sensor`` grid, and calls back into it at three
+    points:
+
+    * ``advance_thermal(powers)`` — integrate the thermal state up to the
+      current cycle under ``powers``;
+    * ``on_sample()`` — one usage-sample tick (``next_sample`` has already
+      moved one interval on; the unit may move it elsewhere);
+    * ``on_reading(stalled)`` — read the sensors and run the DTM policy.
+      A non-``None`` return (a cohort's children after a split) stops the
+      loop and is returned.
+
+    Per-thread cycle classification follows the paper's Figure 6:
+    *normal* (running, including memory stalls), *cooling* (globally
+    stalled, or DVFS throttle cycles), *sedated* (fetch gated).
+    """
+    core = unit.core
+    accountant = unit.accountant
+    monitor = unit.monitor
+    while core.cycle < target:
+        if unit.stalled:
+            chunk = min(sensor_interval, target - core.cycle)
+            core.skip_cycles(chunk)
+            unit.advance_thermal(accountant.idle_powers(chunk))
+            monitor.skip()
+            for thread in core.threads:
+                thread.cycles_cooling += chunk
+            # The stall supersedes both grids: they restart from here.
+            unit.next_sample = core.cycle + sample_interval
+            unit.next_sensor = core.cycle + sensor_interval
+            children = unit.on_reading(True)
+            if children is not None:
+                return children
+            continue
+
+        boundary = min(unit.next_sample, unit.next_sensor, target)
+        span = boundary - core.cycle
+        if span > 0:
+            run_span(core, unit.slowdown, span)
+        if core.cycle >= unit.next_sample:
+            unit.next_sample += sample_interval
+            unit.on_sample()
+        if core.cycle >= unit.next_sensor:
+            unit.advance_thermal(accountant.block_powers(unit.power_scale))
+            unit.next_sensor += sensor_interval
+            children = unit.on_reading(False)
+            if children is not None:
+                return children
+    return None
+
+
+def tally(
+    core: SMTCore,
+    policy: DTMPolicy,
+    emergencies: int,
+    per_block,
+    advances: int,
+    builds: int,
+) -> dict:
+    """The cumulative counters a :class:`RunResult` reports, for one run.
+
+    ``emergencies``/``per_block`` come from the run's sensor bank (or its
+    lane of the batch crossing detector), ``advances``/``builds`` from its
+    thermal model (or network group).
+    """
+    sedations = safety_nets = 0
     if isinstance(policy, SedationPolicy):
-        return (
-            policy.controller.sedations,
-            policy.safety_net_engagements,
-            policy.engagements,
-        )
-    return 0, 0, policy.engagements
+        sedations = policy.controller.sedations
+        safety_nets = policy.safety_net_engagements
+    return {
+        "threads": tuple(
+            (t.committed, t.fetched, t.cycles_normal, t.cycles_cooling,
+             t.cycles_sedated, tuple(core.access_counts[t.tid]))
+            for t in core.threads
+        ),
+        "emergencies": int(emergencies),
+        "per_block": tuple(int(count) for count in per_block),
+        "policy": (sedations, safety_nets, policy.engagements),
+        "perf": (core.perf_idle_skipped, core.perf_stall_skipped,
+                 advances, builds),
+    }
+
+
+def _minus(now, before):
+    """Elementwise ``now - before`` over a tally's (nested) counters."""
+    if isinstance(now, dict):
+        return {key: _minus(now[key], before[key]) for key in now}
+    if isinstance(now, tuple):
+        return tuple(_minus(a, b) for a, b in zip(now, before, strict=True))
+    return now - before
+
+
+def build_result(
+    workloads: tuple[str, ...],
+    policy: str,
+    cycles: int,
+    now: dict,
+    before: dict | None,
+    peak_k: float,
+    wall_seconds: float,
+    trace: tuple = (),
+) -> RunResult:
+    """One run's :class:`RunResult`: the ``now`` tally minus ``before``.
+
+    A scalar quantum subtracts the tally taken at its start (simulators
+    may run several consecutive quanta); a batch lane ran from cycle 0,
+    so its ``before`` is ``None`` (zero).
+    """
+    run = now if before is None else _minus(now, before)
+    idle_skipped, stall_skipped, advances, builds = run["perf"]
+    sedations, safety_nets, engagements = run["policy"]
+    return RunResult(
+        workloads=workloads,
+        policy=policy,
+        cycles=cycles,
+        threads=tuple(
+            ThreadStats(
+                thread=tid,
+                workload=workloads[tid],
+                committed=committed,
+                fetched=fetched,
+                cycles=cycles,
+                cycles_normal=normal,
+                cycles_cooling=cooling,
+                cycles_sedated=sedated,
+                access_counts=counts,
+            )
+            for tid, (committed, fetched, normal, cooling, sedated, counts)
+            in enumerate(run["threads"])
+        ),
+        emergencies=run["emergencies"],
+        emergencies_per_block=run["per_block"],
+        peak_temperature_k=float(peak_k),
+        sedations=sedations,
+        safety_net_engagements=safety_nets,
+        stall_engagements=engagements,
+        trace=trace,
+        perf=PerfCounters(
+            cycles=cycles,
+            stepped_cycles=cycles - idle_skipped - stall_skipped,
+            idle_skipped_cycles=idle_skipped,
+            stall_skipped_cycles=stall_skipped,
+            wall_seconds=wall_seconds,
+            thermal_advances=advances,
+            propagator_builds=builds,
+        ),
+    )
 
 
 class Simulator:
-    """One SMT machine instance under one DTM policy."""
+    """One SMT machine instance under one DTM policy.
+
+    A run-loop unit (:func:`run_loop`): the pipeline-visible state is the
+    policy's, and the callbacks add what only a scalar run has — sampler
+    faults, the telemetry session, trace rows and the attacker gate.
+    """
 
     def __init__(
         self,
@@ -114,27 +279,20 @@ class Simulator:
         telemetry: TelemetrySession | None = None,
     ) -> None:
         self.config = config
-        machine = config.machine
         if sources is None:
             if workloads is None:
                 raise SimulationError("provide workload names or uop sources")
             self.core = build_pipeline(config, list(workloads))
             self.workload_names = tuple(workloads)
         else:
-            if len(sources) != machine.num_threads:
-                raise SimulationError(
-                    f"need {machine.num_threads} sources, got {len(sources)}"
-                )
+            self.core = build_core(
+                config.machine, sources, lambda tid, source: source
+            )
             self.workload_names = tuple(
                 workloads
                 if workloads
                 else [type(s).__name__ for s in sources]
             )
-            self.core = SMTCore(machine, sources)
-            for source in sources:
-                prefill = getattr(source, "prefill", None)
-                if prefill is not None:
-                    prefill(self.core.hierarchy)
         self.energy = energy or EnergyModel.default()
         self.thermal = RCThermalModel(config.thermal, floorplan, self.energy)
         self.sensors = SensorBank(
@@ -181,6 +339,24 @@ class Simulator:
             if telemetry is not None:
                 controller.attach_telemetry(telemetry)
             self.faults = controller
+        # Per-quantum loop state, reset by every run().
+        self.next_sample = self.next_sensor = self.core.cycle
+        self._late_tick = False
+        self._trace: list[tuple[int, float, float]] | None = None
+
+    # -- the pipeline-visible state ----------------------------------------------
+
+    @property
+    def stalled(self) -> bool:
+        return self.policy.global_stall
+
+    @property
+    def slowdown(self) -> int:
+        return self.policy.slowdown
+
+    @property
+    def power_scale(self) -> float:
+        return self.policy.power_scale
 
     # -- the run loop ------------------------------------------------------------
 
@@ -191,135 +367,41 @@ class Simulator:
         )
         if quantum <= 0:
             raise SimulationError("quantum must be positive")
-        core = self.core
-        policy = self.policy
-        thermal_cfg = self.config.thermal
-        sensor_interval = thermal_cfg.sensor_interval
         sample_interval = self.config.sedation.sample_interval
-        seconds_per_cycle = thermal_cfg.seconds_per_cycle
-
-        telemetry = self.telemetry
-        faults = self.faults
-        fault_sampler = faults.sampler if faults is not None else None
-        attacker_gate = faults.attacker if faults is not None else None
-        sampler_late_fire = False
-        start = core.cycle
-        target = start + quantum
-        next_sample = start + sample_interval
-        next_sensor = start + sensor_interval
-        if attacker_gate is not None:
+        sensor_interval = self.config.thermal.sensor_interval
+        start = self.core.cycle
+        self.next_sample = start + sample_interval
+        self.next_sensor = start + sensor_interval
+        self._late_tick = False
+        self._trace = [] if trace else None
+        if self.faults is not None and self.faults.attacker is not None:
             # Establish the schedule's phase at quantum start (a start_on
             # =False plan pauses its threads before the first fetch).
-            attacker_gate.on_boundary(start)
-        trace_rows: list[tuple[int, float, float]] = []
+            self.faults.attacker.on_boundary(start)
         # Snapshot cumulative counters so the result reports THIS run only
         # (simulators may be run for several consecutive quanta).
-        baseline = self._snapshot()
+        baseline = self._tally()
         # Wall-clock time feeds PerfCounters only (compare=False diagnostics);
         # it never influences simulated state or the cached statistics.
         wall_start = time.perf_counter()  # repro: noqa(RPR001) perf diagnostics only
-
-        while core.cycle < target:
-            if policy.global_stall:
-                chunk = min(sensor_interval, target - core.cycle)
-                core.skip_cycles(chunk)
-                powers = self.accountant.idle_powers(chunk)
-                self._advance_thermal(powers)
-                self.monitor.skip()
-                for thread in core.threads:
-                    thread.cycles_cooling += chunk
-                reading = self.sensors.sample(core.cycle)
-                if telemetry is not None:
-                    sample_event = telemetry.observe_reading(
-                        reading, thermal_cfg.emergency_k
-                    )
-                    if trace:
-                        trace_rows.append(trace_row(sample_event))
-                elif trace:
-                    trace_rows.append(
-                        (core.cycle, reading.hottest_k, float(reading.temperatures[0]))
-                    )
-                policy.on_sensor(reading)
-                if attacker_gate is not None:
-                    attacker_gate.on_boundary(core.cycle)
-                next_sample = core.cycle + sample_interval
-                next_sensor = core.cycle + sensor_interval
-                sampler_late_fire = False  # the stall supersedes a late tick
-                continue
-
-            boundary = min(next_sample, next_sensor, target)
-            span = boundary - core.cycle
-            if span > 0:
-                run_span(core, policy.slowdown, span)
-            if core.cycle >= next_sample:
-                fire = True
-                if fault_sampler is not None and not sampler_late_fire:
-                    verdict, delay = fault_sampler.on_tick(core.cycle)
-                    if verdict == SAMPLE_MISS:
-                        # Lost tick: the next sample averages over the
-                        # widened window (UsageMonitor keeps its snapshot).
-                        fire = False
-                        self.monitor.miss_sample()
-                        next_sample += sample_interval
-                    elif delay:
-                        # Deferred tick: fires late, then the grid resumes
-                        # from the late firing point.
-                        fire = False
-                        sampler_late_fire = True
-                        next_sample = core.cycle + delay
-                if fire:
-                    sampler_late_fire = False
-                    self.monitor.sample()
-                    if telemetry is not None:
-                        telemetry.maybe_ewma_snapshot(
-                            core.cycle, INT_RF, self.monitor.averages_at(INT_RF)
-                        )
-                    next_sample += sample_interval
-            if core.cycle >= next_sensor:
-                powers = self.accountant.block_powers(policy.power_scale)
-                self._advance_thermal(powers)
-                reading = self.sensors.sample(core.cycle)
-                if telemetry is not None:
-                    sample_event = telemetry.observe_reading(
-                        reading, thermal_cfg.emergency_k
-                    )
-                    if trace:
-                        trace_rows.append(trace_row(sample_event))
-                elif trace:
-                    trace_rows.append(
-                        (core.cycle, reading.hottest_k, float(reading.temperatures[0]))
-                    )
-                policy.on_sensor(reading)
-                if attacker_gate is not None:
-                    attacker_gate.on_boundary(core.cycle)
-                next_sensor += sensor_interval
-
+        run_loop(self, start + quantum, sample_interval, sensor_interval)
         wall_seconds = time.perf_counter() - wall_start  # repro: noqa(RPR001) perf diagnostics only
-        return self._collect(start, baseline, trace_rows, wall_seconds)
+        result = build_result(
+            self.workload_names,
+            self.policy.name,
+            self.core.cycle - start,
+            self._tally(),
+            baseline,
+            self.sensors.peak_k,
+            wall_seconds,
+            tuple(self._trace or ()),
+        )
+        if self.telemetry is not None:
+            result = replace(result, telemetry=self._telemetry_snapshot(result))
+        return result
 
-    def _snapshot(self) -> dict:
-        sedations, safety_nets, engagements = policy_counts(self.policy)
-        return {
-            "threads": [
-                (t.committed, t.fetched, t.cycles_normal, t.cycles_cooling,
-                 t.cycles_sedated)
-                for t in self.core.threads
-            ],
-            "counts": [list(c) for c in self.core.access_counts],
-            "emergencies": self.sensors.total_emergencies,
-            "per_block": list(self.sensors.emergencies_per_block),
-            "sedations": sedations,
-            "safety_nets": safety_nets,
-            "engagements": engagements,
-            "perf": (
-                self.core.perf_idle_skipped,
-                self.core.perf_stall_skipped,
-                self.thermal.perf_advances,
-                self.thermal.perf_propagator_builds,
-            ),
-        }
-
-    def _advance_thermal(self, powers: list[float]) -> None:
+    def advance_thermal(self, powers: list[float]) -> None:
+        """Integrate the RC model over the cycles since its last advance."""
         cycles = self.core.cycle - self._last_thermal_cycle
         if cycles <= 0:
             return
@@ -328,100 +410,82 @@ class Simulator:
         )
         self._last_thermal_cycle = self.core.cycle
 
+    def on_sample(self) -> None:
+        """One usage-sample tick, through the sampler fault model if any."""
+        sampler = self.faults.sampler if self.faults is not None else None
+        if sampler is not None and not self._late_tick:
+            verdict, delay = sampler.on_tick(self.core.cycle)
+            if verdict == SAMPLE_MISS:
+                # Lost tick: the next sample averages over the widened
+                # window (UsageMonitor keeps its snapshot).
+                self.monitor.miss_sample()
+                return
+            if delay:
+                # Deferred tick: fires late, then the grid resumes from
+                # the late firing point.
+                self._late_tick = True
+                self.next_sample = self.core.cycle + delay
+                return
+        self._late_tick = False
+        self.monitor.sample()
+        if self.telemetry is not None:
+            self.telemetry.maybe_ewma_snapshot(
+                self.core.cycle, INT_RF, self.monitor.averages_at(INT_RF)
+            )
+
+    def on_reading(self, stalled: bool) -> None:
+        """Read the sensors, log the reading, and run the DTM policy."""
+        cycle = self.core.cycle
+        reading = self.sensors.sample(cycle)
+        rows = self._trace
+        if self.telemetry is not None:
+            sample_event = self.telemetry.observe_reading(
+                reading, self.config.thermal.emergency_k
+            )
+            if rows is not None:
+                rows.append(trace_row(sample_event))
+        elif rows is not None:
+            rows.append(
+                (cycle, reading.hottest_k, float(reading.temperatures[0]))
+            )
+        self.policy.on_sensor(reading)
+        if stalled:
+            self._late_tick = False  # the stall supersedes a late tick
+        if self.faults is not None and self.faults.attacker is not None:
+            self.faults.attacker.on_boundary(cycle)
+
     # -- result assembly ------------------------------------------------------------
 
-    def _collect(
-        self,
-        start: int,
-        baseline: dict,
-        trace_rows: list[tuple[int, float, float]],
-        wall_seconds: float = 0.0,
-    ) -> RunResult:
-        core = self.core
-        cycles = core.cycle - start
-        current = self._snapshot()
-        idle_skipped, stall_skipped, advances, builds = (
-            now - before
-            for now, before in zip(current["perf"], baseline["perf"], strict=True)
+    def _tally(self) -> dict:
+        return tally(
+            self.core,
+            self.policy,
+            self.sensors.total_emergencies,
+            self.sensors.emergencies_per_block,
+            self.thermal.perf_advances,
+            self.thermal.perf_propagator_builds,
         )
-        perf = PerfCounters(
-            cycles=cycles,
-            stepped_cycles=cycles - idle_skipped - stall_skipped,
-            idle_skipped_cycles=idle_skipped,
-            stall_skipped_cycles=stall_skipped,
-            wall_seconds=wall_seconds,
-            thermal_advances=advances,
-            propagator_builds=builds,
-        )
-        threads = tuple(
-            ThreadStats(
-                thread=t.tid,
-                workload=self.workload_names[t.tid],
-                committed=t.committed - baseline["threads"][t.tid][0],
-                fetched=t.fetched - baseline["threads"][t.tid][1],
-                cycles=cycles,
-                cycles_normal=t.cycles_normal - baseline["threads"][t.tid][2],
-                cycles_cooling=t.cycles_cooling - baseline["threads"][t.tid][3],
-                cycles_sedated=t.cycles_sedated - baseline["threads"][t.tid][4],
-                access_counts=tuple(
-                    now - before
-                    for now, before in zip(
-                        core.access_counts[t.tid], baseline["counts"][t.tid],
-                        strict=True,
-                    )
-                ),
+
+    def _telemetry_snapshot(self, result: RunResult) -> dict:
+        # Gauges reflect the most recent quantum; counters/histograms
+        # accumulate over the session (i.e. across a campaign's quanta).
+        metrics = self.telemetry.metrics
+        for stats in result.threads:
+            metrics.set_gauge(f"duty_cycle.t{stats.thread}", stats.normal_fraction)
+            metrics.set_gauge(
+                f"sedated_fraction.t{stats.thread}", stats.sedated_fraction
             )
-            for t in core.threads
-        )
-        per_block = tuple(
-            now - before
-            for now, before in zip(
-                current["per_block"], baseline["per_block"], strict=True
-            )
-        )
-        telemetry = None
-        if self.telemetry is not None:
-            # Gauges reflect the most recent quantum; counters/histograms
-            # accumulate over the session (i.e. across a campaign's quanta).
-            for stats in threads:
-                self.telemetry.metrics.set_gauge(
-                    f"duty_cycle.t{stats.thread}", stats.normal_fraction
-                )
-                self.telemetry.metrics.set_gauge(
-                    f"sedated_fraction.t{stats.thread}", stats.sedated_fraction
-                )
-            self.telemetry.metrics.set_gauge(
-                "peak_temperature_k", self.sensors.peak_k
-            )
-            self.telemetry.metrics.set_gauge(
-                "time_above_emergency_fraction",
-                (
-                    self.telemetry.metrics.counters.get(
-                        "cycles_above_emergency", 0
-                    )
-                    / cycles
-                    if cycles
-                    else 0.0
-                ),
-            )
-            telemetry = self.telemetry.snapshot()
-        return RunResult(
-            workloads=self.workload_names,
-            policy=self.policy.name,
-            cycles=cycles,
-            threads=threads,
-            emergencies=current["emergencies"] - baseline["emergencies"],
-            emergencies_per_block=per_block,
-            peak_temperature_k=self.sensors.peak_k,
-            sedations=current["sedations"] - baseline["sedations"],
-            safety_net_engagements=(
-                current["safety_nets"] - baseline["safety_nets"]
+        metrics.set_gauge("peak_temperature_k", self.sensors.peak_k)
+        cycles = result.cycles
+        metrics.set_gauge(
+            "time_above_emergency_fraction",
+            (
+                metrics.counters.get("cycles_above_emergency", 0) / cycles
+                if cycles
+                else 0.0
             ),
-            stall_engagements=current["engagements"] - baseline["engagements"],
-            trace=tuple(trace_rows),
-            perf=perf,
-            telemetry=telemetry,
         )
+        return self.telemetry.snapshot()
 
 
 def run_workloads(

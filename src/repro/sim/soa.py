@@ -11,9 +11,8 @@ accept **heterogeneous** lanes:
   group and cohort that replays it (see :mod:`repro.pipeline.banks`).  A
   workload appearing in many mixes — ``gcc`` in ``(gcc, swim)`` and
   ``(gcc, mcf)`` lanes — is generated once per seed, not once per mix.
-* :func:`build_streamed_pipeline` — :func:`repro.sim.simulator.build_pipeline`
-  with stream cursors in place of live sources, so forking a pipeline at a
-  cohort split costs O(in-flight uops), not a deep copy of generators.
+  A pipeline built on its cursors forks at a cohort split in O(in-flight
+  uops), not by a deep copy of generators.
 * :class:`LaneRngBank` — the per-lane sensor-noise ``random.Random``
   streams.  The **RNG-bank contract**: each lane owns one scalar
   ``Random(sensor_noise_seed)`` and draws through the scalar bank's own
@@ -38,7 +37,6 @@ import random
 import numpy as np
 
 from ..blocks import NUM_BLOCKS
-from ..errors import SimulationError
 from ..pipeline.banks import SharedStream, StreamCursor
 from ..pipeline.smt import SMTCore
 from ..thermal.sensors import add_sensor_noise
@@ -84,29 +82,6 @@ class StreamBank:
     @property
     def rows_generated(self) -> int:
         return sum(stream.generated for stream in self._streams.values())
-
-
-def build_streamed_pipeline(config, workloads, bank: StreamBank) -> SMTCore:
-    """A scalar-equivalent pipeline fed by shared stream cursors.
-
-    Mirrors :func:`repro.sim.simulator.build_pipeline` — same source
-    construction inputs, same prefill of the core's caches — but the core
-    reads replayed columns, so sibling trajectory groups and split-off
-    cohorts share one generation pass per distinct stream.
-    """
-    machine = config.machine
-    if len(workloads) != machine.num_threads:
-        raise SimulationError(
-            f"need {machine.num_threads} workloads, got {len(workloads)}"
-        )
-    sources = [
-        bank.cursor(name, tid, config.seed)
-        for tid, name in enumerate(workloads)
-    ]
-    core = SMTCore(machine, sources)
-    for source in sources:
-        source.prefill(core.hierarchy)
-    return core
 
 
 def release_cursors(core: SMTCore) -> None:

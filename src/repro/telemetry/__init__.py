@@ -13,9 +13,10 @@ simulator, the DTM policies, the sedation controller, and the pipeline:
 * :class:`MetricsRegistry` — counters/gauges/histograms (sedation latency
   and duration, stall duration, time above emergency, per-thread duty
   cycle) whose snapshot lands on ``RunResult.telemetry``;
-* :mod:`repro.telemetry.summary` — filtering, episode extraction, and the
-  narrative renderer behind ``repro events``;
-* :mod:`repro.telemetry.reducers` — streaming folds (summary, stall
+* :mod:`repro.telemetry.summary` — filtering, and the one streaming fold
+  (:class:`StreamingSummary`) behind ``repro events --summary``, episode
+  extraction and the narrative;
+* :mod:`repro.telemetry.reducers` — the other streaming folds (stall
   totals, bounded traces) for campaign-scale logs.
 
 The full observability contract — taxonomy, formats, capture costs,
@@ -46,10 +47,11 @@ from .events import (
     write_events,
 )
 from .metrics import Histogram, MetricsRegistry, merge_metric_snapshots
-from .reducers import StreamingStallFold, StreamingSummary, StreamingTrace
+from .reducers import StreamingStallFold, StreamingTrace
 from .session import NULL_TELEMETRY, NullTelemetry, TelemetrySession
 from .summary import (
     FAULT_EVENT_TYPES,
+    StreamingSummary,
     batch_narrative,
     counts_by_type,
     durable_narrative,

@@ -1,143 +1,17 @@
-"""Streaming reducers: fold an event stream into summaries online.
+"""Streaming reducers: fold an event stream into derived values online.
 
-``repro events --summary`` originally materialized the whole log before
-summarizing — fine for one run's ring buffer, wrong for campaign-scale
-logs (thousands of runs through ``run_many``).  The reducers here consume
-events one at a time and hold only *derived* state (episode records,
-counters, narrative lines), so memory is bounded by the summary's size,
-never by the stream's length.
-
-Equivalence contract: :meth:`StreamingSummary.render` is byte-identical to
-:func:`repro.telemetry.summary.summarize` over the same stream.  The
-accumulation logic is implemented independently (a real second
-implementation, so the equivalence tests mean something); only the
-per-line formatters are shared.  Every reducer is a callable, so it can be
-attached directly to a live bus as a sink (``bus.add_sink(reducer)``) or
+Campaign-scale logs (thousands of runs through ``run_many``) must never be
+materialized, so these reducers consume events one at a time and hold only
+*derived* state, bounded by the result's size, never by the stream's
+length.  The summary fold, :class:`~repro.telemetry.summary.StreamingSummary`,
+lives with the report it renders.  Every reducer is a callable, so it can
+be attached directly to a live bus as a sink (``bus.add_sink(reducer)``) or
 fed from any iterator.
 """
 
 from __future__ import annotations
 
-from .events import NARRATIVE_TYPES, Event, EventType
-from .summary import (
-    FAULT_EVENT_TYPES,
-    batch_narrative,
-    durable_narrative,
-    narrative_line,
-    ring_narrative,
-    sedation_episode_line,
-    stall_episode_line,
-)
-
-
-class StreamingSummary:
-    """Online accumulator behind ``events --summary`` for streamed logs."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-        self._fault_counts: dict[str, int] = {}
-        self._sedations: list[dict] = []
-        self._open_sedations: dict[tuple, dict] = {}
-        self._stalls: list[dict] = []
-        self._open_stall: dict | None = None
-        self._narrative: list[str] = []
-        self.fed = 0
-
-    def feed(self, event: Event) -> None:
-        """Fold one event into every section's state."""
-        self.fed += 1
-        kind = event.type
-        name = kind.value
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-        if kind in FAULT_EVENT_TYPES:
-            data = event.data or {}
-            qualifier = data.get("kind") or data.get("outcome")
-            key = f"{name}.{qualifier}" if qualifier else name
-            self._fault_counts[key] = self._fault_counts.get(key, 0) + 1
-
-        if kind is EventType.SEDATE:
-            episode = {
-                "thread": event.thread,
-                "block": event.block,
-                "sedate_cycle": event.cycle,
-                "sedate_temperature_k": event.value,
-                "release_cycle": None,
-                "release_temperature_k": None,
-            }
-            self._sedations.append(episode)
-            self._open_sedations.setdefault(
-                (event.thread, event.block), episode
-            )
-        elif kind is EventType.RELEASE:
-            episode = self._open_sedations.pop(
-                (event.thread, event.block), None
-            )
-            if episode is not None:
-                episode["release_cycle"] = event.cycle
-                episode["release_temperature_k"] = event.value
-        elif kind is EventType.STOPGO_ENGAGE:
-            if self._open_stall is None:
-                self._open_stall = {
-                    "engage_cycle": event.cycle,
-                    "disengage_cycle": None,
-                    "engage_temperature_k": event.value,
-                    "safety_net": bool((event.data or {}).get("safety_net")),
-                }
-                self._stalls.append(self._open_stall)
-        elif kind is EventType.STOPGO_DISENGAGE:
-            if self._open_stall is not None:
-                self._open_stall["disengage_cycle"] = event.cycle
-                self._open_stall = None
-
-        if kind in NARRATIVE_TYPES:
-            self._narrative.append(narrative_line(event))
-
-    __call__ = feed
-
-    def feed_all(self, events) -> StreamingSummary:
-        for event in events:
-            self.feed(event)
-        return self
-
-    def render(
-        self,
-        batch_counters: dict[str, int] | None = None,
-        ring: dict | None = None,
-    ) -> str:
-        """Assemble the report — byte-identical to ``summarize(...)``."""
-        lines = ["event counts:"]
-        for name, count in sorted(self._counts.items()):
-            lines.append(f"  {name:<18} {count}")
-        ring_lines = ring_narrative(ring)
-        if ring_lines:
-            lines.append("ring buffer:")
-            lines.extend("  " + line for line in ring_lines)
-        if self._sedations:
-            lines.append("sedation episodes:")
-            for episode in self._sedations:
-                lines.append("  " + sedation_episode_line(episode))
-        if self._fault_counts:
-            lines.append("fault injection:")
-            for name, count in sorted(self._fault_counts.items()):
-                lines.append(f"  {name:<18} {count}")
-        if self._stalls:
-            lines.append("global stalls:")
-            for episode in self._stalls:
-                lines.append("  " + stall_episode_line(episode))
-        if batch_counters:
-            batch_lines = batch_narrative(batch_counters)
-            if batch_lines:
-                lines.append("batch execution:")
-                lines.extend("  " + line for line in batch_lines)
-            durable_lines = durable_narrative(batch_counters)
-            if durable_lines:
-                lines.append("campaign recovery:")
-                lines.extend("  " + line for line in durable_lines)
-        if self._narrative:
-            lines.append("narrative:")
-            lines.extend("  " + line for line in self._narrative)
-        return "\n".join(lines)
+from .events import Event, EventType
 
 
 class StreamingStallFold:

@@ -4,7 +4,9 @@ These helpers power ``repro events`` and the telemetry tests.  They consume
 plain event iterables, so they work identically on a live session's ring
 buffer and on a JSONL log reloaded from disk — the §5 narratives (threshold
 cross → sedate the top-EWMA thread → release) are reconstructible from a
-saved log alone.
+saved log alone.  Every summary is one streaming fold,
+:class:`StreamingSummary`; :func:`summarize` and the episode and count
+helpers are one-shot reads of it.
 """
 
 from __future__ import annotations
@@ -55,13 +57,6 @@ def filter_events(
     return list(iter_filtered(events, types, thread, block, since, until))
 
 
-def counts_by_type(events: Iterable[Event]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for event in events:
-        counts[event.type.value] = counts.get(event.type.value, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 #: Event types produced by :mod:`repro.faults` injectors.
 FAULT_EVENT_TYPES = frozenset({
     EventType.FAULT_SENSOR,
@@ -69,72 +64,6 @@ FAULT_EVENT_TYPES = frozenset({
     EventType.FAULT_ACTUATOR,
     EventType.ATTACKER_PHASE,
 })
-
-
-def fault_injection_counts(events: Iterable[Event]) -> dict[str, int]:
-    """Per-type counts of injected-fault events (empty for a clean run).
-
-    Sampler and actuator faults are split by kind/outcome (``miss`` vs
-    ``late``, ``dropped`` vs ``delayed``) since the distinction is the whole
-    point of those fault models.
-    """
-    counts: dict[str, int] = {}
-    for event in events:
-        if event.type not in FAULT_EVENT_TYPES:
-            continue
-        name = event.type.value
-        data = event.data or {}
-        qualifier = data.get("kind") or data.get("outcome")
-        if qualifier:
-            name = f"{name}.{qualifier}"
-        counts[name] = counts.get(name, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def sedation_episodes(events: Iterable[Event]) -> list[dict]:
-    """SEDATE→RELEASE episodes, in sedation order.
-
-    An episode still open at the end of the log has ``release_cycle=None``.
-    """
-    episodes: list[dict] = []
-    open_by_key: dict[tuple, dict] = {}
-    for event in events:
-        if event.type is EventType.SEDATE:
-            episode = {
-                "thread": event.thread,
-                "block": event.block,
-                "sedate_cycle": event.cycle,
-                "sedate_temperature_k": event.value,
-                "release_cycle": None,
-                "release_temperature_k": None,
-            }
-            episodes.append(episode)
-            open_by_key.setdefault((event.thread, event.block), episode)
-        elif event.type is EventType.RELEASE:
-            episode = open_by_key.pop((event.thread, event.block), None)
-            if episode is not None:
-                episode["release_cycle"] = event.cycle
-                episode["release_temperature_k"] = event.value
-    return episodes
-
-
-def stall_episodes(events: Iterable[Event]) -> list[dict]:
-    """STOPGO_ENGAGE→DISENGAGE episodes (global stalls), in order."""
-    episodes: list[dict] = []
-    current: dict | None = None
-    for event in events:
-        if event.type is EventType.STOPGO_ENGAGE and current is None:
-            current = {
-                "engage_cycle": event.cycle,
-                "disengage_cycle": None,
-                "engage_temperature_k": event.value,
-                "safety_net": bool((event.data or {}).get("safety_net")),
-            }
-            episodes.append(current)
-        elif event.type is EventType.STOPGO_DISENGAGE and current is not None:
-            current["disengage_cycle"] = event.cycle
-            current = None
-    return episodes
 
 
 def narrative_line(event: Event) -> str:
@@ -201,15 +130,6 @@ def narrative_line(event: Event) -> str:
     )
 
 
-def narrative(events: Iterable[Event]) -> list[str]:
-    """One human-readable line per narrative event, in log order."""
-    return [
-        narrative_line(event)
-        for event in events
-        if event.type in NARRATIVE_TYPES
-    ]
-
-
 def batch_narrative(counters: dict[str, int]) -> list[str]:
     """Human-readable lines describing the lock-step batch tier's shape.
 
@@ -223,7 +143,6 @@ def batch_narrative(counters: dict[str, int]) -> list[str]:
         return []
     groups = counters.get("runner.batch_groups", 0)
     completed = counters.get("runner.batch_completed", 0)
-    deferred = counters.get("runner.batch_deferred", 0)
     cohorts = counters.get("runner.batch_cohorts", 0)
     splits = counters.get("runner.batch_splits", 0)
     errors = counters.get("runner.batch_errors", 0)
@@ -231,7 +150,7 @@ def batch_narrative(counters: dict[str, int]) -> list[str]:
         f"{lanes} lanes in {groups} lock-step groups -> {cohorts} cohorts "
         f"({splits} divergence splits)",
         f"retention {completed / lanes:.0%}: {completed} lanes completed "
-        f"in-batch, {deferred} deferred to the scalar path",
+        f"in-batch",
     ]
     if errors:
         lines.append(f"{errors} group errors fell back to the scalar path")
@@ -341,53 +260,170 @@ def ring_narrative(ring: dict | None) -> list[str]:
     return lines
 
 
+class StreamingSummary:
+    """Online fold behind every summary: ``events --summary`` and the reads below.
+
+    Consumes events one at a time and holds only derived state (counts,
+    episode records, narrative lines), so memory is bounded by the
+    summary's size, never by the stream's length.  A callable, so it can be
+    attached to a live bus as a sink (``bus.add_sink(reducer)``) or fed
+    from any iterator.
+    """
+
+    def __init__(self) -> None:
+        #: events per type name
+        self.counts: dict[str, int] = {}
+        #: injected-fault events per ``type[.kind|.outcome]``
+        self.fault_counts: dict[str, int] = {}
+        #: SEDATE→RELEASE episodes in sedation order; an episode still open
+        #: at the end of the stream has ``release_cycle=None``
+        self.sedations: list[dict] = []
+        self._open_sedations: dict[tuple, dict] = {}
+        #: STOPGO_ENGAGE→DISENGAGE episodes (global stalls), in order
+        self.stalls: list[dict] = []
+        self._open_stall: dict | None = None
+        #: one line per narrative event, in stream order
+        self.narrative: list[str] = []
+        self.fed = 0
+
+    def feed(self, event: Event) -> None:
+        """Fold one event into every section's state."""
+        self.fed += 1
+        kind = event.type
+        name = kind.value
+        self.counts[name] = self.counts.get(name, 0) + 1
+
+        if kind in FAULT_EVENT_TYPES:
+            # Sampler and actuator faults are split by kind/outcome (miss
+            # vs late, dropped vs delayed): the distinction is the point.
+            data = event.data or {}
+            qualifier = data.get("kind") or data.get("outcome")
+            key = f"{name}.{qualifier}" if qualifier else name
+            self.fault_counts[key] = self.fault_counts.get(key, 0) + 1
+
+        if kind is EventType.SEDATE:
+            episode = {
+                "thread": event.thread,
+                "block": event.block,
+                "sedate_cycle": event.cycle,
+                "sedate_temperature_k": event.value,
+                "release_cycle": None,
+                "release_temperature_k": None,
+            }
+            self.sedations.append(episode)
+            self._open_sedations.setdefault(
+                (event.thread, event.block), episode
+            )
+        elif kind is EventType.RELEASE:
+            episode = self._open_sedations.pop(
+                (event.thread, event.block), None
+            )
+            if episode is not None:
+                episode["release_cycle"] = event.cycle
+                episode["release_temperature_k"] = event.value
+        elif kind is EventType.STOPGO_ENGAGE:
+            if self._open_stall is None:
+                self._open_stall = {
+                    "engage_cycle": event.cycle,
+                    "disengage_cycle": None,
+                    "engage_temperature_k": event.value,
+                    "safety_net": bool((event.data or {}).get("safety_net")),
+                }
+                self.stalls.append(self._open_stall)
+        elif kind is EventType.STOPGO_DISENGAGE:
+            if self._open_stall is not None:
+                self._open_stall["disengage_cycle"] = event.cycle
+                self._open_stall = None
+
+        if kind in NARRATIVE_TYPES:
+            self.narrative.append(narrative_line(event))
+
+    __call__ = feed
+
+    def feed_all(self, events: Iterable[Event]) -> StreamingSummary:
+        for event in events:
+            self.feed(event)
+        return self
+
+    def render(
+        self,
+        batch_counters: dict[str, int] | None = None,
+        ring: dict | None = None,
+    ) -> str:
+        """Counts, episodes, and the narrative — the ``--summary`` report.
+
+        ``batch_counters``, when provided (and the batch tier actually
+        ran), adds a "batch execution" section describing how the runs
+        behind the log were scheduled: lock-step groups, cohort splits,
+        lane retention.  ``ring`` (bus accounting) adds a "ring buffer"
+        section when events were dropped or suppressed.
+        """
+        lines = ["event counts:"]
+        for name, count in sorted(self.counts.items()):
+            lines.append(f"  {name:<18} {count}")
+        ring_lines = ring_narrative(ring)
+        if ring_lines:
+            lines.append("ring buffer:")
+            lines.extend("  " + line for line in ring_lines)
+        if self.sedations:
+            lines.append("sedation episodes:")
+            for episode in self.sedations:
+                lines.append("  " + sedation_episode_line(episode))
+        if self.fault_counts:
+            lines.append("fault injection:")
+            for name, count in sorted(self.fault_counts.items()):
+                lines.append(f"  {name:<18} {count}")
+        if self.stalls:
+            lines.append("global stalls:")
+            for episode in self.stalls:
+                lines.append("  " + stall_episode_line(episode))
+        if batch_counters:
+            batch_lines = batch_narrative(batch_counters)
+            if batch_lines:
+                lines.append("batch execution:")
+                lines.extend("  " + line for line in batch_lines)
+            durable_lines = durable_narrative(batch_counters)
+            if durable_lines:
+                lines.append("campaign recovery:")
+                lines.extend("  " + line for line in durable_lines)
+        if self.narrative:
+            lines.append("narrative:")
+            lines.extend("  " + line for line in self.narrative)
+        return "\n".join(lines)
+
+
+# -- one-shot reads of the fold ------------------------------------------------
+
+
+def counts_by_type(events: Iterable[Event]) -> dict[str, int]:
+    return dict(sorted(StreamingSummary().feed_all(events).counts.items()))
+
+
+def fault_injection_counts(events: Iterable[Event]) -> dict[str, int]:
+    """Per-type counts of injected-fault events (empty for a clean run)."""
+    fold = StreamingSummary().feed_all(events)
+    return dict(sorted(fold.fault_counts.items()))
+
+
+def sedation_episodes(events: Iterable[Event]) -> list[dict]:
+    """SEDATE→RELEASE episodes, in sedation order."""
+    return StreamingSummary().feed_all(events).sedations
+
+
+def stall_episodes(events: Iterable[Event]) -> list[dict]:
+    """STOPGO_ENGAGE→DISENGAGE episodes (global stalls), in order."""
+    return StreamingSummary().feed_all(events).stalls
+
+
+def narrative(events: Iterable[Event]) -> list[str]:
+    """One human-readable line per narrative event, in log order."""
+    return StreamingSummary().feed_all(events).narrative
+
+
 def summarize(
     events: Iterable[Event],
     batch_counters: dict[str, int] | None = None,
     ring: dict | None = None,
 ) -> str:
-    """Counts, episodes, and the narrative — the ``--summary`` report.
-
-    ``batch_counters``, when provided (and the batch tier actually ran),
-    adds a "batch execution" section describing how the runs behind the
-    log were scheduled: lock-step groups, cohort splits, lane retention.
-    ``ring`` (bus accounting) adds a "ring buffer" section when events
-    were dropped or suppressed.
-    """
-    events = list(events)
-    lines = ["event counts:"]
-    for name, count in counts_by_type(events).items():
-        lines.append(f"  {name:<18} {count}")
-    ring_lines = ring_narrative(ring)
-    if ring_lines:
-        lines.append("ring buffer:")
-        lines.extend("  " + line for line in ring_lines)
-    sedations = sedation_episodes(events)
-    if sedations:
-        lines.append("sedation episodes:")
-        for episode in sedations:
-            lines.append("  " + sedation_episode_line(episode))
-    injected = fault_injection_counts(events)
-    if injected:
-        lines.append("fault injection:")
-        for name, count in injected.items():
-            lines.append(f"  {name:<18} {count}")
-    stalls = stall_episodes(events)
-    if stalls:
-        lines.append("global stalls:")
-        for episode in stalls:
-            lines.append("  " + stall_episode_line(episode))
-    if batch_counters:
-        batch_lines = batch_narrative(batch_counters)
-        if batch_lines:
-            lines.append("batch execution:")
-            lines.extend("  " + line for line in batch_lines)
-        durable_lines = durable_narrative(batch_counters)
-        if durable_lines:
-            lines.append("campaign recovery:")
-            lines.extend("  " + line for line in durable_lines)
-    story = narrative(events)
-    if story:
-        lines.append("narrative:")
-        lines.extend("  " + line for line in story)
-    return "\n".join(lines)
+    """The ``--summary`` report (:meth:`StreamingSummary.render`) of ``events``."""
+    return StreamingSummary().feed_all(events).render(batch_counters, ring)

@@ -200,8 +200,7 @@ class TestEquivalenceGate:
             RunSpec(("gcc", "variant2"), hair_trigger),
         ]
         metrics: dict = {}
-        lane_results, deferred = simulate_lockstep(specs, metrics)
-        assert deferred == []
+        lane_results = simulate_lockstep(specs, metrics)
         assert sorted(lane_results) == [0, 1]
         assert metrics["splits"] >= 1 and metrics["cohorts"] == 2
         assert lane_results[1].sedations > 0
@@ -209,8 +208,7 @@ class TestEquivalenceGate:
 
     def test_single_lane_group(self):
         spec = RunSpec(("gcc", "swim"), tiny_config())
-        lane_results, deferred = simulate_lockstep([spec])
-        assert deferred == []
+        lane_results = simulate_lockstep([spec])
         scalar = run_many([spec], jobs=1, cache=False, batch=False)[0]
         assert canonical(lane_results[0]) == canonical(scalar)
 
@@ -297,8 +295,7 @@ class TestCohortSplitting:
             RunSpec(("gcc", "variant1"), base),  # ideal: never acts
         ]
         metrics: dict = {}
-        lane_results, deferred = simulate_lockstep(specs, metrics)
-        assert deferred == []
+        lane_results = simulate_lockstep(specs, metrics)
         assert metrics["lanes"] == 3
         assert metrics["splits"] >= 1
         assert metrics["cohorts"] == 3
@@ -328,7 +325,7 @@ class TestCohortSplitting:
             for shift in (5, 6, 7)
         ]
         metrics: dict = {}
-        lane_results, _ = simulate_lockstep(specs, metrics)
+        lane_results = simulate_lockstep(specs, metrics)
         assert metrics["cohorts"] == 1 and metrics["splits"] == 0
         assert all(
             lane_results[lane].stall_engagements > 0 for lane in range(3)
@@ -360,8 +357,7 @@ class TestPerfCounters:
             RunSpec(("gcc", "swim"), base.with_policy(p))
             for p in ("ideal", "stop_and_go", "dvfs")
         ]
-        lane_results, deferred = simulate_lockstep(specs)
-        assert deferred == []
+        lane_results = simulate_lockstep(specs)
         scalar = run_many(specs, jobs=1, cache=False, batch=False)
         for lane, fast in lane_results.items():
             slow = scalar[lane].perf
@@ -375,7 +371,7 @@ class TestPerfCounters:
 
     def test_ideal_sink_lane_reports_zero_thermal_work(self):
         spec = RunSpec(("gcc", "swim"), tiny_config().with_ideal_sink())
-        lane_results, _ = simulate_lockstep([spec])
+        lane_results = simulate_lockstep([spec])
         assert lane_results[0].perf.thermal_advances == 0
         assert lane_results[0].perf.propagator_builds == 0
 
@@ -503,8 +499,7 @@ class TestHeterogeneousLanes:
             RunSpec(("gcc", "mcf"), base.with_policy("ideal")),
         ]
         metrics: dict = {}
-        lane_results, deferred = simulate_lockstep(specs, metrics)
-        assert deferred == []
+        lane_results = simulate_lockstep(specs, metrics)
         assert metrics["lanes"] == 4
         assert metrics["trajectories"] == 2
         assert metrics["streams"] == 3
@@ -523,8 +518,7 @@ class TestHeterogeneousLanes:
             ),
         ]
         metrics: dict = {}
-        lane_results, deferred = simulate_lockstep(specs, metrics)
-        assert deferred == []
+        lane_results = simulate_lockstep(specs, metrics)
         assert metrics["trajectories"] == 2
         assert metrics["streams"] == 4  # both threads regenerate per seed
 

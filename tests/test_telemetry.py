@@ -219,7 +219,6 @@ class TestCanonicalNarrative:
             "runner.batch_groups": 2,
             "runner.batch_lanes": 12,
             "runner.batch_completed": 12,
-            "runner.batch_deferred": 0,
             "runner.batch_cohorts": 5,
             "runner.batch_splits": 3,
         }
