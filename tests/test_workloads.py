@@ -1,5 +1,6 @@
 """Workload tests: profiles, synthetic generator, malicious kernels, registry."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -240,6 +241,33 @@ class TestProgramSource:
         for _ in range(100):
             pc = source.peek_pc()
             assert source.next_uop().pc == pc
+
+    def test_deepcopy_is_independent(self):
+        """A copied source owns its registers, memory and predictor: stepping
+        one copy must not move the other, and both replay the same stream."""
+
+        def fields(uop):
+            return (uop.pc, uop.opclass, uop.dest, uop.srcs, uop.address,
+                    uop.taken, uop.mispredict)
+
+        source = ProgramSource(build_variant2(MACHINE, THERMAL), thread_id=1)
+        for _ in range(1_000):
+            source.next_uop()
+        twin = copy.deepcopy(source)
+        state = copy.deepcopy((
+            twin.executor.pc, twin.executor.registers, twin.executor.memory,
+            vars(twin.predictor), twin.branches, twin.mispredicts,
+        ))
+        ahead = [fields(source.next_uop()) for _ in range(5_000)]
+        assert (
+            twin.executor.pc, twin.executor.registers, twin.executor.memory,
+            vars(twin.predictor), twin.branches, twin.mispredicts,
+        ) == state
+        assert source.executor.registers != state[1]
+        assert vars(source.predictor) != state[3]
+        assert [fields(twin.next_uop()) for _ in range(5_000)] == ahead
+        assert twin.executor.registers == source.executor.registers
+        assert vars(twin.predictor) == vars(source.predictor)
 
     def test_halted_program_yields_none(self):
         from repro.isa import assemble
