@@ -64,7 +64,14 @@ def benchmarks_list():
 
 
 @pytest.fixture(scope="session")
-def runner(bench_config):
+def bench_cache() -> Path:
+    """The suite's on-disk result cache, for tests that build their own
+    runners (cache keys are spec fingerprints, so sharing it is safe)."""
+    return BENCH_CACHE
+
+
+@pytest.fixture(scope="session")
+def runner(bench_config, bench_cache):
     """One session-wide runner so figures share solo/pair runs.
 
     Batched calls (``pair_many``/``run_batch``) fan out over
@@ -72,7 +79,7 @@ def runner(bench_config):
     memoized on disk, so a re-run of the suite at the same knob settings
     replays from the cache.
     """
-    return ExperimentRunner(bench_config, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE)
+    return ExperimentRunner(bench_config, jobs=BENCH_JOBS, cache_dir=bench_cache)
 
 
 @pytest.fixture(scope="session")

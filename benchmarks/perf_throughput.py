@@ -25,10 +25,12 @@ docs/telemetry.md: the canonical attack log must pack into at most
 ``COLUMNAR_RATIO_CEILING`` of its JSONL size.
 
 Results go to ``benchmarks/results/BENCH_throughput.json`` so successive
-PRs can track cycles-per-second over time.  The ``baseline`` block holds
-the pre-fast-path numbers (forward-Euler substepping, no idle skip,
-recorded on the same class of machine) for the speedup column; current
-numbers are machine-dependent, so compare trends, not absolutes.
+changes can track cycles-per-second over time; its ``ledger`` list keeps one
+before/after row per performance change, naming the layer that moved.  The
+``baseline`` block holds the pre-fast-path numbers (forward-Euler
+substepping, no idle skip, recorded on the same class of machine) for the
+speedup column; current numbers are machine-dependent, so compare trends,
+not absolutes.
 
 Run directly (``python benchmarks/perf_throughput.py``) or via pytest.
 """
@@ -193,11 +195,15 @@ def run() -> dict:
     out = Path(__file__).parent / "results" / "BENCH_throughput.json"
     out.parent.mkdir(exist_ok=True)
     try:
-        # perf_batch.py folds its speedup record into this file; carry it
-        # across rewrites so the two benchmarks can run in either order.
-        payload["batch_kernel"] = json.loads(out.read_text())["batch_kernel"]
-    except (OSError, ValueError, KeyError):
-        pass
+        previous = json.loads(out.read_text())
+    except (OSError, ValueError):
+        previous = {}
+    # perf_batch.py folds its speedup record into this file, and the
+    # ``ledger`` holds hand-recorded before/after rows of perf changes; carry
+    # both across rewrites so the benchmarks can run in either order.
+    for key in ("batch_kernel", "ledger"):
+        if key in previous:
+            payload[key] = previous[key]
     out.write_text(json.dumps(payload, indent=1))
     return payload
 

@@ -58,7 +58,7 @@ def test_global_dtm_policies_vs_heat_stroke(runner, results_dir, benchmark):
     )
 
 
-def test_monopolization_vs_heat_stroke(bench_config, results_dir, benchmark):
+def test_monopolization_vs_heat_stroke(bench_config, bench_cache, results_dir, benchmark):
     """Where does each attack's damage live?
 
     variant1's ideal-sink damage is shared-*bandwidth* monopolization: it
@@ -84,7 +84,7 @@ def test_monopolization_vs_heat_stroke(bench_config, results_dir, benchmark):
         ),
     ):
         config = dataclasses.replace(bench_config, machine=machine)
-        runner = ExperimentRunner(config)
+        runner = ExperimentRunner(config, cache_dir=bench_cache)
         solo_ideal = runner.solo("gzip", policy="ideal", ideal_sink=True)
         v1_ideal = runner.pair("gzip", "variant1", policy="ideal", ideal_sink=True)
         solo_real = runner.solo("gzip", policy="stop_and_go")

@@ -17,13 +17,13 @@ SWEEP = (0.7, 0.75, 0.8, 0.85)
 VICTIM = "gzip"
 
 
-def test_sec55_heatsink_sweep(bench_config, results_dir, benchmark):
+def test_sec55_heatsink_sweep(bench_config, bench_cache, results_dir, benchmark):
     rows = []
     degradations = {}
     restored = {}
     for r_conv in SWEEP:
         config = bench_config.with_convection_resistance(r_conv)
-        runner = ExperimentRunner(config)
+        runner = ExperimentRunner(config, cache_dir=bench_cache)
         solo = runner.solo(VICTIM, policy="stop_and_go")
         attacked = runner.pair(VICTIM, "variant2", policy="stop_and_go")
         defended = runner.pair(VICTIM, "variant2", policy="sedation")

@@ -16,8 +16,8 @@ THRESHOLD_PAIRS = ((356.0, 354.1), (356.5, 354.2), (357.0, 354.4), (357.4, 354.8
 VICTIM = "gzip"
 
 
-def test_sec56_threshold_sensitivity(bench_config, results_dir, benchmark):
-    base_runner = ExperimentRunner(bench_config)
+def test_sec56_threshold_sensitivity(bench_config, bench_cache, results_dir, benchmark):
+    base_runner = ExperimentRunner(bench_config, cache_dir=bench_cache)
     solo = base_runner.solo(VICTIM, policy="stop_and_go")
     attacked = base_runner.pair(VICTIM, "variant2", policy="stop_and_go")
 
@@ -25,7 +25,7 @@ def test_sec56_threshold_sensitivity(bench_config, results_dir, benchmark):
     restored = {}
     for upper, lower in THRESHOLD_PAIRS:
         config = bench_config.with_thresholds(upper, lower)
-        runner = ExperimentRunner(config)
+        runner = ExperimentRunner(config, cache_dir=bench_cache)
         defended = runner.pair(VICTIM, "variant2", policy="sedation")
         ratio = defended.threads[0].ipc / solo.threads[0].ipc
         restored[(upper, lower)] = ratio

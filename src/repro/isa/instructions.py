@@ -43,6 +43,11 @@ EXEC_LATENCY = {
 }
 
 
+#: Integer code per class: its declaration order, which is the numbering of
+#: the pipeline's ``OP_*`` constants and tables (:mod:`repro.pipeline.uop`).
+OPCLASS_CODE = {opclass: code for code, opclass in enumerate(OpClass)}
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """Static description of one opcode."""

@@ -320,8 +320,9 @@ class SMTCore:
         bandwidth under ICOUNT (the paper's variant1 side effect)."""
         config = self.config
         max_queue = self._fetch_queue_size
-        # Inline ThreadContext.can_fetch: this test runs for every thread on
-        # every cycle, and the method-call overhead is measurable.
+        # Fetch eligibility, inline: this test runs for every thread on every
+        # cycle, so a method call would cost measurably.  _idle_until tests
+        # the same conditions to find the next cycle any thread can fetch.
         runnable = []
         for t in self.threads:
             if (

@@ -129,19 +129,6 @@ class ThreadContext:
         clone.seq_counter = self.seq_counter
         return clone
 
-    def can_fetch(self, cycle: int) -> bool:
-        """True when the front end may fetch for this thread this cycle."""
-        if self.throttle_modulus and cycle % self.throttle_modulus:
-            return False
-        return not (
-            self.halted
-            or self.sedated
-            or self.paused
-            or self.miss_block is not None
-            or self.mispredict_gate is not None
-            or cycle < self.fetch_blocked_until
-        )
-
     def ipc(self, cycles: int) -> float:
         """Committed instructions per cycle over ``cycles``."""
         if cycles <= 0:

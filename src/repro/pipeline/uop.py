@@ -8,7 +8,8 @@ data structure.
 
 from __future__ import annotations
 
-# Opclass codes (order matters: indexes into latency/FU tables).
+# Opclass codes (order matters: indexes into latency/FU tables).  They follow
+# the ISA's ``OpClass`` declaration order (``repro.isa.instructions.OPCLASS_CODE``).
 OP_IALU = 0
 OP_IMULT = 1
 OP_FALU = 2
@@ -24,18 +25,6 @@ OPCLASS_NAMES = ("ialu", "imult", "falu", "fmult", "load", "store", "branch", "n
 
 #: Default execution latency per opclass (loads are overridden by the cache).
 OPCLASS_LATENCY = (1, 3, 2, 4, 1, 1, 1, 1)
-
-#: Map from the ISA's OpClass enum values to the integer codes above.
-ISA_CLASS_CODE = {
-    "ialu": OP_IALU,
-    "imult": OP_IMULT,
-    "falu": OP_FALU,
-    "fmult": OP_FMULT,
-    "load": OP_LOAD,
-    "store": OP_STORE,
-    "branch": OP_BRANCH,
-    "nop": OP_NOP,
-}
 
 
 class Uop:

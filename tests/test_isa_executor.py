@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionError
-from repro.isa import ArchExecutor, assemble
+from repro.isa import ArchExecutor, Instruction, Program, assemble
 from repro.isa.registers import ZERO_REG
 
 
@@ -134,3 +134,30 @@ class TestHalting:
     def test_instruction_count(self):
         executor = run_to_halt("nop\nnop\nhalt")
         assert executor.instructions_executed == 3
+
+
+class TestLazyErrors:
+    """Decoding happens up front, but a bad instruction still fails only
+    when it is executed."""
+
+    def test_unresolved_branch_raises_when_executed(self):
+        program = Program([Instruction("nop"), Instruction("br", label="nowhere")])
+        executor = ArchExecutor(program)
+        executor.step()
+        with pytest.raises(ExecutionError, match="unresolved branch at PC 1"):
+            executor.step()
+        assert executor.pc == 1 and executor.instructions_executed == 1
+
+    def test_unknown_opcode_raises_when_executed(self):
+        executor = ArchExecutor(Program([Instruction("nop"), Instruction("bogus")]))
+        executor.step()
+        with pytest.raises(KeyError):
+            executor.step()
+
+    def test_program_source_raises_past_the_end(self):
+        from repro.workloads.program_source import ProgramSource
+
+        source = ProgramSource(assemble("nop"), 0)
+        assert source.next_uop() is not None
+        with pytest.raises(ExecutionError, match="outside program"):
+            source.next_uop()

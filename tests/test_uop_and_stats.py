@@ -3,8 +3,8 @@
 import pytest
 
 from repro.blocks import INT_RF
+from repro.pipeline import uop as uop_module
 from repro.pipeline.uop import (
-    ISA_CLASS_CODE,
     NUM_OPCLASSES,
     OP_BRANCH,
     OP_LOAD,
@@ -13,7 +13,7 @@ from repro.pipeline.uop import (
     OPCLASS_NAMES,
     Uop,
 )
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import OPCLASS_CODE, OpClass
 from repro.sim.stats import RunResult, ThreadStats
 
 
@@ -24,7 +24,9 @@ class TestUopTables:
 
     def test_isa_enum_maps_onto_codes(self):
         for opclass in OpClass:
-            assert opclass.value in ISA_CLASS_CODE
+            code = OPCLASS_CODE[opclass]
+            assert getattr(uop_module, f"OP_{opclass.name}") == code
+            assert OPCLASS_NAMES[code] == opclass.value
 
     def test_mem_flag(self):
         load = Uop(0, 0x100, OP_LOAD, dest=3, srcs=(5,), address=0x2000)
