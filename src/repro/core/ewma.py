@@ -8,16 +8,15 @@ with ``x = 1/2**shift`` so the multiplications reduce to shift operations —
 the paper uses ``x = 1/128`` (a 7-bit shift), retaining memory over roughly
 ``2**shift`` samples (~0.5 M cycles at the paper's sampling rate).
 
-Two implementations are provided: a float :class:`Ewma` used by the
-simulator, and :class:`FixedPointEwma`, the bit-exact integer datapath a
-hardware implementation would use (one subtract, one shift, one add), kept to
-demonstrate the paper's claim that the monitor is cheap and used in tests to
-bound the fixed-point error.
+Two implementations are provided: a float :class:`Ewma`, whose blend
+expression :class:`~repro.core.usage.UsageMonitor` applies in the scalar
+simulator and the batch kernel alike, and :class:`FixedPointEwma`, the
+bit-exact integer datapath a hardware implementation would use (one
+subtract, one shift, one add), kept to demonstrate the paper's claim that
+the monitor is cheap and used in tests to bound the fixed-point error.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -63,82 +62,6 @@ class Ewma:
     def window_samples(self) -> int:
         """Effective memory, in samples (the paper's '1000 sample points')."""
         return 1 << self.shift
-
-
-class EwmaBank:
-    """A whole array of :class:`Ewma` registers updated in one step.
-
-    The batch engine (:mod:`repro.sim.batch`) tracks one EWMA per
-    ``(lane, thread, block)`` triple; updating them one object at a time
-    would dominate the vectorized sample loop.  The bank stores the values
-    as one ndarray and applies the *identical* float expression
-    ``value + (sample - value) * x`` elementwise, so every element is
-    bit-equal to the scalar :class:`Ewma` fed the same samples.
-
-    ``shifts`` may be a scalar or any array broadcastable against ``shape``
-    (e.g. ``(B, 1, 1)`` for per-lane blend factors); ``x = 2**-shift`` is
-    computed with ``ldexp`` so it is the exact power of two ``Ewma`` uses.
-    """
-
-    __slots__ = ("x", "values", "samples", "missed")
-
-    def __init__(
-        self, shifts: int | np.ndarray, shape: tuple[int, ...]
-    ) -> None:
-        shift_arr = np.asarray(shifts, dtype=np.int64)
-        if np.any((shift_arr < 0) | (shift_arr > 30)):
-            raise ConfigError("EWMA shift out of range [0, 30]")
-        self.x = np.ldexp(1.0, -shift_arr)
-        self.values = np.zeros(shape)
-        self.samples = 0
-        self.missed = 0
-
-    def update(self, samples: np.ndarray) -> np.ndarray:
-        """Blend one broadcastable sample array into every register."""
-        self.values = self.values + (samples - self.values) * self.x
-        self.samples += 1
-        return self.values
-
-    def update_where(
-        self, samples: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Blend one sample array into the registers selected by ``mask``.
-
-        Registers where ``mask`` (broadcastable against the bank shape) is
-        False are not clocked — their values come back bit-identical, the
-        scalar monitor's frozen-snapshot behavior for sedated threads.
-        Clocked registers see the exact :meth:`update` expression, so a
-        full-True mask is indistinguishable from :meth:`update`.
-        """
-        updated = self.values + (samples - self.values) * self.x
-        self.values = np.where(mask, updated, self.values)
-        self.samples += 1
-        return self.values
-
-    def take(self, indices: np.ndarray) -> "EwmaBank":
-        """New bank holding the selected leading-axis (lane) slices.
-
-        Used when a lock-step cohort splits: each child cohort carries away
-        its lanes' registers (copies — fancy indexing — so siblings never
-        alias).  Per-lane blend factors travel with their lanes; a scalar
-        (broadcast) factor is shared unchanged.
-        """
-        clone = object.__new__(EwmaBank)
-        clone.x = self.x[indices] if np.ndim(self.x) else self.x
-        clone.values = self.values[indices]
-        clone.samples = self.samples
-        clone.missed = self.missed
-        return clone
-
-    def miss(self) -> np.ndarray:
-        """Record one missed tick bank-wide; no register is clocked."""
-        self.missed += 1
-        return self.values
-
-    def reset(self) -> None:
-        self.values = np.zeros_like(self.values)
-        self.samples = 0
-        self.missed = 0
 
 
 class FixedPointEwma:

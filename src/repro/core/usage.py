@@ -16,12 +16,10 @@ Two paper-mandated behaviors:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..blocks import NUM_BLOCKS
 from ..config import SedationConfig
 from ..pipeline.smt import SMTCore
-from .ewma import Ewma, EwmaBank
+from .ewma import Ewma
 
 
 class UsageMonitor:
@@ -118,83 +116,3 @@ class UsageMonitor:
         if cycles == 0:
             return 0.0
         return self.core.access_counts[tid][block] / cycles
-
-
-class BatchUsageMonitor:
-    """EWMA access-rate monitoring for ``B`` lock-step lanes of one core.
-
-    The batch engine (:mod:`repro.sim.batch`) shares a single pipeline
-    across lanes whose configs differ only in thermal/DTM knobs, so every
-    lane sees the same access counters and the same sampling grid; only the
-    blend factor may differ per lane (``ewma_shift`` is a sedation knob).
-    One :class:`~repro.core.ewma.EwmaBank` of shape
-    ``(lanes, threads, blocks)`` replaces ``lanes`` scalar monitors, and the
-    shared interval rates are computed once — the same
-    ``(count - last) / interval`` integer-exact division the scalar monitor
-    performs, so every lane's values stay bit-equal to its scalar run.
-
-    A cohort's sedation state is pipeline-visible and therefore uniform
-    across its lanes (lanes whose sedation history diverges are split into
-    separate cohorts, each with its own monitor via :meth:`take`), so the
-    scalar monitor's frozen-snapshot branch for sedated threads maps to one
-    shared per-thread freeze mask passed to :meth:`sample`.
-    """
-
-    def __init__(self, core: SMTCore, ewma_shifts: list[int]) -> None:
-        self.core = core
-        lanes = len(ewma_shifts)
-        threads = len(core.threads)
-        shifts = np.asarray(ewma_shifts, dtype=np.int64).reshape(lanes, 1, 1)
-        self.bank = EwmaBank(shifts, (lanes, threads, NUM_BLOCKS))
-        self._last_counts = np.asarray(core.access_counts, dtype=np.int64)
-        self._last_cycle = core.cycle
-        self.samples_taken = 0
-
-    def sample(self, frozen: np.ndarray | None = None) -> None:
-        """Fold one shared interval's rates into every lane's EWMA bank.
-
-        ``frozen`` (per-thread bool, shared by every lane of the cohort)
-        marks sedated threads: their snapshot advances but their EWMA
-        registers are not clocked — exactly the scalar monitor's
-        ``last[:] = counts; continue`` branch.
-        """
-        cycle = self.core.cycle
-        interval = cycle - self._last_cycle
-        if interval <= 0:
-            return
-        counts = np.asarray(self.core.access_counts, dtype=np.int64)
-        # Integer-exact numerator over an integer interval: float64 true
-        # division of the same operands the scalar monitor divides.
-        rates = (counts - self._last_counts) / interval
-        if frozen is None or not frozen.any():
-            self.bank.update(rates[np.newaxis, :, :])
-        else:
-            self.bank.update_where(
-                rates[np.newaxis, :, :], ~frozen.reshape(1, -1, 1)
-            )
-        self._last_counts = counts
-        self._last_cycle = cycle
-        self.samples_taken += 1
-
-    def skip(self) -> None:
-        """Advance the snapshot without sampling (global-stall periods)."""
-        self._last_counts = np.asarray(self.core.access_counts, dtype=np.int64)
-        self._last_cycle = self.core.cycle
-
-    def take(self, indices: np.ndarray, core: SMTCore) -> "BatchUsageMonitor":
-        """New monitor for a child cohort holding the selected lanes.
-
-        ``core`` is the child cohort's pipeline (the snapshot state is
-        shared history, so it is copied; the EWMA bank is sliced per lane).
-        """
-        clone = object.__new__(BatchUsageMonitor)
-        clone.core = core
-        clone.bank = self.bank.take(indices)
-        clone._last_counts = self._last_counts.copy()
-        clone._last_cycle = self._last_cycle
-        clone.samples_taken = self.samples_taken
-        return clone
-
-    def lane_values(self, lane: int) -> np.ndarray:
-        """One lane's ``(threads, blocks)`` EWMA matrix (tests/diagnostics)."""
-        return self.bank.values[lane].copy()

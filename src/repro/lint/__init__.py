@@ -13,13 +13,13 @@ RPR004    telemetry-coverage              no dead or undefined event types
 RPR005    threshold-ordering              lower < upper < emergency ladder
 RPR007    transitive-determinism-taint    no ambient reads through helpers
 RPR008    payload-schema                  one key set per EventType emit
-RPR009    bank-shape                      SoA banks allocate = take = split
 ========  ==============================  ==================================
 
-RPR001–RPR005 are per-module checks; RPR007–RPR009 query the shared
+RPR001–RPR005 are per-module checks; RPR007 and RPR008 query the shared
 :class:`~repro.lint.project.ProjectContext` (cross-module symbol table,
-import graph, call graph, constant lattice) built once per run.  RPR006
-(twin-path drift) is retired: the scalar/vector pairs it guarded are gone.
+import graph, call graph) built once per run.  RPR006 (twin-path drift)
+and the bank-shape rule after it are retired: the scalar/vector pairs
+and the usage-monitor bank they guarded are gone.
 
 See ``docs/linting.md`` for the full catalog, rationale, the
 ``# repro: noqa(CODE) reason`` suppression syntax, and the baseline

@@ -6,7 +6,7 @@ job is just the bare invocation.
 
 Fast local iteration::
 
-    python -m repro.lint --rule RPR009          # one rule, whole tree
+    python -m repro.lint --rule RPR007          # one rule, whole tree
     python -m repro.lint --diff                 # only changed files report
     python -m repro.lint --baseline tools/lint_baseline.json
     python -m repro.lint --format sarif --output lint.sarif
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Repo-specific static analysis: determinism, cache-fingerprint "
             "completeness, paper-constant hygiene, telemetry coverage, "
             "threshold ordering, transitive taint, "
-            "payload schemas, bank shapes."
+            "payload schemas."
         ),
     )
     parser.add_argument(

@@ -3,8 +3,7 @@
 One pass over the parsed modules builds four queryable structures:
 
 * a **symbol table** — every function/method under a stable qualified name
-  (``<dotted module>::Class.method``), plus per-module class and top-level
-  constant bindings;
+  (``<dotted module>::Class.method``), plus per-module class bindings;
 * an **import graph** — what each module binds each local name to,
   resolving relative imports against the module's dotted name and absolute
   imports against the scanned set (suffix match, so the table works both
@@ -13,9 +12,8 @@ One pass over the parsed modules builds four queryable structures:
   functions they invoke (same-module names, ``self.method``, imported
   symbols, imported-module attributes; anything else is left unresolved
   rather than guessed);
-* a **constant lattice** — module-level literal bindings (numbers, strings,
-  tuples/lists of those) evaluated in statement order, plus an
-  intraprocedural dict-shape analysis for payload-style locals.
+* a **dict-shape analysis** — intraprocedural key schemas for
+  payload-style locals.
 
 Rules receive the finished :class:`ProjectContext` through the
 ``check_project`` hook and query it instead of re-walking single modules;
@@ -30,8 +28,6 @@ from dataclasses import dataclass, field
 
 from .registry import Module
 
-#: Sentinel for "could not evaluate" in the constant lattice.
-UNKNOWN = object()
 
 def module_dotted_name(module: Module) -> str:
     """A stable dotted name for a module, derived from its path.
@@ -79,49 +75,6 @@ class ModuleInfo:
     classes: dict[str, ast.ClassDef] = field(default_factory=dict)
     #: local name -> ("module", dotted) | ("symbol", dotted, original name)
     imports: dict[str, tuple] = field(default_factory=dict)
-    #: module-level literal bindings, in final (last-assignment) state.
-    constants: dict[str, object] = field(default_factory=dict)
-
-
-def const_eval(node: ast.expr, env: dict[str, object] | None = None) -> object:
-    """Literal evaluation with name lookup; :data:`UNKNOWN` on anything else."""
-    env = env or {}
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, (ast.Tuple, ast.List)):
-        items = [const_eval(item, env) for item in node.elts]
-        if any(item is UNKNOWN for item in items):
-            return UNKNOWN
-        return tuple(items) if isinstance(node, ast.Tuple) else list(items)
-    if isinstance(node, ast.Name):
-        return env.get(node.id, UNKNOWN)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        value = const_eval(node.operand, env)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return -value if isinstance(node.op, ast.USub) else value
-        return UNKNOWN
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-    ):
-        left = const_eval(node.left, env)
-        right = const_eval(node.right, env)
-        if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-            try:
-                if isinstance(node.op, ast.Add):
-                    return left + right
-                if isinstance(node.op, ast.Sub):
-                    return left - right
-                if isinstance(node.op, ast.Mult):
-                    return left * right
-                return left / right
-            except ZeroDivisionError:
-                return UNKNOWN
-        if isinstance(node.op, ast.Add) and (
-            isinstance(left, (str, tuple)) and type(left) is type(right)
-        ):
-            return left + right
-        return UNKNOWN
-    return UNKNOWN
 
 
 @dataclass
@@ -349,7 +302,6 @@ class ProjectContext:
 
     def _index_module(self, module: Module) -> ModuleInfo:
         info = ModuleInfo(module=module, dotted=module_dotted_name(module))
-        env: dict[str, object] = {}
         for stmt in module.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, stmt, class_name=None)
@@ -360,19 +312,6 @@ class ProjectContext:
                         self._add_function(info, sub, class_name=stmt.name)
             elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 self._add_import(info, stmt)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                if stmt.value is not None:
-                    value = const_eval(stmt.value, env)
-                    for tgt in targets:
-                        if isinstance(tgt, ast.Name):
-                            if value is UNKNOWN:
-                                env.pop(tgt.id, None)
-                            else:
-                                env[tgt.id] = value
-        info.constants = {k: v for k, v in env.items()}
         return info
 
     def _add_function(

@@ -5,9 +5,9 @@ one :meth:`Rule.finalize` call after the walk, where cross-file rules (the
 telemetry-coverage check, for instance) reconcile what they saw.  Rules
 that need whole-program structure implement :meth:`Rule.check_project`
 instead and query the :class:`~repro.lint.project.ProjectContext` (symbol
-table, import graph, call graph, constant lattice) the engine builds once
-per run.  Rules are instantiated fresh per lint run, so accumulated state
-never leaks between runs.
+table, import graph, call graph) the engine builds once per run.  Rules
+are instantiated fresh per lint run, so accumulated state never leaks
+between runs.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from . import (
-    banks,
     constants,
     determinism,
     fingerprint,
@@ -14,7 +13,6 @@ from . import (
 )
 
 __all__ = [
-    "banks",
     "constants",
     "determinism",
     "fingerprint",

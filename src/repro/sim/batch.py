@@ -8,10 +8,11 @@ their thermal/DTM configs differ.  This engine exploits that: lanes are
 grouped by :func:`trajectory_key` (workloads + seed; machine and time base
 are already fingerprint-shared), each trajectory group runs **one** SMT
 core, and everything that can differ per lane — thermal network state,
-sensor crossing counters, peak temperatures, EWMA banks and per-lane RNG
-banks — is carried as structure-of-arrays NumPy state advanced in lock
-step at the shared sample/sensor boundaries, and every lane runs its own
-scalar DTM policy object (:mod:`repro.sim.cohort`).  Heterogeneous lanes
+sensor crossing counters, peak temperatures and per-lane RNG banks — is
+carried as structure-of-arrays NumPy state advanced in lock step at the
+shared sensor boundaries, and every lane runs its own scalar DTM policy
+object (:mod:`repro.sim.cohort`).  Sedation lanes read one scalar usage
+monitor per distinct ``ewma_shift``.  Heterogeneous lanes
 (mixed workload pairs × mixed seeds) therefore batch in a single kernel
 call: one cohort tree per trajectory, one shared worklist, and one
 generated uop stream per distinct ``(workload, thread, seed)`` triple
@@ -29,9 +30,12 @@ episode derivation is untouched).  Exactness is by construction:
   group* whose packed state advances with the very expression
   ``E(dt) @ state + F(dt) @ source`` the scalar model applies — same
   cached propagators, same float operations, same bits;
-* EWMA updates and threshold-crossing detection are elementwise float
-  comparisons with the scalar expressions, which are IEEE-identical
-  whether applied to one value or an array;
+* lanes with equal ``ewma_shift`` see the same access counts, sampling
+  grid and sedation history, so one scalar
+  :class:`~repro.core.usage.UsageMonitor` holds every such lane's EWMAs;
+* threshold-crossing detection is an elementwise float comparison with
+  the scalar expression, which is IEEE-identical whether applied to one
+  value or an array;
 * every DTM transition is the scalar policy's own code, called with the
   lane's reading whenever that reading lies outside the policy's quiet
   band (inside it, the call would change nothing).
@@ -68,7 +72,7 @@ import time
 import numpy as np
 
 from ..config import SimulationConfig
-from ..core.usage import BatchUsageMonitor
+from ..core.usage import UsageMonitor
 from ..dtm import build_policy
 from ..errors import SimulationError
 from ..power import EnergyModel, PowerAccountant
@@ -292,10 +296,6 @@ def _build_root(
         lambda tid, name: streams.cursor(name, tid, config0.seed),
     )
     accountant = PowerAccountant(core, energy, config0.thermal.frequency_hz)
-    monitor = BatchUsageMonitor(
-        core,
-        [spec_list[index].config.sedation.ewma_shift for index in members],
-    )
 
     # Per-network-group thermal state (lanes with equal thermal configs
     # share one packed trajectory within the cohort).
@@ -323,16 +323,19 @@ def _build_root(
         ),
     )
     # One scalar policy per lane, built exactly as the Simulator builds it;
-    # sedation lanes actuate through their own port.
+    # sedation lanes actuate through their own port, which reads the usage
+    # monitor for the lane's EWMA shift (no other policy reads an EWMA).
+    monitors: dict[int, UsageMonitor] = {}
     policies = []
     ports = []
-    for row, (index, key) in enumerate(zip(members, group_keys, strict=True)):
+    for index, key in zip(members, group_keys, strict=True):
         config = spec_list[index].config
-        port = (
-            LanePort(core, monitor, row)
-            if config.dtm_policy == "sedation"
-            else None
-        )
+        port = None
+        if config.dtm_policy == "sedation":
+            shift = config.sedation.ewma_shift
+            if shift not in monitors:
+                monitors[shift] = UsageMonitor(core, config.sedation)
+            port = LanePort(core, monitors[shift])
         policies.append(build_policy(config, port, port, groups[key].model))
         ports.append(port)
     return Cohort(
@@ -340,7 +343,6 @@ def _build_root(
         workload_names,
         core,
         accountant,
-        monitor,
         detector,
         rng,
         policies,

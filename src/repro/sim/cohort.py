@@ -11,8 +11,10 @@ longer share a pipeline:
 
 A cohort is a unit of the one run loop both engines share
 (:func:`repro.sim.simulator.run_loop`): it exposes the loop's state and
-callbacks, with per-lane observers on structure-of-arrays banks in place
-of the scalar sensor bank and usage monitor.
+callbacks, with per-lane sensor observers on structure-of-arrays banks in
+place of the scalar sensor bank.  Usage monitors stay scalar: lanes share
+the core, the sampling grid and the sedation history, so sedation lanes
+with equal ``ewma_shift`` read one :class:`~repro.core.usage.UsageMonitor`.
 
 *Pipeline-visible state* is everything the run loop or the shared power
 accountant consumes:
@@ -53,6 +55,7 @@ reading a scalar run would see.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -138,18 +141,17 @@ class LanePort:
     rebound whenever its lane moves to a child cohort.
     """
 
-    def __init__(self, core, monitor, row: int) -> None:
+    def __init__(self, core, monitor) -> None:
         self.threads = [_LaneThread(thread) for thread in core.threads]
         #: per-thread ``(sedated, throttle_modulus)``, ``None`` when all clear
         self.flags: tuple | None = None
-        self.bind(core, monitor, row)
+        self.bind(core, monitor)
 
-    def bind(self, core, monitor, row: int) -> None:
-        """Point the port at the lane's (new) cohort core and monitor row."""
+    def bind(self, core, monitor) -> None:
+        """Point the port at the lane's (new) cohort core and usage monitor."""
         for view, thread in zip(self.threads, core.threads, strict=True):
             view.core_thread = thread
         self.monitor = monitor
-        self.row = row
 
     def set_sedated(self, tid: int, sedated: bool) -> None:
         self.threads[tid].sedated = sedated
@@ -160,13 +162,20 @@ class LanePort:
         self._refresh_flags()
 
     def weighted_average(self, tid: int, block: int) -> float:
-        return float(self.monitor.bank.values[self.row, tid, block])
+        return self.monitor.weighted_average(tid, block)
 
     def _refresh_flags(self) -> None:
         flags = tuple(
             (view.sedated, view.throttle_modulus) for view in self.threads
         )
         self.flags = flags if any(s or m for s, m in flags) else None
+
+
+def _port_monitors(ports: list) -> tuple:
+    """The distinct usage monitors a cohort's sedation ports read."""
+    return tuple(
+        dict.fromkeys(port.monitor for port in ports if port is not None)
+    )
 
 
 def visible_key(policy, port: LanePort | None) -> tuple:
@@ -194,8 +203,9 @@ def _group_layout(groups: dict, group_keys: list[str]) -> tuple[list, list[int]]
 class Cohort:
     """One lock-step group: lanes with identical pipeline-visible history.
 
-    Owns one pipeline (+ power accountant), one usage-monitor bank, one
-    crossing detector, the per-lane sensor-noise RNG bank, one DTM policy
+    Owns one pipeline (+ power accountant), the usage monitors its sedation
+    lanes' ports read (one per distinct ``ewma_shift``), one crossing
+    detector, the per-lane sensor-noise RNG bank, one DTM policy
     (and, for sedation lanes, one :class:`LanePort`) per lane with the
     lanes' quiet bands, and one thermal network group per distinct thermal
     config among its lanes.  ``lanes`` maps row position → original spec
@@ -209,7 +219,7 @@ class Cohort:
         "workloads",
         "core",
         "accountant",
-        "monitor",
+        "monitors",
         "detector",
         "rng",
         "policies",
@@ -237,7 +247,6 @@ class Cohort:
         workloads,
         core,
         accountant,
-        monitor,
         detector,
         rng,
         policies,
@@ -252,11 +261,11 @@ class Cohort:
         self.workloads = tuple(workloads)
         self.core = core
         self.accountant = accountant
-        self.monitor = monitor
         self.detector = detector
         self.rng = rng
         self.policies = list(policies)
         self.ports = list(ports)
+        self.monitors = _port_monitors(self.ports)
         bands = [policy.quiet_band() for policy in self.policies]
         self.quiet_lo = np.array([lo for lo, _ in bands])
         self.quiet_hi = np.array([hi for _, hi in bands])
@@ -290,12 +299,9 @@ class Cohort:
         self.last_thermal = cycle
 
     def on_sample(self) -> None:
-        """One usage-sample tick; sedated threads keep their EWMAs frozen."""
-        threads = self.core.threads
-        frozen = None
-        if any(thread.sedated for thread in threads):
-            frozen = np.array([thread.sedated for thread in threads], dtype=bool)
-        self.monitor.sample(frozen)
+        """One usage-sample tick for every monitor the lanes read."""
+        for monitor in self.monitors:
+            monitor.sample()
 
     def on_reading(self, stalled: bool) -> list["Cohort"] | None:
         """Read every lane's sensors and feed the lanes outside their quiet band.
@@ -385,16 +391,20 @@ class Cohort:
             # core.
             child.core = self.core.fork()
             child.accountant = self.accountant.fork(child.core)
-        child.monitor = self.monitor.take(indices, child.core)
         child.detector = self.detector.take(indices)
         child.rng = self.rng.take(indices)
         # Policies and ports move by reference: a lane lives in exactly
         # one cohort, so its DTM state continues wherever the lane goes.
         child.policies = [self.policies[position] for position in positions]
         child.ports = [self.ports[position] for position in positions]
-        for row, port in enumerate(child.ports):
-            if port is not None:
-                port.bind(child.core, child.monitor, row)
+        if not reuse:
+            # One shared memo copies each usage monitor once, onto the
+            # forked core; every port that read it reads the copy.
+            memo = {id(self.core): child.core}
+            for port in child.ports:
+                if port is not None:
+                    port.bind(child.core, copy.deepcopy(port.monitor, memo))
+        child.monitors = _port_monitors(child.ports)
         child.quiet_lo = self.quiet_lo[indices]
         child.quiet_hi = self.quiet_hi[indices]
         child.key = self.key

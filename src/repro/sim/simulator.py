@@ -111,7 +111,7 @@ def run_loop(unit, target: int, sample_interval: int, sensor_interval: int):
     sedation safety net) skips straight to the next reading and advances
     only the thermal model, since the core is clock-gated.  A *unit* is a
     :class:`Simulator` or a batch :class:`~repro.sim.cohort.Cohort`.  The
-    loop reads its ``core``, ``accountant`` and ``monitor``, its
+    loop reads its ``core``, ``accountant`` and ``monitors``, its
     pipeline-visible ``stalled``/``slowdown``/``power_scale``, and its
     ``next_sample``/``next_sensor`` grid, and calls back into it at three
     points:
@@ -130,13 +130,14 @@ def run_loop(unit, target: int, sample_interval: int, sensor_interval: int):
     """
     core = unit.core
     accountant = unit.accountant
-    monitor = unit.monitor
+    monitors = unit.monitors
     while core.cycle < target:
         if unit.stalled:
             chunk = min(sensor_interval, target - core.cycle)
             core.skip_cycles(chunk)
             unit.advance_thermal(accountant.idle_powers(chunk))
-            monitor.skip()
+            for monitor in monitors:
+                monitor.skip()
             for thread in core.threads:
                 thread.cycles_cooling += chunk
             # The stall supersedes both grids: they restart from here.
@@ -359,6 +360,11 @@ class Simulator:
         return self.policy.power_scale
 
     # -- the run loop ------------------------------------------------------------
+
+    @property
+    def monitors(self) -> tuple[UsageMonitor, ...]:
+        """The usage monitors :func:`run_loop` advances through a stall."""
+        return (self.monitor,)
 
     def run(self, quantum_cycles: int | None = None, trace: bool = False) -> RunResult:
         """Simulate one OS quantum and return the collected statistics."""

@@ -13,22 +13,29 @@ variants, plus the engine's unit-level vector forms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.blocks import INT_RF, NUM_BLOCKS
 from repro.config import scaled_config
-from repro.core.ewma import Ewma, EwmaBank
-from repro.core.usage import BatchUsageMonitor, UsageMonitor
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, SensorFaultPlan
+from repro.power import EnergyModel
 from repro.sim import RunSpec, run_many
-from repro.sim.batch import batch_fingerprint, simulate_lockstep, trajectory_key
+from repro.sim.batch import (
+    _build_root,
+    batch_fingerprint,
+    simulate_lockstep,
+    trajectory_key,
+)
 from repro.sim.parallel import CampaignSpec, spec_fingerprint
 from repro.sim.results import result_to_dict
-from repro.sim.simulator import Simulator, build_pipeline
+from repro.sim.simulator import Simulator, run_loop
+from repro.sim.soa import StreamBank
 from repro.thermal.sensors import BatchCrossingDetector, SensorBank
 
 POLICIES = ("ideal", "stop_and_go", "dvfs", "ttdfs", "fetch_gating", "sedation")
@@ -379,24 +386,6 @@ class TestPerfCounters:
 class TestVectorForms:
     """The batched primitives against their scalar counterparts."""
 
-    def test_ewma_bank_matches_scalar_ewma(self):
-        shifts = [0, 2, 5]
-        bank = EwmaBank(np.array(shifts).reshape(3, 1), (3, 4))
-        scalars = [[Ewma(shift) for _ in range(4)] for shift in shifts]
-        samples = [
-            [0.5, 1.25, 3.0, 0.0],
-            [2.0, 0.125, 7.5, 1.0],
-            [0.75, 4.5, 0.25, 2.0],
-        ]
-        for row in samples:
-            bank.update(np.array(row))
-            for lane_values in scalars:
-                for ewma, value in zip(lane_values, row, strict=True):
-                    ewma.update(value)
-        for lane, lane_values in enumerate(scalars):
-            for column, ewma in enumerate(lane_values):
-                assert bank.values[lane, column] == ewma.value
-
     def test_crossing_detector_matches_sensor_bank(self):
         config = tiny_config()
         simulator = Simulator(config, workloads=["gcc", "swim"])
@@ -417,20 +406,184 @@ class TestVectorForms:
         ] == bank.emergencies_per_block
         assert float(detector.peak_k[0]) == bank.peak_k
 
-    def test_batch_usage_monitor_matches_scalar(self):
-        config = tiny_config()
-        core = build_pipeline(config, ["gcc", "swim"])
-        scalar = UsageMonitor(core, config.sedation)
-        batch = BatchUsageMonitor(core, [config.sedation.ewma_shift, 3])
-        for _ in range(4):
-            core.run_cycles(500)
-            scalar.sample()
-            batch.sample()
-        assert batch.samples_taken == scalar.samples_taken
-        lane0 = batch.lane_values(0)
-        for tid in range(2):
-            for block in range(NUM_BLOCKS):
-                assert lane0[tid, block] == scalar.weighted_average(tid, block)
+
+def build_root(specs):
+    """The kernel's root cohort for ``specs`` (one trajectory group)."""
+    config = specs[0].config
+    return _build_root(
+        specs,
+        list(range(len(specs))),
+        StreamBank(config.machine, config.thermal),
+        EnergyModel.default(),
+        config.sedation.sample_interval,
+        config.thermal.sensor_interval,
+    )
+
+
+def run_cohorts(root, config, target: int) -> list:
+    """Drive ``root`` and every cohort split off it to cycle ``target``."""
+    finished = []
+    worklist = [root]
+    while worklist:
+        cohort = worklist.pop()
+        children = run_loop(
+            cohort,
+            target,
+            config.sedation.sample_interval,
+            config.thermal.sensor_interval,
+        )
+        if children is None:
+            finished.append(cohort)
+        else:
+            worklist.extend(children)
+    return finished
+
+
+def hexes(matrix) -> list[list[str]]:
+    """Float matrix as hex strings, so equality is bit equality."""
+    return [[value.hex() for value in row] for row in matrix]
+
+
+class TestLaneEwma:
+    """Each sedation lane's EWMAs against a scalar run, bit for bit."""
+
+    #: bench/unit.py's sedation ladder plus an early and a late rung
+    THRESHOLDS = (
+        (356.0, 354.1), (356.5, 354.2), (357.0, 354.4), (357.4, 354.8),
+        (355.5, 354.0), (358.0, 355.0),
+    )
+    QUANTUM = 30_000
+
+    def test_sedation_lanes_match_scalar_monitor(self):
+        base = scaled_config(
+            time_scale=4_000.0, quantum_cycles=self.QUANTUM
+        ).with_policy("sedation")
+        specs = [
+            RunSpec(("gzip", "variant2"), base.with_thresholds(upper, lower))
+            for upper, lower in self.THRESHOLDS
+        ]
+        finished = run_cohorts(build_root(specs), base, self.QUANTUM)
+        assert len(finished) > 1  # the ladder splits the root
+        for cohort in finished:
+            for lane, port in zip(cohort.lanes.tolist(), cohort.ports):
+                scalar = Simulator(
+                    specs[lane].config, workloads=["gzip", "variant2"]
+                )
+                scalar.run(self.QUANTUM)
+                assert port.monitor.core is cohort.core
+                assert hexes(port.monitor.averages_matrix()) == hexes(
+                    scalar.monitor.averages_matrix()
+                ), lane
+
+
+def state_names(obj) -> set[str]:
+    """Every attribute or slot currently set on ``obj``."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(
+            name for name in getattr(cls, "__slots__", ()) if hasattr(obj, name)
+        )
+    return names
+
+
+def assert_gathered(original, clone, indices, width: int, derived=()) -> None:
+    """``clone`` is ``original`` restricted to the lanes at ``indices``.
+
+    Every field set on the original is set on the clone.  Per-lane arrays
+    (leading axis ``width``) keep their dtype and trailing shape and hold
+    ``original[indices]`` in fresh memory; ``derived`` arrays are rebuilt
+    for the clone, so only their dtype and shape are checked.  Per-lane
+    lists carry the same objects in the same order.
+    """
+    for name in state_names(original):
+        assert hasattr(clone, name), name
+        value = getattr(original, name)
+        copied = getattr(clone, name)
+        if isinstance(value, np.ndarray) and value.ndim and len(value) == width:
+            assert copied.dtype == value.dtype, name
+            assert copied.shape == (len(indices),) + value.shape[1:], name
+            if name not in derived:
+                assert np.array_equal(copied, value[indices]), name
+                assert not np.shares_memory(copied, value), name
+        elif isinstance(value, list) and len(value) == width:
+            assert len(copied) == len(indices), name
+            for item, index in zip(copied, indices, strict=True):
+                assert item is value[index], name
+
+
+@functools.lru_cache(maxsize=None)
+def clone_root():
+    """A root cohort whose lanes vary every per-lane field, a little way in.
+
+    Six lanes over three thermal network groups: two sedation EWMA shifts
+    (two usage monitors), a noisy sensor lane, and lanes without a port.
+    """
+    base = scaled_config(time_scale=4_000.0, quantum_cycles=2_000)
+    sedation = base.with_policy("sedation")
+    pair = ("gzip", "variant2")
+    specs = [
+        RunSpec(pair, sedation),
+        RunSpec(pair, sedation.with_thresholds(357.0, 354.4)),
+        RunSpec(
+            pair,
+            dataclasses.replace(
+                sedation,
+                sedation=dataclasses.replace(sedation.sedation, ewma_shift=5),
+            ),
+        ),
+        RunSpec(
+            pair,
+            dataclasses.replace(
+                base.with_policy("stop_and_go"),
+                thermal=dataclasses.replace(
+                    base.thermal, sensor_noise_k=0.5, sensor_noise_seed=9
+                ),
+            ),
+        ),
+        RunSpec(pair, base.with_ideal_sink()),
+        RunSpec(pair, base.with_policy("dvfs").with_convection_resistance(0.7)),
+    ]
+    root = build_root(specs)
+    assert run_cohorts(root, base, 2_000) == [root]  # no split yet
+    return root
+
+
+class TestCloneRoundTrip:
+    """``Cohort._take`` and the lane banks' ``take`` carry every lane field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        positions=st.sets(st.integers(0, 5), min_size=1).map(sorted),
+        reuse=st.booleans(),
+    )
+    def test_take_gathers_every_lane_field(self, positions, reuse):
+        root = clone_root()
+        width = len(root.lanes)
+        indices = np.asarray(positions, dtype=np.int64)
+        bindings = [(port, port.monitor) for port in root.ports if port]
+        try:
+            child = root._take(positions, reuse)
+            assert_gathered(
+                root, child, indices, width, derived=("group_rows", "temps")
+            )
+            assert_gathered(root.detector, child.detector, indices, width)
+            assert_gathered(root.rng, child.rng, indices, width)
+            for row, key in enumerate(child.group_keys):
+                assert child.group_list[child.group_rows[row]] is child.groups[key]
+            # Each port reads one of the child's monitors, on the child's
+            # core, holding its parent monitor's values (a copy on a fork).
+            read = {id(port.monitor) for port in child.ports if port}
+            assert {id(monitor) for monitor in child.monitors} == read
+            for port, parent in bindings:
+                if port in child.ports:
+                    assert port.monitor.core is child.core
+                    assert (port.monitor is parent) == reuse
+                    assert hexes(port.monitor.averages_matrix()) == hexes(
+                        parent.averages_matrix()
+                    )
+        finally:
+            for port, monitor in bindings:
+                port.bind(root.core, monitor)
 
 
 class TestHeterogeneousLanes:

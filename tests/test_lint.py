@@ -480,12 +480,13 @@ class TestReporters:
             ],
         }
 
-    def test_rule_catalog_lists_all_eight(self):
+    def test_rule_catalog_lists_all_seven(self):
         catalog = render_rules()
         for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                     "RPR007", "RPR008", "RPR009"):
+                     "RPR007", "RPR008"):
             assert code in catalog
         assert "RPR006" not in catalog  # retired with the twin anchors
+        assert "RPR009" not in catalog  # retired with the usage-monitor bank
 
 
 # -- the self-check: this repository must pass its own linter -----------------

@@ -1,36 +1,40 @@
 """repro.lint v2: project context, cross-module rules, baseline, CLI.
 
 The v1 rules keep their fixtures in ``test_lint.py``; this file covers the
-project-wide analysis context (symbol table, import/call graph, constant
-lattice, dict shapes) and everything built on it: RPR007
-transitive determinism taint, RPR008 payload schemas, RPR009 bank shapes,
-the findings baseline, the SARIF reporter, multi-line suppression, and the
+project-wide analysis context (symbol table, import/call graph, dict
+shapes) and everything built on it: RPR007 transitive determinism taint,
+RPR008 payload schemas, the findings baseline, the SARIF reporter, multi-line suppression, and the
 ``--rule``/``--diff`` CLI flags.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
-import shutil
 import subprocess
 import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
+
+from repro.config import scaled_config
 from repro.lint import Finding, LintConfig, LintResult, run_lint
 from repro.lint.baseline import Baseline, paths_match
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import _load_module, iter_python_files
 from repro.lint.findings import SuppressionMap
 from repro.lint.project import (
-    UNKNOWN,
     ProjectContext,
-    const_eval,
     dict_shape_at,
     module_dotted_name,
 )
 from repro.lint.report import render_sarif
+from repro.power import EnergyModel
+from repro.sim import RunSpec
+from repro.sim.batch import _build_root
+from repro.sim.soa import LaneRngBank, StreamBank
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,29 +135,9 @@ class TestProjectContext:
             "analysis/io.py": "C = 3\n",
         })
         assert ctx.find_module("analysis.util") is not None
-        assert ctx.find_module("analysis.io").constants == {"C": 3}
+        assert ctx.find_module("analysis.io") is not None
         # Two modules end in ".util": a bare suffix must not guess.
         assert ctx.find_module("util") is None
-
-    def test_constant_lattice(self, tmp_path):
-        ctx = build_context(tmp_path, {
-            "config.py": """\
-                BASE = 2
-                SCALED = BASE * 3 + 1
-                NAMES = ("x", "y")
-                OPAQUE = object()
-                """,
-        })
-        constants = ctx.modules[0].constants
-        assert constants["BASE"] == 2 and constants["SCALED"] == 7
-        assert constants["NAMES"] == ("x", "y")
-        assert "OPAQUE" not in constants
-
-    def test_const_eval_unknown_propagates(self):
-        env = {"A": 3}
-        assert const_eval(ast.parse("A - 1", mode="eval").body, env) == 2
-        assert const_eval(ast.parse("A + B", mode="eval").body, env) is UNKNOWN
-        assert const_eval(ast.parse("-A", mode="eval").body, env) == -3
 
     def test_dict_shape_tracks_branch_keys(self, tmp_path):
         source = textwrap.dedent("""\
@@ -380,123 +364,61 @@ class TestPayloadSchemaRule:
         assert result.findings == [] and result.suppressed == 1
 
 
-# -- RPR009: SoA bank shapes --------------------------------------------------
-
-
-_BANK_TEMPLATE = textwrap.dedent("""\
-    import numpy as np
-
-    _ARRAY_FIELDS = {fields}
-
-    class Bank:
-        def __init__(self, n):
-            self.x = np.zeros(n, dtype=np.float64)
-            self.y = np.zeros(n, dtype=np.int64)
-            self.n = n
-
-        def take(self, idx):
-            clone = Bank.__new__(Bank)
-    {body}
-            clone.n = 1
-            return clone
-    """)
-
-
-def bank_module(fields: str, take_body: str) -> str:
-    body = textwrap.indent(textwrap.dedent(take_body), " " * 8).rstrip("\n")
-    return _BANK_TEMPLATE.format(fields=fields, body=body)
-
-
-GATHER_LOOP = """\
-    for name in _ARRAY_FIELDS:
-        setattr(clone, name, getattr(self, name)[idx])
-    """
+# -- SoA bank shapes ----------------------------------------------------------
 
 
 class TestBankShapeRule:
-    def test_complete_gather_loop_is_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module('("x", "y")', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert result.findings == []
+    """The real tree's lane-bank clones keep every field's shape and dtype.
 
-    def test_missing_array_field_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module('("x",)', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert codes(result) == ["RPR009"]
-        assert "does not carry array field 'y'" in result.findings[0].message
+    RPR009 checked these statically; with the rule retired they are checked
+    by running the ``take`` methods themselves.
+    """
 
-    def test_stale_field_list_entry_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module('("x", "y", "z")', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert codes(result) == ["RPR009"]
-        assert "'z'" in result.findings[0].message
-        assert "stale" in result.findings[0].message
+    def test_real_tree_rng_bank_take_covers_sigmas(self):
+        thermals = [
+            dataclasses.replace(
+                scaled_config().thermal,
+                sensor_noise_k=noise,
+                sensor_noise_seed=seed,
+            )
+            for seed, noise in enumerate((0.0, 0.5, 0.0, 0.25))
+        ]
+        bank = LaneRngBank(thermals)
+        for positions, noisy in (([0, 2], False), ([3, 1], True)):
+            indices = np.asarray(positions, dtype=np.int64)
+            clone = bank.take(indices)
+            assert clone.sigmas.dtype == bank.sigmas.dtype
+            assert np.array_equal(clone.sigmas, bank.sigmas[indices])
+            assert not np.shares_memory(clone.sigmas, bank.sigmas)
+            assert clone.rngs == [bank.rngs[i] for i in positions]
+            assert clone.noisy is noisy
 
-    def test_clone_dtype_mismatch_fires(self, tmp_path):
-        body = """\
-            clone.x = np.zeros(len(idx), dtype=np.int32)
-            clone.y = self.y[idx]
-            """
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module("()", body),
-        }, select=("RPR009",))
-        assert codes(result) == ["RPR009"]
-        assert "different dtype" in result.findings[0].message
-
-    def test_unresolvable_gather_loop_is_skipped(self, tmp_path):
-        body = """\
-            for name in self.fields():
-                setattr(clone, name, getattr(self, name)[idx])
-            """
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module("()", body),
-        }, select=("RPR009",))
-        assert result.findings == []
-
-    def test_non_guarded_package_is_exempt(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "analysis/banks.py": bank_module('("x",)', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert result.findings == []
-
-    def test_suppressed_clone_method(self, tmp_path):
-        source = bank_module('("x",)', GATHER_LOOP).replace(
-            "def take(self, idx):",
-            "def take(self, idx):  # repro: noqa(RPR009) y is rebuilt lazily",
-        )
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": source,
-        }, select=("RPR009",))
-        assert result.findings == [] and result.suppressed == 1
-
-    def test_real_tree_rng_bank_take_covers_sigmas(self, tmp_path):
-        """Dropping the sigma gather from LaneRngBank.take fires RPR009."""
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        soa = tmp_path / "src" / "repro" / "sim" / "soa.py"
-        text = soa.read_text()
-        pristine = "        clone.sigmas = self.sigmas[indices]\n"
-        assert pristine in text
-        soa.write_text(text.replace(pristine, "", 1))
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR009",)))
-        assert codes(result) == ["RPR009"]
-        assert "'sigmas'" in result.findings[0].message
-
-    def test_real_tree_cohort_take_keeps_group_rows_dtype(self, tmp_path):
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        cohort = tmp_path / "src" / "repro" / "sim" / "cohort.py"
-        text = cohort.read_text()
-        pristine = "child.group_rows = np.array(rows, dtype=np.int64)"
-        assert pristine in text
-        cohort.write_text(
-            text.replace(pristine, pristine.replace("int64", "int32"), 1)
-        )
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR009",)))
-        assert codes(result) == ["RPR009"]
-        assert "different dtype" in result.findings[0].message
-        assert "group_rows" in result.findings[0].message
+    def test_real_tree_cohort_take_keeps_group_rows_dtype(self):
+        base = scaled_config(time_scale=4_000.0, quantum_cycles=2_000)
+        specs = [
+            RunSpec(("gzip", "variant2"), config)
+            for config in (
+                base,
+                base.with_ideal_sink(),
+                base.with_convection_resistance(0.7),
+                base.with_ideal_sink(),
+            )
+        ]
+        for reuse in (True, False):
+            root = _build_root(
+                specs,
+                list(range(len(specs))),
+                StreamBank(base.machine, base.thermal),
+                EnergyModel.default(),
+                base.sedation.sample_interval,
+                base.thermal.sensor_interval,
+            )
+            assert root.group_rows.dtype == np.int64
+            child = root._take([3, 2, 1], reuse)
+            assert child.group_rows.dtype == root.group_rows.dtype
+            assert child.group_rows.shape == (3,)
+            for row, key in enumerate(child.group_keys):
+                assert child.group_list[child.group_rows[row]] is child.groups[key]
 
 
 # -- the findings baseline ----------------------------------------------------
@@ -638,7 +560,7 @@ class TestMultiLineSuppression:
 class TestSarifReporter:
     def test_structure_and_rule_index(self):
         result = LintResult(
-            findings=[Finding("src/a.py", 3, 5, "RPR009", "drifted")],
+            findings=[Finding("src/a.py", 3, 5, "RPR008", "drifted")],
             files_checked=1,
         )
         payload = json.loads(render_sarif(result))
@@ -646,10 +568,10 @@ class TestSarifReporter:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.lint"
         ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == sorted(ids) and len(ids) == 8
+        assert ids == sorted(ids) and len(ids) == 7
         entry = run["results"][0]
-        assert entry["ruleId"] == "RPR009"
-        assert ids[entry["ruleIndex"]] == "RPR009"
+        assert entry["ruleId"] == "RPR008"
+        assert ids[entry["ruleIndex"]] == "RPR008"
         location = entry["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "src/a.py"
         assert location["region"] == {"startLine": 3, "startColumn": 5}
