@@ -50,6 +50,20 @@ class MemoryHierarchy:
         self.l1d = Cache(config.l1d)
         self.l2 = Cache(config.l2)
         self.memory_latency = config.memory_latency
+        # The six possible outcomes, built once: every access returns one
+        # of these frozen objects instead of a new one.
+        l2 = config.l2.latency
+        memory = l2 + self.memory_latency
+        self._i_results = (
+            MemAccessResult(config.l1i.latency, MemLevel.L1),
+            MemAccessResult(config.l1i.latency + l2, MemLevel.L2),
+            MemAccessResult(config.l1i.latency + memory, MemLevel.MEMORY),
+        )
+        self._d_results = (
+            MemAccessResult(config.l1d.latency, MemLevel.L1),
+            MemAccessResult(config.l1d.latency + l2, MemLevel.L2),
+            MemAccessResult(config.l1d.latency + memory, MemLevel.MEMORY),
+        )
         # Per-structure access counters, drained by the power accountant.
         self.icache_accesses = 0
         self.dcache_accesses = 0
@@ -61,16 +75,11 @@ class MemoryHierarchy:
         """Fetch path: L1I, then L2, then memory."""
         self.icache_accesses += 1
         if self.l1i.access(address):
-            return MemAccessResult(self.config.l1i.latency, MemLevel.L1)
+            return self._i_results[0]
         self.l2_accesses += 1
         if self.l2.access(address):
-            return MemAccessResult(
-                self.config.l1i.latency + self.config.l2.latency, MemLevel.L2
-            )
-        return MemAccessResult(
-            self.config.l1i.latency + self.config.l2.latency + self.memory_latency,
-            MemLevel.MEMORY,
-        )
+            return self._i_results[1]
+        return self._i_results[2]
 
     # -- data side -----------------------------------------------------------
 
@@ -82,16 +91,11 @@ class MemoryHierarchy:
         """
         self.dcache_accesses += 1
         if self.l1d.access(address):
-            return MemAccessResult(self.config.l1d.latency, MemLevel.L1)
+            return self._d_results[0]
         self.l2_accesses += 1
         if self.l2.access(address):
-            return MemAccessResult(
-                self.config.l1d.latency + self.config.l2.latency, MemLevel.L2
-            )
-        return MemAccessResult(
-            self.config.l1d.latency + self.config.l2.latency + self.memory_latency,
-            MemLevel.MEMORY,
-        )
+            return self._d_results[1]
+        return self._d_results[2]
 
     def fork(self) -> "MemoryHierarchy":
         """Mid-run clone of every level plus the power access counters."""
@@ -101,6 +105,8 @@ class MemoryHierarchy:
         clone.l1d = self.l1d.fork()
         clone.l2 = self.l2.fork()
         clone.memory_latency = self.memory_latency
+        clone._i_results = self._i_results
+        clone._d_results = self._d_results
         clone.icache_accesses = self.icache_accesses
         clone.dcache_accesses = self.dcache_accesses
         clone.l2_accesses = self.l2_accesses

@@ -20,10 +20,16 @@ def icount_select(
 
     Order matters: the first thread returned gets fetch priority (it may
     consume the whole fetch width), which is how ICOUNT lets a high-IPC
-    thread monopolize the front end.
+    thread monopolize the front end.  Ties keep ``runnable``'s order (a
+    stable sort); one or two threads, the SMT core's case, skip the sort.
     """
-    ordered = sorted(runnable, key=lambda t: t.icount)
-    return ordered[:max_threads]
+    if len(runnable) == 2:
+        first, second = runnable
+        if second.icount < first.icount:
+            runnable = [second, first]
+    elif len(runnable) > 2:
+        runnable = sorted(runnable, key=lambda t: t.icount)
+    return runnable[:max_threads]
 
 
 class RoundRobinSelector:

@@ -24,6 +24,13 @@ the phenomena the paper studies):
 Every structural access is counted per (thread, block) into cumulative
 counters (:attr:`SMTCore.access_counts`); the power accountant and the
 sedation usage monitor snapshot them at their own intervals.
+
+:meth:`SMTCore.run_cycles` is the only pipeline loop: each cycle runs
+complete → commit → issue → dispatch → fetch inline, over state held in
+locals for the length of the call (:meth:`SMTCore.step` is
+``run_cycles(1)``).  Counters nobody reads inside a cycle are bumped once
+per group: rename and window writes once per thread's dispatch group, and
+``seq_counter``/``icount``/``fetched`` once per fetch block.
 """
 
 from __future__ import annotations
@@ -48,23 +55,12 @@ from ..blocks import (
 )
 from ..config import MachineConfig
 from ..errors import PipelineError
-from ..isa.registers import FP_BASE
+from ..isa.registers import FP_BASE, TOTAL_REGS
 from ..memory import MemLevel, MemoryHierarchy
 from .fetch import make_fetch_selector
 from .source import UopSource
 from .thread import ThreadContext
-from .uop import (
-    OP_BRANCH,
-    OP_FALU,
-    OP_FMULT,
-    OP_IALU,
-    OP_IMULT,
-    OP_LOAD,
-    OP_NOP,
-    OP_STORE,
-    Uop,
-    fork_uop,
-)
+from .uop import OP_BRANCH, OP_STORE, Uop, fork_uop
 
 #: opclass -> functional-resource pool index
 #: pools: 0=int ALUs (branches share), 1=int mult, 2=FP units, 3=mem ports,
@@ -74,9 +70,16 @@ _RESOURCE_OF = (0, 1, 2, 2, 3, 3, 0, 4)
 #: opclass -> floorplan block heated by execution (or -1)
 _EXEC_BLOCK_OF = (IALU, IMULT, FALU, FMULT, -1, -1, IALU, -1)
 
+#: bound once: an enum member lookup costs more than a module global
+_L1 = MemLevel.L1
+_MEMORY = MemLevel.MEMORY
+
+#: architectural register -> register-file block it is read from or written to
+_RF_OF = tuple(FP_RF if reg >= FP_BASE else INT_RF for reg in range(TOTAL_REGS))
+
 
 class SMTCore:
-    """The SMT pipeline: fetch, dispatch, issue, complete, commit."""
+    """The SMT pipeline: complete, commit, issue, dispatch, fetch per cycle."""
 
     def __init__(
         self,
@@ -99,24 +102,6 @@ class SMTCore:
         self._select = make_fetch_selector(config.fetch_policy)
         #: cumulative per-thread per-block access counts
         self.access_counts = [[0] * NUM_BLOCKS for _ in range(config.num_threads)]
-        self._l1i_line_bytes = config.l1i.line_bytes
-        self._window_cap = (
-            config.ruu_size // config.num_threads
-            if config.ruu_partitioned
-            else config.ruu_size
-        )
-        self._fu_limits = (
-            config.int_alus,
-            config.int_mults,
-            config.fp_alus,
-            config.mem_ports,
-            1 << 30,
-        )
-        # Hot-loop bindings: these are re-read every cycle, so resolve the
-        # attribute chains once.
-        self._fetch_queue_size = config.fetch_queue_size
-        self._access_instruction = self.hierarchy.access_instruction
-        self._access_data = self.hierarchy.access_data
         #: cycles fast-forwarded because the core was provably idle
         self.perf_idle_skipped = 0
         #: cycles skipped wholesale via :meth:`skip_cycles` (global stalls)
@@ -134,9 +119,9 @@ class SMTCore:
         core continues byte-identically — but it walks only live pipeline
         state: the in-flight uop graph (a few hundred objects) is cloned
         through one identity-preserving memo, caches copy their tag lists,
-        and immutable structure (config, FU limits, shared uop-stream
-        columns) is shared.  Sources fork via their own ``fork`` when
-        available (O(1) for stream cursors), else deep-copy.
+        and immutable structure (config, shared uop-stream columns) is
+        shared.  Sources fork via their own ``fork`` when available (O(1)
+        for stream cursors), else deep-copy.
 
         Telemetry sessions are intentionally not forkable: batchable specs
         never carry telemetry, and silently sharing a sink between sibling
@@ -162,12 +147,6 @@ class SMTCore:
         # themselves).
         clone._select = copy.deepcopy(self._select)
         clone.access_counts = [list(counts) for counts in self.access_counts]
-        clone._l1i_line_bytes = self._l1i_line_bytes
-        clone._window_cap = self._window_cap
-        clone._fu_limits = self._fu_limits
-        clone._fetch_queue_size = self._fetch_queue_size
-        clone._access_instruction = clone.hierarchy.access_instruction
-        clone._access_data = clone.hierarchy.access_data
         clone.perf_idle_skipped = self.perf_idle_skipped
         clone.perf_stall_skipped = self.perf_stall_skipped
         clone.telemetry = None
@@ -204,20 +183,13 @@ class SMTCore:
 
     def step(self) -> None:
         """Advance the pipeline by one cycle."""
-        cycle = self.cycle
-        finishing = self._wheel.pop(cycle, None)
-        if finishing:
-            for uop in finishing:
-                self._complete(uop, cycle)
-        self._commit()
-        self._issue(cycle)
-        self._dispatch(cycle)
-        self._fetch(cycle)
-        self.cycle = cycle + 1
+        self.run_cycles(1)
 
     def run_cycles(self, n: int) -> None:
         """Run ``n`` cycles, fast-forwarding provably idle stretches.
 
+        The state every stage touches is read into locals on entry and
+        written back on exit; sources' methods are looked up per fetch block.
         When the ready list is empty the core may be unable to do *any* work
         for a while (every thread halted, sedated, miss-gated, or waiting on
         a refill); :meth:`_idle_until` detects that and jumps the clock to
@@ -227,20 +199,275 @@ class SMTCore:
         """
         if n <= 0:
             return
-        target = self.cycle + n
-        step = self.step
-        while self.cycle < target:
-            if not self.ready:
-                resume = self._idle_until(self.cycle, target)
-                if resume > self.cycle:
-                    self.perf_idle_skipped += resume - self.cycle
-                    if self.telemetry is not None:
-                        self.telemetry.idle_skip(
-                            self.cycle, resume - self.cycle
-                        )
-                    self.cycle = resume
-                    continue
-            step()
+        config = self.config
+        threads = self.threads
+        num_threads = len(threads)
+        access_counts = self.access_counts
+        wheel = self._wheel
+        access_instruction = self.hierarchy.access_instruction
+        access_data = self.hierarchy.access_data
+        window_cap = config.ruu_size // num_threads if config.ruu_partitioned else config.ruu_size
+        fu_limits = (config.int_alus, config.int_mults, config.fp_alus, config.mem_ports, 1 << 30)
+        issue_width = config.issue_width
+        commit_width = config.commit_width
+        fetch_width = config.fetch_width
+        fetch_threads = config.fetch_threads_per_cycle
+        decode_latency = config.decode_latency
+        max_queue = config.fetch_queue_size
+        line_bytes = config.l1i.line_bytes
+        ruu_size = config.ruu_size
+        lsq_size = config.lsq_size
+        squash_on_l2_miss = config.squash_on_l2_miss
+        redirect = 1 + config.branch_mispredict_penalty
+        resource_of = _RESOURCE_OF
+        exec_block_of = _EXEC_BLOCK_OF
+        rf_of = _RF_OF
+        cycle = self.cycle
+        target = cycle + n
+        ready = self.ready
+        window_used = self.window_used
+        lsq_used = self.lsq_used
+        try:
+            while cycle < target:
+                if not ready:
+                    resume = self._idle_until(cycle, target)
+                    if resume > cycle:
+                        self.perf_idle_skipped += resume - cycle
+                        if self.telemetry is not None:
+                            self.telemetry.idle_skip(cycle, resume - cycle)
+                        cycle = resume
+                        continue
+
+                # Complete: results write back and wake their consumers.
+                finishing = wheel.pop(cycle, None)
+                if finishing:
+                    for uop in finishing:
+                        uop.done = True
+                        dest = uop.dest
+                        if dest >= 0:
+                            access_counts[uop.thread][rf_of[dest]] += 1
+                        consumers = uop.consumers
+                        if consumers:
+                            # A consumer is dispatched and unissued until
+                            # its last producer completes.
+                            for consumer in consumers:
+                                consumer.deps -= 1
+                                if not consumer.deps:
+                                    ready.append(consumer)
+                            uop.consumers = None
+                        # Only a load can be a miss block and only a
+                        # mispredicted branch a fetch gate.
+                        if uop.is_mem or uop.mispredict:
+                            thread = threads[uop.thread]
+                            if thread.miss_block is uop:
+                                thread.miss_block = None
+                            if thread.mispredict_gate is uop:
+                                thread.mispredict_gate = None
+                                resume = cycle + redirect
+                                if resume > thread.fetch_blocked_until:
+                                    thread.fetch_blocked_until = resume
+
+                # Commit: one ROB head per thread per pass, thread 0 first.
+                budget = commit_width
+                while budget > 0:
+                    progressed = False
+                    for thread in threads:
+                        rob = thread.rob
+                        if rob and rob[0].done:
+                            uop = rob.popleft()
+                            uop.in_window = False
+                            thread.icount -= 1
+                            thread.committed += 1
+                            if uop.is_mem:
+                                lsq_used -= 1
+                                thread.mem_ops_in_flight -= 1
+                            budget -= 1
+                            progressed = True
+                            if budget == 0:
+                                break
+                    if not progressed:
+                        break
+                window_used -= commit_width - budget
+
+                # Issue: oldest-ready first, bounded by width and FU pools.
+                if ready:
+                    budget = issue_width
+                    fu_left = list(fu_limits)
+                    leftover: list[Uop] = []
+                    for uop in ready:
+                        opclass = uop.opclass
+                        resource = resource_of[opclass]
+                        if not fu_left[resource]:
+                            leftover.append(uop)
+                            continue
+                        fu_left[resource] -= 1
+                        budget -= 1
+                        counts = access_counts[uop.thread]
+                        for src in uop.srcs:
+                            counts[rf_of[src]] += 1
+                        counts[WINDOW] += 1
+                        exec_block = exec_block_of[opclass]
+                        if exec_block >= 0:
+                            counts[exec_block] += 1
+                        if uop.is_mem:
+                            counts[LSQ] += 1
+                        uop.issued = True
+                        when = cycle + uop.latency
+                        bucket = wheel.get(when)
+                        if bucket is None:
+                            wheel[when] = [uop]
+                        else:
+                            bucket.append(uop)
+                        if not budget:
+                            # Visited so far: the skipped plus a full width.
+                            leftover.extend(ready[len(leftover) + issue_width :])
+                            break
+                    ready = leftover
+
+                # Dispatch: rename into the window, round-robin by cycle.
+                budget = issue_width
+                offset = cycle % num_threads
+                for i in range(num_threads):
+                    thread = threads[(i + offset) % num_threads]
+                    queue = thread.fetch_queue
+                    if not queue or thread.miss_block is not None:
+                        continue
+                    rob = thread.rob
+                    writer_table = thread.writer_table
+                    counts = access_counts[thread.tid]
+                    # Each dispatch takes one slot of the width, the queue,
+                    # the shared window and this thread's window share.
+                    room = min(
+                        budget, len(queue), ruu_size - window_used, window_cap - len(rob)
+                    )
+                    dispatched = 0
+                    while dispatched < room:
+                        ready_cycle, uop = queue[0]
+                        if ready_cycle > cycle:
+                            break
+                        is_mem = uop.is_mem
+                        if is_mem and lsq_used >= lsq_size:
+                            break
+                        queue.popleft()
+                        uop.in_window = True
+                        deps = 0
+                        for src in uop.srcs:
+                            producer = writer_table[src]
+                            if producer is not None and not producer.done:
+                                if producer.consumers is None:
+                                    producer.consumers = [uop]
+                                else:
+                                    producer.consumers.append(uop)
+                                deps += 1
+                        if uop.dest >= 0:
+                            writer_table[uop.dest] = uop
+                        if is_mem:
+                            lsq_used += 1
+                            thread.mem_ops_in_flight += 1
+                            counts[LSQ] += 1
+                            counts[DCACHE] += 1
+                            is_store = uop.opclass == OP_STORE
+                            result = access_data(uop.address, is_store)
+                            if result.level is not _L1:
+                                counts[L2] += 1
+                            if is_store:
+                                uop.latency = 1
+                            else:
+                                uop.latency = result.latency
+                                if squash_on_l2_miss and result.level is _MEMORY:
+                                    thread.miss_block = uop
+                        rob.append(uop)
+                        uop.deps = deps
+                        if not deps:
+                            ready.append(uop)
+                        dispatched += 1
+                        if is_mem and thread.miss_block is not None:
+                            break
+                    if dispatched:
+                        counts[RENAME] += dispatched
+                        counts[WINDOW] += dispatched
+                        window_used += dispatched
+                        budget -= dispatched
+                        if not budget:
+                            break
+
+                # Fetch: ICOUNT2.N priority.  The first selected thread (the
+                # lowest icount under ICOUNT) may take the whole width, which
+                # lets a high-IPC thread monopolize fetch (the paper's
+                # variant1 side effect).  _idle_until mirrors this test.
+                runnable = []
+                for thread in threads:
+                    if (
+                        thread.halted
+                        or thread.sedated
+                        or thread.paused
+                        or thread.miss_block is not None
+                        or thread.mispredict_gate is not None
+                        or cycle < thread.fetch_blocked_until
+                        or len(thread.fetch_queue) >= max_queue
+                    ):
+                        continue
+                    modulus = thread.throttle_modulus
+                    if modulus and cycle % modulus:
+                        continue
+                    runnable.append(thread)
+                if runnable:
+                    budget = fetch_width
+                    decode_ready = cycle + decode_latency
+                    for thread in self._select(runnable, fetch_threads):
+                        if budget <= 0:
+                            break
+                        # A fetch block ends at a taken branch, a mispredicted
+                        # branch, an I-cache miss, or queue/budget exhaustion.
+                        counts = access_counts[thread.tid]
+                        counts[ICACHE] += 1
+                        source = thread.source
+                        peek_pc = source.peek_pc
+                        next_uop = source.next_uop
+                        queue = thread.fetch_queue
+                        limit = min(budget, max_queue - len(queue))
+                        seq = thread.seq_counter
+                        last_line = thread.last_fetch_line
+                        fetched = 0
+                        while fetched < limit:
+                            pc = peek_pc()
+                            if pc < 0:
+                                thread.halted = True
+                                break
+                            line = pc // line_bytes
+                            if line != last_line:
+                                last_line = line
+                                result = access_instruction(pc)
+                                if result.level is not _L1:
+                                    counts[L2] += 1
+                                    thread.fetch_blocked_until = cycle + result.latency
+                                    break
+                            uop = next_uop()
+                            if uop is None:
+                                thread.halted = True
+                                break
+                            uop.seq = seq + fetched
+                            queue.append((decode_ready, uop))
+                            fetched += 1
+                            if uop.opclass == OP_BRANCH:
+                                counts[BPRED] += 1
+                                if uop.mispredict:
+                                    thread.mispredict_gate = uop
+                                    break
+                            if uop.taken:
+                                break
+                        thread.last_fetch_line = last_line
+                        if fetched:
+                            thread.seq_counter = seq + fetched
+                            thread.icount += fetched
+                            thread.fetched += fetched
+                            budget -= fetched
+                cycle += 1
+        finally:
+            self.cycle = cycle
+            self.ready = ready
+            self.window_used = window_used
+            self.lsq_used = lsq_used
 
     def _idle_until(self, cycle: int, limit: int) -> int:
         """Earliest cycle (≤ ``limit``) at which the pipeline could do work.
@@ -309,258 +536,6 @@ class SMTCore:
             self._wheel = {when + n: uops for when, uops in self._wheel.items()}
         self.cycle += n
         self.perf_stall_skipped += n
-
-    # -- stages --------------------------------------------------------------
-
-    def _fetch(self, cycle: int) -> None:
-        """ICOUNT2.N priority fetch: the selected threads are ordered by the
-        policy (lowest icount first under ICOUNT) and the highest-priority
-        thread may consume the whole fetch width; lower-priority threads get
-        the leftovers.  This is what lets a high-IPC thread monopolize fetch
-        bandwidth under ICOUNT (the paper's variant1 side effect)."""
-        config = self.config
-        max_queue = self._fetch_queue_size
-        # Fetch eligibility, inline: this test runs for every thread on every
-        # cycle, so a method call would cost measurably.  _idle_until tests
-        # the same conditions to find the next cycle any thread can fetch.
-        runnable = []
-        for t in self.threads:
-            if (
-                t.halted
-                or t.sedated
-                or t.paused
-                or t.miss_block is not None
-                or t.mispredict_gate is not None
-                or cycle < t.fetch_blocked_until
-                or len(t.fetch_queue) >= max_queue
-            ):
-                continue
-            modulus = t.throttle_modulus
-            if modulus and cycle % modulus:
-                continue
-            runnable.append(t)
-        if not runnable:
-            return
-        selected = self._select(runnable, config.fetch_threads_per_cycle)
-        budget = config.fetch_width
-        decode_ready = cycle + config.decode_latency
-        for thread in selected:
-            if budget <= 0:
-                break
-            budget -= self._fetch_thread(thread, budget, cycle, decode_ready)
-
-    def _fetch_thread(
-        self, thread: ThreadContext, budget: int, cycle: int, decode_ready: int
-    ) -> int:
-        """Fetch up to ``budget`` uops for one thread; returns the number
-        fetched (a fetch block ends at a taken branch, a mispredicted
-        branch, an I-cache miss, or queue/budget exhaustion)."""
-        counts = self.access_counts[thread.tid]
-        counts[ICACHE] += 1
-        source = thread.source
-        peek_pc = source.peek_pc
-        next_uop = source.next_uop
-        queue = thread.fetch_queue
-        queue_append = queue.append
-        line_bytes = self._l1i_line_bytes
-        budget = min(budget, self._fetch_queue_size - len(queue))
-        fetched = 0
-        for _ in range(budget):
-            pc = peek_pc()
-            if pc < 0:
-                thread.halted = True
-                return fetched
-            line = pc // line_bytes
-            if line != thread.last_fetch_line:
-                result = self._access_instruction(pc)
-                if result.level is not MemLevel.L1:
-                    counts[L2] += 1
-                    thread.fetch_blocked_until = cycle + result.latency
-                    thread.last_fetch_line = line
-                    return fetched
-                thread.last_fetch_line = line
-            uop = next_uop()
-            if uop is None:
-                thread.halted = True
-                return fetched
-            uop.seq = thread.seq_counter
-            thread.seq_counter += 1
-            queue_append((decode_ready, uop))
-            thread.icount += 1
-            thread.fetched += 1
-            fetched += 1
-            if uop.opclass == OP_BRANCH:
-                counts[BPRED] += 1
-                if uop.mispredict:
-                    thread.mispredict_gate = uop
-                    return fetched
-            if uop.taken:
-                return fetched
-        return fetched
-
-    def _dispatch(self, cycle: int) -> None:
-        config = self.config
-        budget = config.issue_width
-        ruu_size = config.ruu_size
-        lsq_size = config.lsq_size
-        window_cap = self._window_cap
-        dispatch_uop = self._dispatch_uop
-        threads = self.threads
-        num_threads = len(threads)
-        offset = cycle % num_threads
-        for i in range(num_threads):
-            thread = threads[(i + offset) % num_threads]
-            if thread.miss_block is not None:
-                continue
-            queue = thread.fetch_queue
-            if not queue:
-                continue
-            rob = thread.rob
-            popleft = queue.popleft
-            while budget > 0 and queue:
-                ready_cycle, uop = queue[0]
-                if ready_cycle > cycle or self.window_used >= ruu_size:
-                    break
-                if len(rob) >= window_cap:
-                    break
-                if uop.is_mem and self.lsq_used >= lsq_size:
-                    break
-                popleft()
-                dispatch_uop(uop, thread)
-                budget -= 1
-                if thread.miss_block is not None:
-                    break
-            if budget == 0:
-                return
-
-    def _dispatch_uop(self, uop: Uop, thread: ThreadContext) -> None:
-        counts = self.access_counts[thread.tid]
-        counts[RENAME] += 1
-        counts[WINDOW] += 1
-        self.window_used += 1
-        uop.in_window = True
-
-        writer_table = thread.writer_table
-        for src in uop.srcs:
-            producer = writer_table[src]
-            if producer is not None and not producer.done:
-                if producer.consumers is None:
-                    producer.consumers = [uop]
-                else:
-                    producer.consumers.append(uop)
-                uop.deps += 1
-        if uop.dest >= 0:
-            writer_table[uop.dest] = uop
-
-        if uop.is_mem:
-            self.lsq_used += 1
-            thread.mem_ops_in_flight += 1
-            counts[LSQ] += 1
-            counts[DCACHE] += 1
-            is_store = uop.opclass == OP_STORE
-            result = self._access_data(uop.address, is_store)
-            if result.level is not MemLevel.L1:
-                counts[L2] += 1
-            if is_store:
-                uop.latency = 1
-            else:
-                uop.latency = result.latency
-                if result.is_l2_miss and self.config.squash_on_l2_miss:
-                    thread.miss_block = uop
-
-        thread.rob.append(uop)
-        if uop.deps == 0:
-            self.ready.append(uop)
-
-    def _issue(self, cycle: int) -> None:
-        ready = self.ready
-        if not ready:
-            return
-        budget = self.config.issue_width
-        fu_left = list(self._fu_limits)
-        wheel = self._wheel
-        wheel_get = wheel.get
-        counts_by_thread = self.access_counts
-        resource_of = _RESOURCE_OF
-        exec_block_of = _EXEC_BLOCK_OF
-        fp_base = FP_BASE
-        leftover: list[Uop] = []
-        leftover_append = leftover.append
-        for index, uop in enumerate(ready):
-            opclass = uop.opclass
-            resource = resource_of[opclass]
-            if fu_left[resource] <= 0:
-                leftover_append(uop)
-                continue
-            fu_left[resource] -= 1
-            budget -= 1
-            counts = counts_by_thread[uop.thread]
-            for src in uop.srcs:
-                counts[FP_RF if src >= fp_base else INT_RF] += 1
-            counts[WINDOW] += 1
-            exec_block = exec_block_of[opclass]
-            if exec_block >= 0:
-                counts[exec_block] += 1
-            if uop.is_mem:
-                counts[LSQ] += 1
-            uop.issued = True
-            when = cycle + uop.latency
-            bucket = wheel_get(when)
-            if bucket is None:
-                wheel[when] = [uop]
-            else:
-                bucket.append(uop)
-            if budget == 0:
-                leftover.extend(ready[index + 1 :])
-                break
-        self.ready = leftover
-
-    def _complete(self, uop: Uop, cycle: int) -> None:
-        uop.done = True
-        if uop.dest >= 0:
-            self.access_counts[uop.thread][
-                FP_RF if uop.dest >= FP_BASE else INT_RF
-            ] += 1
-        consumers = uop.consumers
-        if consumers:
-            ready = self.ready
-            for consumer in consumers:
-                consumer.deps -= 1
-                if consumer.deps == 0 and consumer.in_window and not consumer.issued:
-                    ready.append(consumer)
-            uop.consumers = None
-        thread = self.threads[uop.thread]
-        if thread.miss_block is uop:
-            thread.miss_block = None
-        if thread.mispredict_gate is uop:
-            thread.mispredict_gate = None
-            penalty = self.config.branch_mispredict_penalty
-            resume = cycle + 1 + penalty
-            if resume > thread.fetch_blocked_until:
-                thread.fetch_blocked_until = resume
-
-    def _commit(self) -> None:
-        budget = self.config.commit_width
-        threads = self.threads
-        while budget > 0:
-            progressed = False
-            for thread in threads:
-                rob = thread.rob
-                if rob and rob[0].done:
-                    uop = rob.popleft()
-                    uop.in_window = False
-                    self.window_used -= 1
-                    thread.icount -= 1
-                    thread.committed += 1
-                    if uop.is_mem:
-                        self.lsq_used -= 1
-                        thread.mem_ops_in_flight -= 1
-                    budget -= 1
-                    progressed = True
-                    if budget == 0:
-                        break
-            if not progressed:
-                return
 
     # -- introspection --------------------------------------------------------
 

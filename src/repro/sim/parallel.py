@@ -466,7 +466,6 @@ def _cache_store(
 ) -> None:
     if cache_dir is None:
         return
-    cache_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, CampaignResult):
         body: dict = {"kind": "campaign", "result": _campaign_to_dict(result)}
     else:
@@ -480,10 +479,16 @@ def _cache_store(
     # write_text and replace) from stranding the tmp file.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(body, separators=(",", ":")))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(json.dumps(body, separators=(",", ":")))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError:
+        # The result is in hand; losing its cache entry only costs a re-run
+        # (a resumed campaign re-simulates a completed key with no entry).
+        RUNNER_METRICS.inc("cache.store_failures")
 
 
 # -- the batch runner --------------------------------------------------------

@@ -9,9 +9,11 @@ converges in-process; the out-of-process SIGKILL scenario lives in
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +372,80 @@ class TestRunManyResumeParam:
                 [plain_spec(("gcc", "swim"))],
                 resume="cafe", cache_dir=tmp_path,
             )
+
+
+def fail_cache_writes(monkeypatch, cache_dir, keys=None):
+    """Make cache-entry writes under ``cache_dir`` hit ENOSPC.
+
+    Only ``<key>.json.<pid>.tmp`` files directly in ``cache_dir`` fail (for
+    ``keys``, or every key); the journal and rollups write normally.  Like
+    a full disk, the tmp file is created and half-written before the error.
+    """
+    real = Path.write_text
+
+    def write_text(self, data, *args, **kwargs):
+        key = self.name.split(".", 1)[0]
+        if (
+            self.parent == Path(cache_dir)
+            and self.name.endswith(".tmp")
+            and (keys is None or key in keys)
+        ):
+            real(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+        return real(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+class TestCacheWriteFailure:
+    """A failed cache write costs a re-run later, never the finished work."""
+
+    specs = [
+        plain_spec(("gcc", "swim")),
+        plain_spec(("gzip", "mcf")),
+        plain_spec(("vpr", "art")),
+    ]
+
+    def clean_run(self):
+        return results_to_canonical_json(run_many(self.specs, jobs=1, cache=False))
+
+    def test_run_many_returns_results_and_leaves_no_tmp(
+        self, tmp_path, monkeypatch
+    ):
+        fail_cache_writes(monkeypatch, tmp_path)
+        before = RUNNER_METRICS.counters.get("cache.store_failures", 0)
+        results = run_many(self.specs, jobs=1, cache_dir=tmp_path)
+        assert results_to_canonical_json(results) == self.clean_run()
+        assert RUNNER_METRICS.counters["cache.store_failures"] == before + 3
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(tmp_path.glob("*.json")) == []
+
+    def test_run_durable_then_resume_resimulates_exactly_the_lost_keys(
+        self, tmp_path, monkeypatch
+    ):
+        keys = [spec_fingerprint(spec) for spec in self.specs]
+        lost = {keys[0], keys[2]}
+        fail_cache_writes(monkeypatch, tmp_path, lost)
+        results = run_durable(self.specs, cache_dir=tmp_path, jobs=1)
+        assert results_to_canonical_json(results) == self.clean_run()
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert {path.stem for path in tmp_path.glob("*.json")} == {keys[1]}
+        row = list_campaigns(tmp_path)[0]
+        assert row["completed"] == 3 and row["sealed"] == "complete"
+
+        monkeypatch.undo()  # the disk has room again
+        missing = RUNNER_METRICS.counters.get(
+            "runner.campaign_reverify_missing", 0
+        )
+        verified = RUNNER_METRICS.counters.get("runner.campaign_verified", 0)
+        resumed = resume_campaign(
+            campaign_id_of(self.specs), cache_dir=tmp_path, jobs=1
+        )
+        assert results_to_canonical_json(resumed) == self.clean_run()
+        counters = RUNNER_METRICS.counters
+        assert counters["runner.campaign_reverify_missing"] == missing + 2
+        assert counters["runner.campaign_verified"] == verified + 1
+        assert {path.stem for path in tmp_path.glob("*.json")} == set(keys)
 
 
 class TestCacheInspection:

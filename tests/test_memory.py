@@ -169,6 +169,15 @@ class TestHierarchy:
         # Data accesses to the same address do not touch the L1I.
         assert hierarchy.access_data(0x2000).level is MemLevel.L2
 
+    def test_results_are_shared_per_level(self):
+        hierarchy = MemoryHierarchy(MachineConfig())
+        miss = hierarchy.access_data(0x9000)
+        assert hierarchy.access_data(0xA000) is miss
+        assert hierarchy.access_data(0x9000) is hierarchy.access_data(0xA000)
+        clone = hierarchy.fork()
+        assert clone.access_data(0x9000) is hierarchy.access_data(0x9000)
+        assert clone.access_instruction(0xB000).latency == 2 + 12 + 300
+
     def test_is_l2_miss_flag(self):
         hierarchy = MemoryHierarchy(MachineConfig())
         assert hierarchy.access_data(0x9000).is_l2_miss is True

@@ -251,6 +251,15 @@ class TestFetchPolicies:
         threads = [ThreadContext(0, None)]
         assert icount_select(threads, 2) == threads
 
+    def test_icount_order_is_a_stable_sort(self):
+        for counts in [(3, 3), (5, 1), (1, 5), (4, 4, 2), (2, 7, 2, 1)]:
+            threads = [ThreadContext(i, None) for i in range(len(counts))]
+            for thread, count in zip(threads, counts, strict=True):
+                thread.icount = count
+            expected = sorted(threads, key=lambda t: t.icount)
+            for limit in range(len(counts) + 1):
+                assert icount_select(threads, limit) == expected[:limit]
+
     def test_round_robin_rotates(self):
         selector = make_fetch_selector("round_robin")
         threads = [ThreadContext(i, None) for i in range(3)]

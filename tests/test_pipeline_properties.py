@@ -102,3 +102,79 @@ def test_skip_cycles_preserves_all_in_flight_work(seed, skip):
     reference.run_cycles(2000)
     # The pipeline drains normally afterwards (no stuck uops).
     assert reference.total_committed() > 0
+
+
+def core_state(core):
+    """Everything a missed write-back of ``run_cycles``' locals would skew."""
+    return (
+        core.cycle,
+        [list(counts) for counts in core.access_counts],
+        core.window_used,
+        core.lsq_used,
+        len(core.ready),
+        sorted(core._wheel),
+        [
+            (t.committed, t.fetched, t.icount, t.seq_counter, t.last_fetch_line)
+            for t in core.threads
+        ],
+    )
+
+
+#: One chunk of the split run: ``("run", n)`` is one ``run_cycles(n)`` call,
+#: ``("step", n)`` is ``n`` calls of ``step()``.
+chunk = st.tuples(st.sampled_from(["run", "run", "step"]), st.integers(1, 60))
+
+#: What happens at a chunk boundary (both cores, same cycle).
+boundary = st.one_of(
+    st.none(),
+    st.none(),
+    st.tuples(st.just("sedate"), st.integers(0, 1), st.booleans()),
+    st.tuples(st.just("skip"), st.integers(1, 200)),
+)
+
+
+@given(
+    st.sampled_from(["gzip", "mcf", "swim", "eon", "variant1", "variant2"]),
+    st.sampled_from(["gcc", "art", "variant3", "idle"]),
+    st.integers(0, 2**16),
+    st.lists(st.tuples(chunk, boundary), min_size=2, max_size=25),
+    st.integers(0, 24),
+)
+@settings(max_examples=20, deadline=None)
+def test_run_cycles_is_chunk_invariant(first, second, seed, plan, fork_at):
+    """Any split of a run into run_cycles/step calls gives the same core.
+
+    The split core also forks at one boundary and carries on with the
+    clone.  The reference runs each stretch between boundary actions as
+    one ``run_cycles`` call and applies the same actions at the same
+    cycles.
+    """
+    from repro.config import scaled_config
+    from repro.sim.simulator import build_pipeline
+
+    config = scaled_config(time_scale=20_000.0, seed=seed)
+    split = build_pipeline(config, [first, second])
+    reference = build_pipeline(config, [first, second])
+    pending = 0
+    for index, ((kind, n), action) in enumerate(plan):
+        if kind == "run":
+            split.run_cycles(n)
+        else:
+            for _ in range(n):
+                split.step()
+        pending += n
+        if index == fork_at:
+            split = split.fork()
+        if action is None:
+            continue
+        reference.run_cycles(pending)
+        pending = 0
+        assert core_state(split) == core_state(reference)
+        if action[0] == "sedate":
+            split.set_sedated(action[1], action[2])
+            reference.set_sedated(action[1], action[2])
+        else:
+            split.skip_cycles(action[1])
+            reference.skip_cycles(action[1])
+    reference.run_cycles(pending)
+    assert core_state(split) == core_state(reference)

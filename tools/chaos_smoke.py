@@ -32,6 +32,11 @@ byte-identical to an uninterrupted run.  Runner metrics confirm the
 resumed lanes actually went through the batch tier, not a scalar
 fallback.
 
+A fourth scenario fills the disk: every cache-entry write of a small
+journaled campaign fails with ENOSPC.  The campaign must still return
+every result, the journal must still record every spec completed, and a
+resume with a working cache must re-simulate and store every entry.
+
 Exit status 0 = contract holds.  Runs in a few seconds; CI executes it on
 every push (the ``chaos`` job), and it is equally useful locally:
 
@@ -41,6 +46,7 @@ every push (the ``chaos`` job), and it is equally useful locally:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import signal
 import subprocess
@@ -259,6 +265,75 @@ def het_durable_checks() -> list[tuple[str, bool]]:
     return checks
 
 
+def cache_failure_checks() -> list[tuple[str, bool]]:
+    """ENOSPC on every cache write -> results kept -> resume fills the cache."""
+    from repro.sim.durable import (
+        derive_campaign_id,
+        list_campaigns,
+        resume_campaign,
+        results_to_canonical_json,
+        run_durable,
+    )
+
+    config = scaled_config(time_scale=20_000.0, quantum_cycles=3_000)
+    specs = [
+        RunSpec(mix, config)
+        for mix in (("gcc", "swim"), ("gzip", "mcf"), ("eon", "apsi"))
+    ]
+    keys = {spec_fingerprint(s) for s in specs}
+    checks: list[tuple[str, bool]] = []
+    with tempfile.TemporaryDirectory() as cache_dir:
+        cache = Path(cache_dir)
+        real_write_text = Path.write_text
+
+        def full_disk(self, data, *args, **kwargs):
+            # Cache entries are <key>.json.<pid>.tmp directly in the cache
+            # dir; the journal and rollups live in subdirectories.
+            if self.parent == cache and self.name.endswith(".tmp"):
+                real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_text(self, data, *args, **kwargs)
+
+        Path.write_text = full_disk
+        try:
+            results = run_durable(
+                specs, cache_dir=cache, jobs=1, raise_on_error=False
+            )
+        finally:
+            Path.write_text = real_write_text
+        clean = run_many(specs, jobs=1, cache=False)
+        checks.append(
+            ("ENOSPC cache writes: every result returned, byte-identical",
+             results_to_canonical_json(results)
+             == results_to_canonical_json(clean))
+        )
+        rows = list_campaigns(cache)
+        checks.append(
+            ("ENOSPC cache writes: journal records every spec completed",
+             len(rows) == 1 and rows[0].get("completed") == len(specs)
+             and not list(cache.glob("*.json"))
+             and not list(cache.glob("*.tmp")))
+        )
+        missing = RUNNER_METRICS.counters.get(
+            "runner.campaign_reverify_missing", 0
+        )
+        resumed = resume_campaign(
+            derive_campaign_id([spec_fingerprint(s) for s in specs]),
+            cache_dir=cache, jobs=1, raise_on_error=False,
+        )
+        rerun = RUNNER_METRICS.counters.get(
+            "runner.campaign_reverify_missing", 0
+        ) - missing
+        checks.append(
+            ("resume with a working cache fills every entry",
+             rerun == len(specs)
+             and {path.stem for path in cache.glob("*.json")} == keys
+             and results_to_canonical_json(resumed)
+             == results_to_canonical_json(clean))
+        )
+    return checks
+
+
 def main() -> int:
     config = scaled_config(time_scale=20_000.0, quantum_cycles=3_000)
 
@@ -317,6 +392,7 @@ def main() -> int:
 
     checks.extend(durable_checks())
     checks.extend(het_durable_checks())
+    checks.extend(cache_failure_checks())
 
     width = max(len(label) for label, _ in checks)
     failed = 0
