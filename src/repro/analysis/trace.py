@@ -7,10 +7,11 @@ CSV export feeds external plotting.
 
 The same rows exist inside a telemetry event log: every ``sensor_sample``
 event carries the hottest-block temperature as ``value`` and the integer-RF
-temperature in ``data``.  :func:`repro.telemetry.trace_rows` is the adapter
-from events back to ``TraceRow`` tuples, and :func:`strip_chart_from_events`
-composes it with :func:`strip_chart` so a chart can be rendered from a saved
-JSONL log with no result file at all.
+temperature in ``data``.  :func:`repro.telemetry.trace_row` projects one
+event back to a ``TraceRow`` tuple, and :func:`strip_chart_from_events`
+streams a log through :class:`~repro.telemetry.StreamingTrace` into
+:func:`strip_chart`, so a chart can be rendered from a saved JSONL log with
+no result file at all.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import io
 from collections.abc import Iterable, Sequence
 
 from ..errors import SimulationError
-from ..telemetry.events import Event, trace_rows
+from ..telemetry.events import Event
 from ..telemetry.reducers import StreamingTrace
 
 TraceRow = tuple[int, float, float]
@@ -75,17 +76,16 @@ def strip_chart_from_events(
     ``sensor_sample`` events (e.g. it was filtered down to narrative
     events only).
 
-    ``max_rows=None`` (the default) materializes every sample row —
-    byte-identical to charting the run's own trace.  Setting a bound
-    streams the events through a power-of-two decimator
-    (:class:`~repro.telemetry.reducers.StreamingTrace`) instead, so
-    campaign-scale logs chart in O(max_rows) memory; the chart's shape is
-    unchanged because :func:`strip_chart` itself downsamples to ``width``
-    columns (keep ``max_rows`` comfortably above ``width``).
+    The events stream through
+    :class:`~repro.telemetry.reducers.StreamingTrace`.  With
+    ``max_rows=None`` (the default) it keeps every sample row —
+    byte-identical to charting the run's own trace.  A bound makes it a
+    power-of-two decimator, so campaign-scale logs chart in O(max_rows)
+    memory; the chart's shape is unchanged because :func:`strip_chart`
+    itself downsamples to ``width`` columns (keep ``max_rows`` comfortably
+    above ``width``).
     """
-    if max_rows is None:
-        return strip_chart(trace_rows(events), **kwargs)
-    reducer = StreamingTrace(max_rows=max_rows)
+    reducer = StreamingTrace(max_rows)
     for event in events:
         reducer.feed(event)
     return strip_chart(reducer.rows(), **kwargs)

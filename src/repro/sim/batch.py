@@ -7,12 +7,11 @@ inputs execute *the same cycle-by-cycle pipeline trajectory* no matter how
 their thermal/DTM configs differ.  This engine exploits that: lanes are
 grouped by :func:`trajectory_key` (workloads + seed; machine and time base
 are already fingerprint-shared), each trajectory group runs **one** SMT
-core, and everything that can differ per lane — thermal network state,
-sensor crossing counters, peak temperatures and per-lane RNG banks — is
-carried as structure-of-arrays NumPy state advanced in lock step at the
-shared sensor boundaries, and every lane runs its own scalar DTM policy
-object (:mod:`repro.sim.cohort`).  Sedation lanes read one scalar usage
-monitor per distinct ``ewma_shift``.  Heterogeneous lanes
+core, and every lane runs its own scalar DTM policy object
+(:mod:`repro.sim.cohort`).  What lanes observe is scalar too, one observer
+per distinct input: lanes with equal thermal configs read one
+:class:`~repro.thermal.sensors.SensorBank` over one RC model, and sedation
+lanes with equal ``ewma_shift`` one usage monitor.  Heterogeneous lanes
 (mixed workload pairs × mixed seeds) therefore batch in a single kernel
 call: one cohort tree per trajectory, one shared worklist, and one
 generated uop stream per distinct ``(workload, thread, seed)`` triple
@@ -26,16 +25,14 @@ episode derivation is untouched).  Exactness is by construction:
 
 * lanes share one pipeline, so every counter-derived statistic (committed,
   fetched, access counts, idle fast-forward) is literally the scalar value;
-* lanes with identical RC-relevant thermal configs share one *network
-  group* whose packed state advances with the very expression
-  ``E(dt) @ state + F(dt) @ source`` the scalar model applies — same
-  cached propagators, same float operations, same bits;
+* lanes with equal thermal configs see the same block powers, so one
+  scalar :class:`~repro.thermal.sensors.SensorBank` (its own
+  :class:`~repro.thermal.RCThermalModel`, noise stream, edge state,
+  emergency counts and peak) is every such lane's sensor bank — the very
+  object a scalar run builds, advanced and sampled at the same cycles;
 * lanes with equal ``ewma_shift`` see the same access counts, sampling
   grid and sedation history, so one scalar
   :class:`~repro.core.usage.UsageMonitor` holds every such lane's EWMAs;
-* threshold-crossing detection is an elementwise float comparison with
-  the scalar expression, which is IEEE-identical whether applied to one
-  value or an array;
 * every DTM transition is the scalar policy's own code, called with the
   lane's reading whenever that reading lies outside the policy's quiet
   band (inside it, the call would change nothing).
@@ -71,15 +68,14 @@ import time
 
 import numpy as np
 
-from ..config import SimulationConfig
+from ..config import SimulationConfig, ThermalConfig
 from ..core.usage import UsageMonitor
 from ..dtm import build_policy
 from ..errors import SimulationError
 from ..power import EnergyModel, PowerAccountant
-from ..thermal import RCThermalModel
-from ..thermal.sensors import BatchCrossingDetector
-from .cohort import Cohort, LanePort, NetworkGroup, network_key
-from .soa import LaneRngBank, StreamBank, release_cursors
+from ..thermal import RCThermalModel, SensorBank
+from .cohort import Cohort, LanePort
+from .soa import StreamBank, release_cursors
 from .simulator import build_core, build_result, run_loop, tally
 from .stats import RunResult
 
@@ -247,24 +243,16 @@ def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult
     wall_share = wall_seconds / lanes
     for cohort in finished:
         core = cohort.core
-        detector = cohort.detector
-        for position, lane in enumerate(cohort.lanes.tolist()):
-            policy = cohort.policies[position]
-            group = cohort.groups[cohort.group_keys[position]]
+        for lane, policy, bank in zip(
+            cohort.lanes.tolist(), cohort.policies, cohort.sensors, strict=True
+        ):
             results[lane] = build_result(
                 cohort.workloads,
                 policy.name,
                 core.cycle,
-                tally(
-                    core,
-                    policy,
-                    detector.total_emergencies[position],
-                    detector.emergencies_per_block[position],
-                    group.advances,
-                    group.model.perf_propagator_builds,
-                ),
+                tally(core, policy, bank),
                 None,
-                detector.peak_k[position],
+                bank.peak_k,
                 wall_share,
             )
     return results
@@ -280,10 +268,10 @@ def _build_root(
 ) -> Cohort:
     """Root cohort for one trajectory group (lanes sharing workloads+seed).
 
-    Builds the group's shared pipeline from the stream bank plus every
-    per-lane SoA bank, exactly as the homogeneous engine did for its single
-    root — the heterogeneous kernel is N of these on one worklist, sharing
-    generated streams wherever trajectories overlap.
+    Builds the group's shared pipeline from the stream bank plus the
+    lanes' scalar observers and policies — the heterogeneous kernel is N of
+    these on one worklist, sharing generated streams wherever trajectories
+    overlap.
     """
     base = spec_list[members[0]]
     config0 = base.config
@@ -297,58 +285,41 @@ def _build_root(
     )
     accountant = PowerAccountant(core, energy, config0.thermal.frequency_hz)
 
-    # Per-network-group thermal state (lanes with equal thermal configs
-    # share one packed trajectory within the cohort).
-    groups: dict[str, NetworkGroup] = {}
-    group_keys: list[str] = []
-    for index in members:
-        key = network_key(spec_list[index].config.thermal)
-        if key not in groups:
-            groups[key] = NetworkGroup(
-                RCThermalModel(spec_list[index].config.thermal, None, energy)
-            )
-        group_keys.append(key)
-
-    rng = LaneRngBank([spec_list[index].config.thermal for index in members])
-    detector = BatchCrossingDetector(
-        np.array(
-            [spec_list[index].config.thermal.emergency_k for index in members]
-        ),
-        # The scalar bank seeds its peak with the warm-start temperatures.
-        np.array(
-            [
-                float(np.max(groups[key].model.temperatures()))
-                for key in group_keys
-            ]
-        ),
-    )
+    # One sensor bank per distinct thermal config, built as a Simulator
+    # builds its own (ThermalConfig is frozen, so it is the key itself).
+    banks: dict[ThermalConfig, SensorBank] = {}
     # One scalar policy per lane, built exactly as the Simulator builds it;
     # sedation lanes actuate through their own port, which reads the usage
     # monitor for the lane's EWMA shift (no other policy reads an EWMA).
     monitors: dict[int, UsageMonitor] = {}
+    sensors = []
     policies = []
     ports = []
-    for index, key in zip(members, group_keys, strict=True):
+    for index in members:
         config = spec_list[index].config
+        thermal = config.thermal
+        bank = banks.get(thermal)
+        if bank is None:
+            bank = banks[thermal] = SensorBank.for_model(
+                RCThermalModel(thermal, None, energy)
+            )
         port = None
         if config.dtm_policy == "sedation":
             shift = config.sedation.ewma_shift
             if shift not in monitors:
                 monitors[shift] = UsageMonitor(core, config.sedation)
             port = LanePort(core, monitors[shift])
-        policies.append(build_policy(config, port, port, groups[key].model))
+        sensors.append(bank)
+        policies.append(build_policy(config, port, port, bank.model))
         ports.append(port)
     return Cohort(
         np.asarray(members, dtype=np.int64),
         workload_names,
         core,
         accountant,
-        detector,
-        rng,
+        sensors,
         policies,
         ports,
-        groups,
-        group_keys,
         next_sample=sample_interval,
         next_sensor=sensor_interval,
         seconds_per_cycle=config0.thermal.seconds_per_cycle,

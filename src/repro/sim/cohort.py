@@ -11,9 +11,12 @@ longer share a pipeline:
 
 A cohort is a unit of the one run loop both engines share
 (:func:`repro.sim.simulator.run_loop`): it exposes the loop's state and
-callbacks, with per-lane sensor observers on structure-of-arrays banks in
-place of the scalar sensor bank.  Usage monitors stay scalar: lanes share
-the core, the sampling grid and the sedation history, so sedation lanes
+callbacks.  Its observers are the scalar ones, one per distinct input
+rather than one per lane: lanes share the core, and so its block powers,
+the sampling grid and the sedation history.  Lanes with equal
+:class:`~repro.config.ThermalConfig` therefore read one
+:class:`~repro.thermal.sensors.SensorBank` over one RC model — noise
+draws, edge state, emergency counts and peak included — and sedation lanes
 with equal ``ewma_shift`` read one :class:`~repro.core.usage.UsageMonitor`.
 
 *Pipeline-visible state* is everything the run loop or the shared power
@@ -43,8 +46,9 @@ cohort **splits**: lanes are partitioned by :func:`visible_key`, the
 largest partition keeps the live pipeline, and every other partition
 forks the pipeline/accountant at the boundary — a snapshot of the shared
 prefix — and continues as its own (possibly width-1) lock-step group.
-Nothing ever restarts from cycle 0, and a lane's policy object moves by
-reference into its child cohort, the way its noise stream does.
+Nothing ever restarts from cycle 0.  A lane's policy object moves by
+reference into its child cohort; a forked child copies the sensor banks and
+usage monitors its lanes read onto its own core and models.
 
 Sedation lanes cannot actuate the shared core directly: their controller
 acts on a :class:`LanePort` holding the lane's own thread flags, and the
@@ -56,61 +60,8 @@ reading a scalar run would see.
 from __future__ import annotations
 
 import copy
-import dataclasses
-import json
 
 import numpy as np
-
-from ..blocks import NUM_BLOCKS
-from ..thermal import RCThermalModel
-from ..thermal.sensors import SensorReading
-from .soa import sample_sensors
-
-
-def network_key(thermal) -> str:
-    """Grouping key for lanes that share one RC thermal network.
-
-    Everything in the thermal config feeds the network except the sensor
-    fields: noise perturbs only *reported* values (per lane), and the
-    sensor interval is already batch-shared.  Built by deletion, so a new
-    ThermalConfig field lands in the key (= splits groups) by default.
-    """
-    payload = dataclasses.asdict(thermal)
-    del payload["sensor_noise_k"]
-    del payload["sensor_noise_seed"]
-    del payload["sensor_interval"]
-    return json.dumps(payload, sort_keys=True)
-
-
-class NetworkGroup:
-    """One shared RC network: lanes with equal thermal configs.
-
-    All lanes of a group observe the same block powers (one pipeline per
-    cohort), so they share a single packed-state trajectory — the group
-    advances one state vector, not one per lane.
-    """
-
-    __slots__ = ("model", "state", "ideal", "advances")
-
-    def __init__(self, model: RCThermalModel) -> None:
-        self.model = model
-        self.state = model.state_vector()
-        self.ideal = model.package.ideal
-        self.advances = 0
-
-    def fork(self) -> "NetworkGroup":
-        """Independent continuation for a split-off cohort.
-
-        The model fork shares the solved eigenbasis but owns its propagator
-        cache and perf counters from here on — exactly the cache/counter
-        state a scalar run would hold at the split cycle.
-        """
-        clone = NetworkGroup.__new__(NetworkGroup)
-        clone.model = self.model.fork()
-        clone.state = self.state.copy()
-        clone.ideal = self.ideal
-        clone.advances = self.advances
-        return clone
 
 
 class _LaneThread:
@@ -188,30 +139,19 @@ def visible_key(policy, port: LanePort | None) -> tuple:
     )
 
 
-def _group_layout(groups: dict, group_keys: list[str]) -> tuple[list, list[int]]:
-    """Positional view of the network groups: (group list, lane → ordinal).
-
-    ``groups`` preserves first-occurrence order of ``group_keys``, so the
-    ordinal of a lane's group is stable across splits — the sensor gather
-    (:func:`repro.sim.soa.sample_sensors`) indexes the stacked group states
-    with the lane → ordinal array instead of a per-lane dict lookup.
-    """
-    ordinals = {key: position for position, key in enumerate(groups)}
-    return list(groups.values()), [ordinals[key] for key in group_keys]
-
-
 class Cohort:
     """One lock-step group: lanes with identical pipeline-visible history.
 
-    Owns one pipeline (+ power accountant), the usage monitors its sedation
-    lanes' ports read (one per distinct ``ewma_shift``), one crossing
-    detector, the per-lane sensor-noise RNG bank, one DTM policy
-    (and, for sedation lanes, one :class:`LanePort`) per lane with the
-    lanes' quiet bands, and one thermal network group per distinct thermal
-    config among its lanes.  ``lanes`` maps row position → original spec
-    index; ``workloads`` names the trajectory every lane of this cohort
-    shares (heterogeneous batches run one cohort tree per trajectory).
-    ``temps`` is the ``(width, blocks)`` buffer each reading fills.
+    Owns one pipeline (+ power accountant), one scalar
+    :class:`~repro.thermal.sensors.SensorBank` over its own RC model per
+    distinct thermal config among its lanes, the usage monitors its
+    sedation lanes' ports read (one per distinct ``ewma_shift``), and one
+    DTM policy (and, for sedation lanes, one :class:`LanePort`) per lane
+    with the lanes' quiet bands.  ``lanes`` maps row position → original
+    spec index and ``sensors`` → the lane's bank; ``banks`` lists the
+    distinct banks and ``bank_rows`` each lane's ordinal among them.
+    ``workloads`` names the trajectory every lane of this cohort shares
+    (heterogeneous batches run one cohort tree per trajectory).
     """
 
     __slots__ = (
@@ -220,17 +160,14 @@ class Cohort:
         "core",
         "accountant",
         "monitors",
-        "detector",
-        "rng",
+        "sensors",
+        "banks",
+        "bank_rows",
         "policies",
         "ports",
         "quiet_lo",
         "quiet_hi",
         "key",
-        "groups",
-        "group_keys",
-        "group_list",
-        "group_rows",
         "stalled",
         "slowdown",
         "power_scale",
@@ -238,7 +175,6 @@ class Cohort:
         "next_sensor",
         "last_thermal",
         "seconds_per_cycle",
-        "temps",
     )
 
     def __init__(
@@ -247,12 +183,9 @@ class Cohort:
         workloads,
         core,
         accountant,
-        detector,
-        rng,
+        sensors,
         policies,
         ports,
-        groups,
-        group_keys,
         next_sample: int,
         next_sensor: int,
         seconds_per_cycle: float,
@@ -261,41 +194,37 @@ class Cohort:
         self.workloads = tuple(workloads)
         self.core = core
         self.accountant = accountant
-        self.detector = detector
-        self.rng = rng
+        self._observe(list(sensors))
         self.policies = list(policies)
         self.ports = list(ports)
         self.monitors = _port_monitors(self.ports)
         bands = [policy.quiet_band() for policy in self.policies]
         self.quiet_lo = np.array([lo for lo, _ in bands])
         self.quiet_hi = np.array([hi for _, hi in bands])
-        self.groups = dict(groups)
-        self.group_keys = list(group_keys)
-        self.group_list, rows = _group_layout(self.groups, self.group_keys)
-        self.group_rows = np.array(rows, dtype=np.int64)
         self.next_sample = next_sample
         self.next_sensor = next_sensor
         self.last_thermal = core.cycle
         self.seconds_per_cycle = seconds_per_cycle
-        self.temps = np.empty((len(self.lanes), NUM_BLOCKS))
         self.adopt_visible()
 
+    def _observe(self, sensors: list) -> None:
+        """Adopt the lanes' sensor banks: the distinct ones, and lane ordinals."""
+        self.sensors = sensors
+        self.banks = tuple(dict.fromkeys(sensors))
+        ordinals = {bank: row for row, bank in enumerate(self.banks)}
+        self.bank_rows = np.array(
+            [ordinals[bank] for bank in sensors], dtype=np.int64
+        )
+
     def advance_thermal(self, powers: list[float]) -> None:
-        """Advance every network group over the cycles since the last advance."""
+        """Advance every bank's model over the cycles since the last advance."""
         cycle = self.core.cycle
         cycles = cycle - self.last_thermal
         if cycles <= 0:
             return
         dt = cycles * self.seconds_per_cycle
-        for group in self.group_list:
-            if group.ideal:
-                continue
-            state_prop, input_prop = group.model.propagator(dt)
-            source = group.model.source_vector(powers)
-            # The exact scalar advance expression, applied to the group's
-            # packed state: same operands, same bits.
-            group.state = state_prop @ group.state + input_prop @ source
-            group.advances += 1
+        for bank in self.banks:
+            bank.model.advance(dt, powers)
         self.last_thermal = cycle
 
     def on_sample(self) -> None:
@@ -304,22 +233,25 @@ class Cohort:
             monitor.sample()
 
     def on_reading(self, stalled: bool) -> list["Cohort"] | None:
-        """Read every lane's sensors and feed the lanes outside their quiet band.
+        """Sample each bank once; feed the lanes outside their quiet band.
 
         Returns the child cohorts when the lanes' visible states no longer
         agree, ``None`` while they still do.
         """
-        temps = self.temps
-        sample_sensors(self, temps)
-        hottest = temps.max(axis=1)
+        cycle = self.core.cycle
+        readings = [bank.sample(cycle) for bank in self.banks]
+        rows = self.bank_rows
+        if len(readings) == 1:
+            hottest = readings[0].hottest_k
+        else:
+            hottest = np.array([reading.hottest_k for reading in readings])[rows]
         acting = np.flatnonzero(
             (hottest <= self.quiet_lo) | (hottest >= self.quiet_hi)
         )
         diverged = False
-        cycle = self.core.cycle
         for position in acting.tolist():
             policy = self.policies[position]
-            policy.on_sensor(SensorReading(cycle, temps[position]))
+            policy.on_sensor(readings[rows[position]])
             self.quiet_lo[position], self.quiet_hi[position] = policy.quiet_band()
             if visible_key(policy, self.ports[position]) != self.key:
                 diverged = True
@@ -359,7 +291,7 @@ class Cohort:
         """Divide into one child per partition of lane positions.
 
         The largest partition (first on ties) keeps the live pipeline,
-        accountant, thermal models, and propagator caches; every other
+        accountant, sensor banks, and thermal models; every other
         child forks the pipeline state at this boundary — the shared
         prefix becomes each child's own history.  All children are built
         before any visible state is applied, so every copy snapshots the
@@ -381,6 +313,11 @@ class Cohort:
         child = Cohort.__new__(Cohort)
         child.lanes = self.lanes[indices]
         child.workloads = self.workloads
+        # Policies and ports move by reference: a lane lives in exactly
+        # one cohort, so its DTM state continues wherever the lane goes.
+        child.policies = [self.policies[position] for position in positions]
+        child.ports = [self.ports[position] for position in positions]
+        sensors = [self.sensors[position] for position in positions]
         if reuse:
             child.core = self.core
             child.accountant = self.accountant
@@ -391,30 +328,22 @@ class Cohort:
             # core.
             child.core = self.core.fork()
             child.accountant = self.accountant.fork(child.core)
-        child.detector = self.detector.take(indices)
-        child.rng = self.rng.take(indices)
-        # Policies and ports move by reference: a lane lives in exactly
-        # one cohort, so its DTM state continues wherever the lane goes.
-        child.policies = [self.policies[position] for position in positions]
-        child.ports = [self.ports[position] for position in positions]
-        if not reuse:
-            # One shared memo copies each usage monitor once, onto the
-            # forked core; every port that read it reads the copy.
+            # One memo copies each sensor bank and usage monitor once, onto
+            # the forked core and models: noise RNG, edge, count and EWMA
+            # state continue exactly, and lanes that shared an observer
+            # share its copy.
             memo = {id(self.core): child.core}
+            for bank in dict.fromkeys(sensors):
+                memo[id(bank.model)] = bank.model.fork()
+            sensors = [copy.deepcopy(bank, memo) for bank in sensors]
             for port in child.ports:
                 if port is not None:
                     port.bind(child.core, copy.deepcopy(port.monitor, memo))
+        child._observe(sensors)
         child.monitors = _port_monitors(child.ports)
         child.quiet_lo = self.quiet_lo[indices]
         child.quiet_hi = self.quiet_hi[indices]
         child.key = self.key
-        child.group_keys = [self.group_keys[position] for position in positions]
-        child.groups = {}
-        for key in dict.fromkeys(child.group_keys):
-            group = self.groups[key]
-            child.groups[key] = group if reuse else group.fork()
-        child.group_list, rows = _group_layout(child.groups, child.group_keys)
-        child.group_rows = np.array(rows, dtype=np.int64)
         child.stalled = self.stalled
         child.slowdown = self.slowdown
         child.power_scale = self.power_scale
@@ -422,5 +351,4 @@ class Cohort:
         child.next_sensor = self.next_sensor
         child.last_thermal = self.last_thermal
         child.seconds_per_cycle = self.seconds_per_cycle
-        child.temps = np.empty((len(positions), NUM_BLOCKS))
         return child

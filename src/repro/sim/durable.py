@@ -674,7 +674,10 @@ def _finish(
         payload = build_rollup(
             list(zip(spec_list, state.manifest, results, strict=True))
         )
-        write_rollup(directory, payload)
+        try:
+            write_rollup(directory, payload)
+        except OSError:
+            RUNNER_METRICS.inc("cache.store_failures")
         if telemetry is not None and telemetry.enabled:
             telemetry.emit(
                 EventType.CAMPAIGN_ROLLUP,
@@ -777,19 +780,30 @@ def run_durable(
             "wave_size": wave_size,
         },
     )
-    journal.append(
-        {
-            "type": "submit",
-            "campaign": campaign,
-            "schema": JOURNAL_SCHEMA,
-            "manifest": manifest,
-            "specs": {
-                key: _encode_spec(spec)
-                for key, spec in state.specs.items()
-            },
-            "options": state.options,
-        }
-    )
+    try:
+        journal.append(
+            {
+                "type": "submit",
+                "campaign": campaign,
+                "schema": JOURNAL_SCHEMA,
+                "manifest": manifest,
+                "specs": {
+                    key: _encode_spec(spec)
+                    for key, spec in state.specs.items()
+                },
+                "options": state.options,
+            }
+        )
+    except OSError:
+        # No journal could be started (an unwritable cache dir), so there
+        # is nothing to resume: run the specs as a plain batch, whose
+        # failed cache writes are counted rather than raised.
+        RUNNER_METRICS.inc("runner.campaign_unjournaled")
+        return run_many(
+            spec_list, jobs=jobs, cache_dir=directory, timeout=timeout,
+            retries=retries, raise_on_error=raise_on_error, batch=batch,
+            telemetry=telemetry,
+        )
 
     outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
     sources: dict[str, str] = {}

@@ -1078,7 +1078,11 @@ def run_many(
         payload = build_rollup(
             list(zip(spec_list, keys, results, strict=True))
         )
-        write_rollup(directory, payload)
+        try:
+            write_rollup(directory, payload)
+        except OSError:
+            # Derived from results in hand, like a cache entry.
+            RUNNER_METRICS.inc("cache.store_failures")
         if telemetry is not None and telemetry.enabled:
             telemetry.emit(
                 EventType.CAMPAIGN_ROLLUP,

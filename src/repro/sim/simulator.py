@@ -164,19 +164,12 @@ def run_loop(unit, target: int, sample_interval: int, sensor_interval: int):
     return None
 
 
-def tally(
-    core: SMTCore,
-    policy: DTMPolicy,
-    emergencies: int,
-    per_block,
-    advances: int,
-    builds: int,
-) -> dict:
+def tally(core: SMTCore, policy: DTMPolicy, sensors: SensorBank) -> dict:
     """The cumulative counters a :class:`RunResult` reports, for one run.
 
-    ``emergencies``/``per_block`` come from the run's sensor bank (or its
-    lane of the batch crossing detector), ``advances``/``builds`` from its
-    thermal model (or network group).
+    ``sensors`` is the run's sensor bank — a batch lane's is the one its
+    cohort keeps for the lane's thermal config — and its model supplies the
+    thermal perf counters.
     """
     sedations = safety_nets = 0
     if isinstance(policy, SedationPolicy):
@@ -188,11 +181,12 @@ def tally(
              t.cycles_sedated, tuple(core.access_counts[t.tid]))
             for t in core.threads
         ),
-        "emergencies": int(emergencies),
-        "per_block": tuple(int(count) for count in per_block),
+        "emergencies": sensors.total_emergencies,
+        "per_block": tuple(sensors.emergencies_per_block),
         "policy": (sedations, safety_nets, policy.engagements),
         "perf": (core.perf_idle_skipped, core.perf_stall_skipped,
-                 advances, builds),
+                 sensors.model.perf_advances,
+                 sensors.model.perf_propagator_builds),
     }
 
 
@@ -296,12 +290,7 @@ class Simulator:
             )
         self.energy = energy or EnergyModel.default()
         self.thermal = RCThermalModel(config.thermal, floorplan, self.energy)
-        self.sensors = SensorBank(
-            self.thermal,
-            config.thermal.emergency_k,
-            noise_k=config.thermal.sensor_noise_k,
-            noise_seed=config.thermal.sensor_noise_seed,
-        )
+        self.sensors = SensorBank.for_model(self.thermal)
         self.accountant = PowerAccountant(
             self.core, self.energy, config.thermal.frequency_hz
         )
@@ -463,14 +452,7 @@ class Simulator:
     # -- result assembly ------------------------------------------------------------
 
     def _tally(self) -> dict:
-        return tally(
-            self.core,
-            self.policy,
-            self.sensors.total_emergencies,
-            self.sensors.emergencies_per_block,
-            self.thermal.perf_advances,
-            self.thermal.perf_propagator_builds,
-        )
+        return tally(self.core, self.policy, self.sensors)
 
     def _telemetry_snapshot(self, result: RunResult) -> dict:
         # Gauges reflect the most recent quantum; counters/histograms

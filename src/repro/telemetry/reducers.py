@@ -11,7 +11,7 @@ fed from any iterator.
 
 from __future__ import annotations
 
-from .events import Event, EventType
+from .events import Event, EventType, trace_row
 
 
 class StreamingStallFold:
@@ -72,8 +72,7 @@ class StreamingTrace:
         self.seen += 1
         if index % self.stride:
             return
-        int_rf_k = (event.data or {}).get("int_rf_k", event.value)
-        self._rows.append((event.cycle, float(event.value), float(int_rf_k)))
+        self._rows.append(trace_row(event))
         if self.max_rows is not None and len(self._rows) > self.max_rows:
             self._rows = self._rows[::2]
             self.stride *= 2

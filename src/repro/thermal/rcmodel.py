@@ -142,11 +142,12 @@ class RCThermalModel:
         self.c_deep = config.spreader_time_constant_s / self.r3
         self.rf_total_resistance = rf_total_resistance
 
-        self.t_block = np.empty(NUM_BLOCKS)
-        self.t_local = np.empty(NUM_BLOCKS)
-        self.t_deep = np.empty(NUM_BLOCKS)
-        self.t_sink = 0.0
         self._build_propagator_basis()
+        #: the packed node temperatures — blocks, die-local regions,
+        #: spreader regions, then the sink — in the propagators' layout; the
+        #: model's only storage (``t_block``/``t_local``/``t_deep`` are views)
+        self._state = np.empty(self._state_dim)
+        self._bind_views()
         #: per-``dt`` cache of (state propagator, input propagator) pairs;
         #: sensor intervals repeat, so in practice this holds a handful of
         #: entries and every advance after the first is two matvecs.
@@ -166,16 +167,13 @@ class RCThermalModel:
         cold leakage-only state.
         """
         if self.package.ideal:
-            self.t_sink = self.config.normal_operating_k
-            self.t_deep[:] = self.config.normal_operating_k
-            self.t_local[:] = self.config.normal_operating_k
-            self.t_block[:] = self.config.normal_operating_k
+            self._state[:] = self.config.normal_operating_k
             return
         warm = np.asarray(
             self.energy.typical_powers(self.config.frequency_hz), dtype=float
         )
-        self.t_sink = self.nominal_sink_k
-        self.t_deep[:] = self.t_sink + warm * self.r3
+        self._state[self._sink_index] = self.nominal_sink_k
+        self.t_deep[:] = self.nominal_sink_k + warm * self.r3
         self.t_local[:] = self.t_deep + warm * self.r2
         self.t_block[:] = self.t_local + warm * self.r1
 
@@ -184,39 +182,16 @@ class RCThermalModel:
         return self.t_block.copy()
 
     @property
-    def state_dim(self) -> int:
-        """Length of the packed state vector (3 nodes per block + sink)."""
-        return self._state_dim
+    def t_sink(self) -> float:
+        """Heat-sink node temperature (K)."""
+        return float(self._state[self._sink_index])
 
-    @property
-    def sink_index(self) -> int:
-        """Index of the sink node inside the packed state vector."""
-        return self._sink_index
-
-    def state_vector(self) -> np.ndarray:
-        """Pack the current node temperatures into one fresh state vector.
-
-        Layout matches the propagators: blocks, then die-local regions, then
-        spreader regions, then the sink.  The batch engine
-        (:mod:`repro.sim.batch`) carries these vectors externally and
-        advances them with :meth:`propagator` + :meth:`source_vector`, which
-        is the exact computation :meth:`advance` performs in place.
-        """
+    def _bind_views(self) -> None:
+        """Point the per-layer node arrays at their slices of the state."""
         n = NUM_BLOCKS
-        state = np.empty(self._state_dim)
-        state[0:n] = self.t_block
-        state[n : 2 * n] = self.t_local
-        state[2 * n : 3 * n] = self.t_deep
-        state[self._sink_index] = self.t_sink
-        return state
-
-    def load_state_vector(self, state: np.ndarray) -> None:
-        """Adopt a packed state vector produced by :meth:`state_vector`."""
-        n = NUM_BLOCKS
-        self.t_block = state[0:n].copy()
-        self.t_local = state[n : 2 * n].copy()
-        self.t_deep = state[2 * n : 3 * n].copy()
-        self.t_sink = float(state[self._sink_index])
+        self.t_block = self._state[0:n]
+        self.t_local = self._state[n : 2 * n]
+        self.t_deep = self._state[2 * n : 3 * n]
 
     def source_vector(self, block_powers: list[float]) -> np.ndarray:
         """Heat-input vector for one interval: block powers + sink drive."""
@@ -230,33 +205,22 @@ class RCThermalModel:
         )
         return source
 
-    def propagator(self, dt_seconds: float) -> tuple[np.ndarray, np.ndarray]:
-        """The cached ``(E(dt), F(dt))`` pair for one interval length.
-
-        ``state' = E @ state + F @ source`` advances the packed state vector
-        exactly by ``dt_seconds`` — the same cached pair :meth:`advance`
-        applies, exposed so a batch of runs can share it across lanes.
-        """
-        if dt_seconds <= 0:
-            raise ThermalError("propagators need a positive interval")
-        return self._propagator(dt_seconds)
-
     def fork(self) -> "RCThermalModel":
         """A trajectory-independent copy sharing the solved network.
 
-        The batch engine forks a lane group's model when a cohort splits:
-        children continue from the same history but must accumulate their
-        own propagator cache entries and perf counters from that point on
-        (exactly the cache a scalar run would hold at the split cycle).
+        The batch engine forks each sensor bank's model when a cohort
+        splits: children continue from the same history but must accumulate
+        their own propagator cache entries and perf counters from that point
+        on (exactly the cache a scalar run would hold at the split cycle).
         The eigenbasis and resistances are immutable after construction and
-        stay shared; node temperatures are copied; the ``dt`` cache is a
-        fresh dict over the same immutable ``(E, F)`` pairs, so the 64-entry
-        clear threshold keeps counting per trajectory.
+        stay shared; the state vector is copied and the node views rebound
+        to the copy; the ``dt`` cache is a fresh dict over the same
+        immutable ``(E, F)`` pairs, so the 64-entry clear threshold keeps
+        counting per trajectory.
         """
         clone = copy.copy(self)
-        clone.t_block = self.t_block.copy()
-        clone.t_local = self.t_local.copy()
-        clone.t_deep = self.t_deep.copy()
+        clone._state = self._state.copy()
+        clone._bind_views()
         clone._propagators = dict(self._propagators)
         return clone
 
@@ -346,12 +310,11 @@ class RCThermalModel:
             return
         if self.package.ideal:
             return
-        state = self.state_vector()
+        state = self._state
         source = self.source_vector(block_powers)
         state_prop, input_prop = self._propagator(dt_seconds)
-        state = state_prop @ state + input_prop @ source
+        np.add(state_prop @ state, input_prop @ source, out=state)
         self.perf_advances += 1
-        self.load_state_vector(state)
 
     def advance_euler(self, dt_seconds: float, block_powers: list[float]) -> None:
         """Forward-Euler reference integrator (substeps at τ_block/4).
@@ -394,10 +357,10 @@ class RCThermalModel:
             t_sink = t_sink + dt * (
                 float(flow_3.sum()) + other - (t_sink - ambient) / r_conv
             ) / c_sink
-        self.t_block = t_block
-        self.t_local = t_local
-        self.t_deep = t_deep
-        self.t_sink = t_sink
+        self.t_block[:] = t_block
+        self.t_local[:] = t_local
+        self.t_deep[:] = t_deep
+        self._state[self._sink_index] = t_sink
 
     # -- analysis helpers ---------------------------------------------------------
 

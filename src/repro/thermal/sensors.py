@@ -17,17 +17,6 @@ from ..blocks import NUM_BLOCKS, block_name
 from .rcmodel import RCThermalModel
 
 
-def add_sensor_noise(temperatures, rng: random.Random, sigma: float) -> None:
-    """Add one ``rng.gauss(0, sigma)`` draw per block, in block order.
-
-    The one place sensor noise is drawn, for the scalar bank and for every
-    batch lane alike, so a lane's draw sequence is the scalar run's.
-    """
-    gauss = rng.gauss
-    for block in range(NUM_BLOCKS):
-        temperatures[block] += gauss(0.0, sigma)
-
-
 @dataclass
 class SensorReading:
     """One sensor sample: temperatures plus upward emergency crossings."""
@@ -76,11 +65,25 @@ class SensorBank:
         #: exactly as real bad hardware would.
         self.fault_injector = None
 
+    @classmethod
+    def for_model(cls, model: RCThermalModel) -> "SensorBank":
+        """The bank a run reads ``model`` through, set by the model's config."""
+        thermal = model.config
+        return cls(
+            model,
+            thermal.emergency_k,
+            noise_k=thermal.sensor_noise_k,
+            noise_seed=thermal.sensor_noise_seed,
+        )
+
     def sample(self, cycle: int) -> SensorReading:
         """Read every sensor; record upward crossings of the emergency point."""
         temperatures = self.model.temperatures()
         if self.noise_k > 0.0:
-            add_sensor_noise(temperatures, self._rng, self.noise_k)
+            # One draw per block, in block order.
+            gauss = self._rng.gauss
+            for block in range(NUM_BLOCKS):
+                temperatures[block] += gauss(0.0, self.noise_k)
         if self.fault_injector is not None:
             self.fault_injector.apply(cycle, temperatures)
         crossings: list[int] = []
@@ -107,55 +110,3 @@ class SensorBank:
             for block, count in enumerate(self.emergencies_per_block)
             if count
         }
-
-
-class BatchCrossingDetector:
-    """Edge-triggered emergency detection over ``B`` lock-step lanes.
-
-    The vector form of :meth:`SensorBank.sample`'s detection loop: given a
-    ``(B, NUM_BLOCKS)`` matrix of reported temperatures per sensor
-    boundary, it records upward crossings of each lane's emergency point,
-    per-block and total counts, and the running peak — all with the exact
-    comparisons the scalar bank performs, so a lane's counters are
-    bit-equal to a scalar run fed the same readings.
-    """
-
-    def __init__(
-        self,
-        emergency_k: np.ndarray,
-        initial_peak_k: np.ndarray,
-    ) -> None:
-        lanes = len(emergency_k)
-        self.emergency_k = np.asarray(
-            emergency_k, dtype=float
-        ).reshape(lanes, 1)
-        self._above_emergency = np.zeros((lanes, NUM_BLOCKS), dtype=bool)
-        self.emergencies_per_block = np.zeros(
-            (lanes, NUM_BLOCKS), dtype=np.int64
-        )
-        self.total_emergencies = np.zeros(lanes, dtype=np.int64)
-        self.peak_k = np.asarray(initial_peak_k, dtype=float).copy()
-
-    def observe(self, temperatures: np.ndarray) -> None:
-        """Fold one ``(B, NUM_BLOCKS)`` reading into every lane's counters."""
-        above = temperatures >= self.emergency_k
-        crossings = above & ~self._above_emergency
-        self._above_emergency = above
-        self.emergencies_per_block += crossings
-        self.total_emergencies += crossings.sum(axis=1)
-        self.peak_k = np.maximum(self.peak_k, temperatures.max(axis=1))
-
-    def take(self, indices: np.ndarray) -> "BatchCrossingDetector":
-        """New detector carrying the selected lanes' counters and edges.
-
-        Used when a cohort splits: every per-lane row (threshold, edge
-        state, counts, peak) moves to the child as a copy — fancy indexing
-        — so sibling cohorts never alias each other's crossing state.
-        """
-        clone = object.__new__(BatchCrossingDetector)
-        clone.emergency_k = self.emergency_k[indices]
-        clone._above_emergency = self._above_emergency[indices]
-        clone.emergencies_per_block = self.emergencies_per_block[indices]
-        clone.total_emergencies = self.total_emergencies[indices]
-        clone.peak_k = self.peak_k[indices]
-        return clone

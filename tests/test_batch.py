@@ -7,7 +7,7 @@ deferred to the scalar path.  These tests enforce the contract with
 byte-compares of canonical JSON (only ``perf.wall_seconds`` is zeroed; wall
 time is the single nondeterministic field, and ``perf`` is compare=False
 diagnostics), across a grid of workloads × DTM policies × thermal/sedation
-variants, plus the engine's unit-level vector forms.
+variants, plus unit-level checks of the cohorts' per-lane state.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blocks import INT_RF, NUM_BLOCKS
+from repro.blocks import INT_RF
 from repro.config import scaled_config
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, SensorFaultPlan
@@ -36,7 +36,6 @@ from repro.sim.parallel import CampaignSpec, spec_fingerprint
 from repro.sim.results import result_to_dict
 from repro.sim.simulator import Simulator, run_loop
 from repro.sim.soa import StreamBank
-from repro.thermal.sensors import BatchCrossingDetector, SensorBank
 
 POLICIES = ("ideal", "stop_and_go", "dvfs", "ttdfs", "fetch_gating", "sedation")
 
@@ -339,6 +338,49 @@ class TestCohortSplitting:
         )
         assert_equivalent(specs)
 
+    def test_noisy_lanes_through_a_split(self):
+        # Two noisy lanes with one thermal config read one shared sensor
+        # bank until their policies split them; the forked child must carry
+        # a copy of the bank (noise stream, edges, counts, model), not the
+        # parent's object.  A third noisy lane draws from its own seed, a
+        # fourth lane is quiet.
+        base = tiny_config()
+        noisy = dataclasses.replace(
+            base.thermal, sensor_noise_k=0.5, sensor_noise_seed=42
+        )
+        reseeded = dataclasses.replace(noisy, sensor_noise_seed=7)
+        sedation = base.with_policy("sedation")
+        specs = [
+            RunSpec(
+                ("gcc", "variant2"),
+                dataclasses.replace(
+                    base.with_policy("stop_and_go"), thermal=noisy
+                ),
+            ),
+            RunSpec(
+                ("gcc", "variant2"),
+                dataclasses.replace(
+                    sedation.with_thresholds(352.0, 351.0), thermal=noisy
+                ),
+            ),
+            RunSpec(
+                ("gcc", "variant2"),
+                dataclasses.replace(sedation, thermal=reseeded),
+            ),
+            RunSpec(("gcc", "variant2"), base.with_policy("stop_and_go")),
+        ]
+        root = build_root(specs)
+        assert root.sensors[0] is root.sensors[1]
+        assert len(root.banks) == 3
+        metrics: dict = {}
+        lane_results = simulate_lockstep(specs, metrics)
+        assert metrics["splits"] >= 1
+        cohorts = metrics["lane_cohorts"]
+        assert cohorts[0] != cohorts[1]
+        assert lane_results[0].emergencies > 0
+        assert lane_results[1].sedations > 0
+        assert_equivalent(specs)
+
 
 class TestCacheInterplay:
     def test_batch_written_cache_hits_read_identically(self, tmp_path):
@@ -381,30 +423,6 @@ class TestPerfCounters:
         lane_results = simulate_lockstep([spec])
         assert lane_results[0].perf.thermal_advances == 0
         assert lane_results[0].perf.propagator_builds == 0
-
-
-class TestVectorForms:
-    """The batched primitives against their scalar counterparts."""
-
-    def test_crossing_detector_matches_sensor_bank(self):
-        config = tiny_config()
-        simulator = Simulator(config, workloads=["gcc", "swim"])
-        bank = SensorBank(simulator.thermal, emergency_k=config.thermal.emergency_k)
-        detector = BatchCrossingDetector(
-            np.array([config.thermal.emergency_k]),
-            np.array([bank.peak_k]),
-        )
-        rng_temps = np.asarray(simulator.thermal.temperatures())
-        for offset in (0.0, 5.0, -2.0, 8.0, 8.0, -10.0, 9.0):
-            temps = rng_temps + offset
-            bank.model.t_block = temps.copy()
-            bank.sample(cycle=0)
-            detector.observe(temps[np.newaxis, :])
-        assert int(detector.total_emergencies[0]) == bank.total_emergencies
-        assert [
-            int(count) for count in detector.emergencies_per_block[0]
-        ] == bank.emergencies_per_block
-        assert float(detector.peak_k[0]) == bank.peak_k
 
 
 def build_root(specs):
@@ -493,7 +511,8 @@ def assert_gathered(original, clone, indices, width: int, derived=()) -> None:
     (leading axis ``width``) keep their dtype and trailing shape and hold
     ``original[indices]`` in fresh memory; ``derived`` arrays are rebuilt
     for the clone, so only their dtype and shape are checked.  Per-lane
-    lists carry the same objects in the same order.
+    lists carry the same objects in the same order, except ``derived``
+    lists, whose items are checked by the caller.
     """
     for name in state_names(original):
         assert hasattr(clone, name), name
@@ -507,16 +526,50 @@ def assert_gathered(original, clone, indices, width: int, derived=()) -> None:
                 assert not np.shares_memory(copied, value), name
         elif isinstance(value, list) and len(value) == width:
             assert len(copied) == len(indices), name
-            for item, index in zip(copied, indices, strict=True):
-                assert item is value[index], name
+            if name not in derived:
+                for item, index in zip(copied, indices, strict=True):
+                    assert item is value[index], name
+
+
+def assert_banks_carried(root, child, positions, reuse: bool) -> None:
+    """Each child lane's sensor bank holds its parent bank's exact state.
+
+    The keeper reuses the parent's banks and models; a forked child gets
+    fresh copies bound to freshly forked models (sharing only the solved
+    network), and lanes that shared a bank in the parent share one copy.
+    """
+    assert set(map(id, child.banks)) == set(map(id, child.sensors))
+    for row, bank in enumerate(child.sensors):
+        assert child.banks[child.bank_rows[row]] is bank
+        parent = root.sensors[positions[row]]
+        model, source = bank.model, parent.model
+        assert (bank is parent) == reuse
+        assert (model is source) == reuse
+        assert model._basis is source._basis
+        assert model.t_block.base is model._state
+        assert model._state.tobytes() == source._state.tobytes()
+        assert model.perf_advances == source.perf_advances
+        assert bank._rng.getstate() == parent._rng.getstate()
+        assert bank._above_emergency == parent._above_emergency
+        assert bank.emergencies_per_block == parent.emergencies_per_block
+        assert bank.total_emergencies == parent.total_emergencies
+        assert bank.peak_k == parent.peak_k
+        if not reuse:
+            assert not np.shares_memory(model._state, source._state)
+            assert bank._rng is not parent._rng
+            assert bank._above_emergency is not parent._above_emergency
+        for other_row, other in enumerate(child.sensors):
+            shared = parent is root.sensors[positions[other_row]]
+            assert (bank is other) == shared
 
 
 @functools.lru_cache(maxsize=None)
 def clone_root():
     """A root cohort whose lanes vary every per-lane field, a little way in.
 
-    Six lanes over three thermal network groups: two sedation EWMA shifts
-    (two usage monitors), a noisy sensor lane, and lanes without a port.
+    Six lanes over four sensor banks (three lanes share the base thermal
+    config): two sedation EWMA shifts (two usage monitors), a noisy sensor
+    lane, and lanes without a port.
     """
     base = scaled_config(time_scale=4_000.0, quantum_cycles=2_000)
     sedation = base.with_policy("sedation")
@@ -549,7 +602,7 @@ def clone_root():
 
 
 class TestCloneRoundTrip:
-    """``Cohort._take`` and the lane banks' ``take`` carry every lane field."""
+    """``Cohort._take`` carries every lane field and copies forked observers."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -564,12 +617,10 @@ class TestCloneRoundTrip:
         try:
             child = root._take(positions, reuse)
             assert_gathered(
-                root, child, indices, width, derived=("group_rows", "temps")
+                root, child, indices, width, derived=("bank_rows", "sensors")
             )
-            assert_gathered(root.detector, child.detector, indices, width)
-            assert_gathered(root.rng, child.rng, indices, width)
-            for row, key in enumerate(child.group_keys):
-                assert child.group_list[child.group_rows[row]] is child.groups[key]
+            assert child.bank_rows.dtype == np.int64
+            assert_banks_carried(root, child, positions, reuse)
             # Each port reads one of the child's monitors, on the child's
             # core, holding its parent monitor's values (a copy on a fork).
             read = {id(port.monitor) for port in child.ports if port}
@@ -785,88 +836,6 @@ class TestStreamCursor:
         )
         slow.release()
         assert slow not in stream.cursors
-
-
-class TestLaneRngBank:
-    """The RNG-bank contract: scalar draw order, streams travel with lanes."""
-
-    def test_draw_order_matches_scalar_injector_stream(self):
-        import random as _random
-
-        from repro.sim.soa import LaneRngBank
-
-        base = tiny_config()
-        noisy = dataclasses.replace(
-            base.thermal, sensor_noise_k=0.25, sensor_noise_seed=42
-        )
-        bank = LaneRngBank([noisy, base.thermal])
-        temps = np.zeros((2, NUM_BLOCKS))
-        bank.fill(temps)
-        reference = _random.Random(42)
-        expected = [reference.gauss(0.0, 0.25) for _ in range(NUM_BLOCKS)]
-        assert list(temps[0]) == expected
-        assert not temps[1].any()  # quiet lane: no draws, no perturbation
-        # the next boundary continues the same stream, block order again
-        temps[:] = 0.0
-        bank.fill(temps)
-        expected = [reference.gauss(0.0, 0.25) for _ in range(NUM_BLOCKS)]
-        assert list(temps[0]) == expected
-
-    def test_draws_match_scalar_sensor_bank(self):
-        from repro.sim.soa import LaneRngBank
-        from repro.thermal.rcmodel import RCThermalModel
-
-        base = tiny_config()
-        noisy = dataclasses.replace(
-            base.thermal, sensor_noise_k=0.5, sensor_noise_seed=7
-        )
-        scalar = SensorBank(
-            RCThermalModel(noisy),
-            emergency_k=noisy.emergency_k,
-            noise_k=noisy.sensor_noise_k,
-            noise_seed=noisy.sensor_noise_seed,
-        )
-        bank = LaneRngBank([noisy])
-        for cycle in range(3):
-            reading = scalar.sample(cycle)
-            temps = np.array([scalar.model.temperatures()])
-            bank.fill(temps)
-            assert list(temps[0]) == list(reading.temperatures)
-
-    def test_take_moves_streams_by_reference(self):
-        import random as _random
-
-        from repro.sim.soa import LaneRngBank
-
-        base = tiny_config()
-        lane_a = dataclasses.replace(
-            base.thermal, sensor_noise_k=0.25, sensor_noise_seed=5
-        )
-        lane_b = dataclasses.replace(
-            base.thermal, sensor_noise_k=1.5, sensor_noise_seed=11
-        )
-        bank = LaneRngBank([lane_a, lane_b])
-        bank.fill(np.zeros((2, NUM_BLOCKS)))
-        child = bank.take(np.array([1]))
-        assert child.rngs[0] is bank.rngs[1]  # moved, not reseeded
-        assert float(child.sigmas[0]) == 1.5
-        temps = np.zeros((1, NUM_BLOCKS))
-        child.fill(temps)
-        reference = _random.Random(11)
-        for _ in range(NUM_BLOCKS):  # boundary drawn before the split
-            reference.gauss(0.0, 1.5)
-        expected = [reference.gauss(0.0, 1.5) for _ in range(NUM_BLOCKS)]
-        assert list(temps[0]) == expected
-
-    def test_all_quiet_bank_skips_work(self):
-        from repro.sim.soa import LaneRngBank
-
-        base = tiny_config()
-        bank = LaneRngBank([base.thermal, base.thermal])
-        assert not bank.noisy and bank.rngs == [None, None]
-        temps = np.zeros((2, NUM_BLOCKS))
-        bank.fill(temps)
-        assert not temps.any()
 
 
 class TestTierRouting:

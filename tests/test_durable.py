@@ -448,6 +448,29 @@ class TestCacheWriteFailure:
         assert {path.stem for path in tmp_path.glob("*.json")} == set(keys)
 
 
+    @pytest.mark.parametrize("entry", ["run_many", "run_durable"])
+    def test_cache_dir_under_a_file_costs_only_the_stores(
+        self, tmp_path, entry
+    ):
+        # Root ignores directory permissions, so the unwritable cache dir
+        # sits under a regular file instead: every mkdir in it raises
+        # NotADirectoryError.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        counters = RUNNER_METRICS.counters
+        stores = counters.get("cache.store_failures", 0)
+        unjournaled = counters.get("runner.campaign_unjournaled", 0)
+        run = run_many if entry == "run_many" else run_durable
+        results = run(self.specs, jobs=1, cache_dir=blocker / "cache")
+        assert results_to_canonical_json(results) == self.clean_run()
+        # One failed store per result entry, one for the rollup.
+        assert counters["cache.store_failures"] == stores + len(self.specs) + 1
+        assert counters.get("runner.campaign_unjournaled", 0) == unjournaled + (
+            entry == "run_durable"
+        )
+        assert blocker.read_text() == ""
+
+
 class TestCacheInspection:
     def test_cache_stats_counts_everything(self, tmp_path):
         specs = [plain_spec(("gcc", "swim")), plain_spec(("gzip", "mcf"))]

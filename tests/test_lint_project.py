@@ -10,16 +10,12 @@ RPR008 payload schemas, the findings baseline, the SARIF reporter, multi-line su
 from __future__ import annotations
 
 import ast
-import dataclasses
 import json
 import subprocess
 import textwrap
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.config import scaled_config
 from repro.lint import Finding, LintConfig, LintResult, run_lint
 from repro.lint.baseline import Baseline, paths_match
 from repro.lint.cli import main as lint_main
@@ -31,10 +27,6 @@ from repro.lint.project import (
     module_dotted_name,
 )
 from repro.lint.report import render_sarif
-from repro.power import EnergyModel
-from repro.sim import RunSpec
-from repro.sim.batch import _build_root
-from repro.sim.soa import LaneRngBank, StreamBank
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -362,63 +354,6 @@ class TestPayloadSchemaRule:
                 """,
         }, select=("RPR008",))
         assert result.findings == [] and result.suppressed == 1
-
-
-# -- SoA bank shapes ----------------------------------------------------------
-
-
-class TestBankShapeRule:
-    """The real tree's lane-bank clones keep every field's shape and dtype.
-
-    RPR009 checked these statically; with the rule retired they are checked
-    by running the ``take`` methods themselves.
-    """
-
-    def test_real_tree_rng_bank_take_covers_sigmas(self):
-        thermals = [
-            dataclasses.replace(
-                scaled_config().thermal,
-                sensor_noise_k=noise,
-                sensor_noise_seed=seed,
-            )
-            for seed, noise in enumerate((0.0, 0.5, 0.0, 0.25))
-        ]
-        bank = LaneRngBank(thermals)
-        for positions, noisy in (([0, 2], False), ([3, 1], True)):
-            indices = np.asarray(positions, dtype=np.int64)
-            clone = bank.take(indices)
-            assert clone.sigmas.dtype == bank.sigmas.dtype
-            assert np.array_equal(clone.sigmas, bank.sigmas[indices])
-            assert not np.shares_memory(clone.sigmas, bank.sigmas)
-            assert clone.rngs == [bank.rngs[i] for i in positions]
-            assert clone.noisy is noisy
-
-    def test_real_tree_cohort_take_keeps_group_rows_dtype(self):
-        base = scaled_config(time_scale=4_000.0, quantum_cycles=2_000)
-        specs = [
-            RunSpec(("gzip", "variant2"), config)
-            for config in (
-                base,
-                base.with_ideal_sink(),
-                base.with_convection_resistance(0.7),
-                base.with_ideal_sink(),
-            )
-        ]
-        for reuse in (True, False):
-            root = _build_root(
-                specs,
-                list(range(len(specs))),
-                StreamBank(base.machine, base.thermal),
-                EnergyModel.default(),
-                base.sedation.sample_interval,
-                base.thermal.sensor_interval,
-            )
-            assert root.group_rows.dtype == np.int64
-            child = root._take([3, 2, 1], reuse)
-            assert child.group_rows.dtype == root.group_rows.dtype
-            assert child.group_rows.shape == (3,)
-            for row, key in enumerate(child.group_keys):
-                assert child.group_list[child.group_rows[row]] is child.groups[key]
 
 
 # -- the findings baseline ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property-based thermal-model and DTM quiet-band tests (hypothesis)."""
+"""Property-based thermal-model, sensor and DTM quiet-band tests (hypothesis)."""
 
 import copy
 import dataclasses
@@ -13,7 +13,7 @@ from repro.blocks import NUM_BLOCKS
 from repro.config import ThermalConfig, scaled_config
 from repro.dtm import build_policy
 from repro.thermal import RCThermalModel
-from repro.thermal.sensors import SensorReading
+from repro.thermal.sensors import SensorBank, SensorReading
 
 powers_strategy = st.lists(
     st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
@@ -95,6 +95,64 @@ def test_sink_temperature_monotone_in_convection_resistance(r_conv):
         ThermalConfig(convection_resistance_k_per_w=r_conv + 0.05)
     )
     assert worse.nominal_sink_k > better.nominal_sink_k
+
+
+# -- sensor crossing accounting ----------------------------------------------
+
+
+EMERGENCY_K = ThermalConfig().emergency_k
+
+reading_strategy = st.lists(
+    st.one_of(
+        st.just(EMERGENCY_K),
+        st.floats(
+            min_value=EMERGENCY_K - 8.0,
+            max_value=EMERGENCY_K + 3.0,
+            allow_nan=False,
+        ),
+    ),
+    min_size=NUM_BLOCKS,
+    max_size=NUM_BLOCKS,
+)
+
+
+@given(st.lists(reading_strategy, max_size=15))
+@settings(max_examples=60, deadline=None)
+def test_sensor_bank_counts_upward_crossings(sequence):
+    """SensorBank's emergency accounting against an independent edge count.
+
+    Per block, the count is the number of readings at or above the
+    emergency point whose predecessor (the warm start, for the first) was
+    below it; a reading below the point never adds one; the peak is the
+    running maximum from the warm-start temperatures on.
+    """
+    model = fresh_model()
+    bank = SensorBank(model, EMERGENCY_K)
+    warm = model.temperatures()
+    assert np.all(warm < EMERGENCY_K)
+    peak = float(np.max(warm))
+    assert bank.peak_k == peak
+    previous = list(warm)
+    expected = [0] * NUM_BLOCKS
+    for cycle, temps in enumerate(sequence):
+        model.t_block[:] = temps
+        before = list(bank.emergencies_per_block)
+        reading = bank.sample(cycle)
+        crossed = [
+            block
+            for block in range(NUM_BLOCKS)
+            if temps[block] >= EMERGENCY_K > previous[block]
+        ]
+        assert reading.emergency_crossings == crossed
+        for block in range(NUM_BLOCKS):
+            expected[block] += block in crossed
+            if temps[block] < EMERGENCY_K:
+                assert bank.emergencies_per_block[block] == before[block]
+        previous = temps
+        peak = max(peak, *temps)
+        assert bank.peak_k == peak
+    assert bank.emergencies_per_block == expected
+    assert bank.total_emergencies == sum(bank.emergencies_per_block)
 
 
 # -- DTM quiet bands -----------------------------------------------------------
