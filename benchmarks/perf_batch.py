@@ -24,6 +24,11 @@ sweep shapes are measured, all on one core, cold cache, via
   heterogeneity, so it carries the ≥100× @ B=256 acceptance bar.
 * **heterogeneous acting** — attack and sedation trajectories with mixed
   seeds on one worklist; the CI gate for the heterogeneous engine.
+* **sharded** — the heterogeneous acting grid through the batch tier at
+  ``jobs=1`` and at ``jobs=2``, where ``run_many`` splits the kernel call
+  by trajectory and runs one shard in a pool worker.  Not gated: a second
+  process only helps on a host with a second CPU, and the row records the
+  host's CPU count beside the walls.
 
 Every row also records the distinct-trajectory count, the workload/seed
 mix, and the process peak RSS (the SoA banks, not B deep-copied
@@ -76,6 +81,11 @@ HET_SAMPLED_SIZES = () if TINY else (1024,)
 #: Lanes actually run on the scalar tier for a sampled-baseline row.
 HET_SCALAR_SAMPLE = 64
 HET_ACTING_SIZES = (128,)
+#: Heterogeneous acting width of the sharded row, and its job counts.
+SHARDED_SIZE = 8 if TINY else 32
+SHARDED_JOBS = (1, 2)
+#: Alternated passes per job count in the sharded row (best is kept).
+SHARDED_REPEATS = 1 if TINY else 2
 PAIRS = (("gcc", "swim"), ("gzip", "mcf"))
 #: The alternate seed of the heterogeneous arms' trajectory mix.
 HET_SEED = 99
@@ -391,6 +401,58 @@ def measure_width_one() -> dict:
     return best
 
 
+def measure_sharded(lanes: int) -> dict:
+    """The batch tier at each of :data:`SHARDED_JOBS`, same grid.
+
+    Every lane rides the kernel on both sides; at ``jobs=2`` the call is
+    split by trajectory into two shards, one per process.  The row names
+    the layer it measures (``batch``) and reports the batch tier's two
+    parts apart: deduplication (``lanes_per_trajectory``, which sharding
+    cannot change: it never splits a trajectory) and per-pipeline speed
+    (``trajectory_cycles_per_s``, trajectory-cycles per wall second).
+    Passes alternate between job counts; each side keeps its best.
+    """
+    specs = het_acting_specs(lanes)
+    quantum = specs[0].config.quantum_cycles
+    trajectories = len({trajectory_key(spec) for spec in specs})
+    walls: dict[int, float] = {}
+    shards: dict[int, int] = {}
+    texts: dict[int, list[str]] = {}
+    for _ in range(SHARDED_REPEATS):
+        for jobs in SHARDED_JOBS:
+            before = RUNNER_METRICS.counters.get("runner.batch_pool_shards", 0)
+            start = time.perf_counter()
+            results = run_many(specs, jobs=jobs, cache=False, batch=True)
+            wall = time.perf_counter() - start
+            walls[jobs] = min(wall, walls.get(jobs, wall))
+            shards[jobs] = (
+                RUNNER_METRICS.counters.get("runner.batch_pool_shards", 0)
+                - before
+            )
+            texts[jobs] = [canonical(result) for result in results]
+    base, sharded = SHARDED_JOBS
+    return {
+        "layer": "batch",
+        "batch_width": lanes,
+        "specs": len(specs),
+        "trajectories": trajectories,
+        "lanes_per_trajectory": round(len(specs) / trajectories, 2),
+        "host_cpus": os.cpu_count(),
+        "jobs": {
+            str(jobs): {
+                "wall_seconds": round(walls[jobs], 4),
+                "trajectory_cycles_per_s": round(
+                    trajectories * quantum / walls[jobs]
+                ),
+                "pool_shards": shards[jobs],
+            }
+            for jobs in SHARDED_JOBS
+        },
+        "speedup": round(walls[base] / walls[sharded], 2),
+        "byte_identical": texts[base] == texts[sharded],
+    }
+
+
 def run() -> dict:
     quiet_rows = [measure_width_one()]
     quiet_rows += [measure_quiet(lanes) for lanes in QUIET_SIZES]
@@ -421,6 +483,7 @@ def run() -> dict:
             _measure(het_acting_specs(lanes), lanes)
             for lanes in HET_ACTING_SIZES
         ],
+        "sharded_rows": [measure_sharded(SHARDED_SIZE)],
     }
     results = Path(__file__).parent / "results"
     results.mkdir(exist_ok=True)
@@ -517,6 +580,15 @@ def test_perf_batch():
             f"{name} speedup {best:.2f}x below the "
             f"{ACTING_REQUIRED_SPEEDUP:.0f}x bar at B>={ACTING_REQUIRED_AT_B}"
         )
+    for row in payload["sharded_rows"]:
+        print(
+            f"sharded B={row['batch_width']} ({row['trajectories']} "
+            f"trajectories): " + ", ".join(
+                f"jobs={jobs} {side['wall_seconds']:.2f}s"
+                for jobs, side in row["jobs"].items()
+            ) + f" -> {row['speedup']:.2f}x on {row['host_cpus']} CPUs"
+        )
+        assert row["byte_identical"], "sharded kernel diverged from jobs=1"
     if not payload["tiny"]:
         widest = [
             row

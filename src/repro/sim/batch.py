@@ -57,6 +57,10 @@ same engage/release cycles) never separate at all.
 :func:`~repro.sim.parallel.run_many` uses this as its middle execution
 tier: cache hit → lock-step batch groups (grouped by
 :func:`batch_fingerprint`) → process pool / serial scalar fallback.
+Because trajectory groups never interact, a call can also be **sharded**
+by trajectory across a process pool (``executor``/``shards``): each shard
+is an ordinary call over fewer trajectories, so its lanes' results are
+the same bytes.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -149,7 +154,16 @@ def trajectory_key(spec) -> str:
     )
 
 
-def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult]:
+def simulate_lockstep(
+    specs,
+    metrics: dict | None = None,
+    executor=None,
+    *,
+    shards: int = 1,
+    timeout: float | None = None,
+    drain_grace: float = 0.0,
+    after_submit=None,
+) -> dict[int, RunResult]:
     """Advance every spec in lock step, splitting cohorts as policies act.
 
     ``specs`` must all share one :func:`batch_fingerprint`; their workloads
@@ -162,6 +176,23 @@ def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult
     root cohorts), ``cohorts`` (lock-step groups at completion), ``splits``
     (divergence events where a cohort partitioned), ``lane_cohorts``, and
     ``stream_rows`` (uops generated across all shared streams).
+
+    With an ``executor`` (a ``ProcessPoolExecutor``) and ``shards >= 2``,
+    trajectory groups — which never interact — are split into up to
+    ``shards`` shards (:func:`_shard_lanes`).  This process runs the first
+    shard; the executor runs the others.  A remote shard that raises, or
+    outlives ``timeout`` × its lanes, is dropped: its lanes are missing
+    from the result and ``metrics["failed_shards"]`` counts it.  A shard
+    lost to a broken pool is re-run here instead.  An interrupt cancels
+    remote shards that have not started, gives running ones
+    ``drain_grace`` seconds, and raises :class:`LockstepInterrupted`
+    carrying every finished lane.  Merged ``metrics`` sum the shards'
+    counts (a stream read in two shards is generated, and counted, twice)
+    and offset ``lane_cohorts`` so ordinals stay unique.
+
+    ``after_submit()``, when given, runs once the remote shards are queued
+    and before this process starts simulating: a caller queues its own
+    pool work there, behind the shards (the longest jobs start first).
     """
     spec_list = list(specs)
     if not spec_list:
@@ -173,24 +204,191 @@ def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult
         raise SimulationError(
             "simulate_lockstep needs specs sharing one batch fingerprint"
         )
+    if _quantum(spec_list[0]) <= 0:
+        raise SimulationError("quantum must be positive")
+    by_trajectory = _trajectory_groups(spec_list)
+    plan = _shard_lanes(by_trajectory, shards) if executor is not None else []
+    if len(plan) < 2:
+        if after_submit is not None:
+            after_submit()
+        results, shape = _run_shard(spec_list)
+        if metrics is not None:
+            metrics.update(shape)
+        return results
+    return _run_sharded(
+        spec_list, plan, len(by_trajectory), metrics, executor, timeout,
+        drain_grace, after_submit,
+    )
+
+
+class LockstepInterrupted(KeyboardInterrupt):
+    """An operator interrupt during a sharded :func:`simulate_lockstep`.
+
+    ``results`` maps input index → RunResult for every lane whose shard
+    finished before the drain ended, so the caller keeps work already
+    paid for.
+    """
+
+    def __init__(self, results: dict[int, RunResult]) -> None:
+        super().__init__("interrupted during a sharded lock-step batch")
+        self.results = results
+
+
+def _quantum(spec) -> int:
+    if spec.quantum_cycles is None:
+        return spec.config.quantum_cycles
+    return spec.quantum_cycles
+
+
+def _trajectory_groups(spec_list: list) -> dict[str, list[int]]:
+    """Input indices per :func:`trajectory_key`, in first-seen order."""
+    by_trajectory: dict[str, list[int]] = {}
+    for index, spec in enumerate(spec_list):
+        by_trajectory.setdefault(trajectory_key(spec), []).append(index)
+    return by_trajectory
+
+
+def _shard_lanes(
+    by_trajectory: dict[str, list[int]], count: int
+) -> list[list[int]]:
+    """Split trajectory groups into at most ``count`` balanced shards.
+
+    Greedy: the group with the most lanes first, each onto the shard
+    carrying the fewest trajectories (then the fewest lanes).  A
+    trajectory's cost is one pipeline plus its lanes' observers, so both
+    counts are visible before anything runs; which workloads a group
+    holds is not used.  Each shard lists its input indices in order.
+    """
+    count = max(1, min(count, len(by_trajectory)))
+    shards: list[list[int]] = [[] for _ in range(count)]
+    loads = [(0, 0)] * count
+    for members in sorted(by_trajectory.values(), key=len, reverse=True):
+        target = min(range(count), key=loads.__getitem__)
+        shards[target].extend(members)
+        trajectories, lanes = loads[target]
+        loads[target] = (trajectories + 1, lanes + len(members))
+    return [sorted(lanes) for lanes in shards]
+
+
+def _run_sharded(
+    spec_list: list,
+    plan: list[list[int]],
+    trajectories: int,
+    metrics: dict | None,
+    executor,
+    timeout: float | None,
+    drain_grace: float,
+    after_submit,
+) -> dict[int, RunResult]:
+    """Run ``plan[0]`` here and the other shards on ``executor``; merge."""
+
+    def shard_specs(index: int) -> list:
+        return [spec_list[lane] for lane in plan[index]]
+
+    # Deadlines bound the wait on remote shards, never a simulated value.
+    start = time.perf_counter()  # repro: noqa(RPR001) shard deadline, not sim state
+    local = [0]
+    pending: list = []  # (shard index, future, deadline), in shard order
+    for index in range(1, len(plan)):
+        try:
+            future = executor.submit(_run_shard, shard_specs(index))
+        except BrokenProcessPool:
+            local.append(index)  # the pool is already gone: run it here
+            continue
+        deadline = None if timeout is None else start + timeout * len(plan[index])
+        pending.append((index, future, deadline))
+    done: dict[int, tuple[dict[int, RunResult], dict]] = {}
+    failed = 0
+    try:
+        if after_submit is not None:
+            after_submit()
+        for index in local:
+            done[index] = _run_shard(shard_specs(index))
+        while pending:
+            index, future, deadline = pending[0]
+            wait = None
+            if deadline is not None:
+                wait = max(0.0, deadline - time.perf_counter())  # repro: noqa(RPR001) shard deadline, not sim state
+            try:
+                done[index] = future.result(timeout=wait)
+            except BrokenProcessPool:
+                # A worker died under this shard (or beside it); the shard
+                # itself did nothing wrong, so it re-runs here.
+                done[index] = _run_shard(shard_specs(index))
+            except Exception:
+                future.cancel()
+                failed += 1
+            pending.pop(0)
+    except KeyboardInterrupt as interrupt:
+        # Bounded drain: never-started shards are cancelled, running ones
+        # get the grace, and the first to overstay it ends the waiting.
+        for index, future, _ in pending:
+            if future.cancel():
+                continue
+            try:
+                done[index] = future.result(timeout=drain_grace)
+            except KeyboardInterrupt:
+                break  # a second interrupt ends the drain
+            except Exception:  # timeout, crash or shard error: stop waiting
+                drain_grace = 0.0
+        results = _merge_shards(plan, done, trajectories, failed, metrics)
+        raise LockstepInterrupted(results) from interrupt
+    return _merge_shards(plan, done, trajectories, failed, metrics)
+
+
+def _merge_shards(
+    plan: list[list[int]],
+    done: dict[int, tuple[dict[int, RunResult], dict]],
+    trajectories: int,
+    failed: int,
+    metrics: dict | None,
+) -> dict[int, RunResult]:
+    """Input-indexed results and summed shape metrics of finished shards.
+
+    Cohort ordinals are offset shard by shard, in shard order, so they stay
+    unique across the call; lanes of unfinished shards read ``-1``.
+    """
+    lanes = sum(len(members) for members in plan)
+    results: dict[int, RunResult] = {}
+    lane_cohorts = [-1] * lanes
+    totals = dict.fromkeys(("cohorts", "splits", "stream_rows", "streams"), 0)
+    for index in sorted(done):
+        shard_results, shape = done[index]
+        members = plan[index]
+        for lane, result in shard_results.items():
+            results[members[lane]] = result
+        for lane, ordinal in enumerate(shape["lane_cohorts"]):
+            lane_cohorts[members[lane]] = totals["cohorts"] + ordinal
+        for key in totals:
+            totals[key] += shape[key]
+    if metrics is not None:
+        metrics.update(
+            totals,
+            lanes=lanes,
+            trajectories=trajectories,
+            lane_cohorts=lane_cohorts,
+            shards=len(plan),
+            failed_shards=failed,
+        )
+    return results
+
+
+def _run_shard(spec_list: list) -> tuple[dict[int, RunResult], dict]:
+    """Run every trajectory group of ``spec_list`` on one worklist.
+
+    Module-level so a process pool can run it: returns (index into
+    ``spec_list`` → RunResult, shape metrics) — the whole of an unsharded
+    :func:`simulate_lockstep` call.
+    """
     # Wall time feeds PerfCounters only (compare=False diagnostics).
     wall_start = time.perf_counter()  # repro: noqa(RPR001) perf diagnostics only
 
     lanes = len(spec_list)
-    base = spec_list[0]
-    config0 = base.config
-    quantum = (
-        config0.quantum_cycles
-        if base.quantum_cycles is None
-        else base.quantum_cycles
-    )
-    if quantum <= 0:
-        raise SimulationError("quantum must be positive")
+    config0 = spec_list[0].config
+    quantum = _quantum(spec_list[0])
 
     # -- trajectory groups: one root cohort per distinct workloads/seed ----
-    by_trajectory: dict[str, list[int]] = {}
-    for index, spec in enumerate(spec_list):
-        by_trajectory.setdefault(trajectory_key(spec), []).append(index)
+    by_trajectory = _trajectory_groups(spec_list)
 
     energy = EnergyModel.default()
     streams = StreamBank(config0.machine, config0.thermal)
@@ -221,20 +419,21 @@ def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult
             worklist.extend(children)
 
     wall_seconds = time.perf_counter() - wall_start  # repro: noqa(RPR001) perf diagnostics only
-    if metrics is not None:
-        metrics["lanes"] = lanes
-        metrics["trajectories"] = len(by_trajectory)
-        metrics["cohorts"] = len(finished)
-        metrics["splits"] = splits
-        metrics["stream_rows"] = streams.rows_generated
-        metrics["streams"] = streams.stream_count
-        # Which cohort each lane ended the quantum in, for lane-tagged
-        # campaign telemetry (cohort ordinals follow completion order).
-        lane_cohorts = [0] * lanes
-        for ordinal, cohort in enumerate(finished):
-            for lane in cohort.lanes:
-                lane_cohorts[int(lane)] = ordinal
-        metrics["lane_cohorts"] = lane_cohorts
+    # Which cohort each lane ended the quantum in, for lane-tagged campaign
+    # telemetry (cohort ordinals follow completion order).
+    lane_cohorts = [0] * lanes
+    for ordinal, cohort in enumerate(finished):
+        for lane in cohort.lanes:
+            lane_cohorts[int(lane)] = ordinal
+    shape = {
+        "lanes": lanes,
+        "trajectories": len(by_trajectory),
+        "cohorts": len(finished),
+        "splits": splits,
+        "stream_rows": streams.rows_generated,
+        "streams": streams.stream_count,
+        "lane_cohorts": lane_cohorts,
+    }
 
     # Wall time is amortized evenly over the lanes: the honest per-run cost
     # of the batch (PerfCounters are compare=False diagnostics; every
@@ -255,7 +454,7 @@ def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult
                 bank.peak_k,
                 wall_share,
             )
-    return results
+    return results, shape
 
 
 def _build_root(

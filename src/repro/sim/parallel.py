@@ -58,7 +58,12 @@ from ..config import SimulationConfig
 from ..errors import FaultError, SimulationError
 from ..telemetry.events import EventType
 from ..telemetry.metrics import MetricsRegistry
-from .batch import batch_fingerprint, simulate_lockstep, trajectory_key
+from .batch import (
+    LockstepInterrupted,
+    batch_fingerprint,
+    simulate_lockstep,
+    trajectory_key,
+)
 from .campaign import CampaignResult, QuantumRecord, run_campaign
 from .results import FORMAT_VERSION, result_from_dict, result_to_dict
 from .simulator import run_workloads
@@ -262,35 +267,47 @@ def _execute_attempt(
     return _execute(spec)
 
 
-def _execute_with_watchdog(
-    spec: RunSpec | CampaignSpec, attempt: int, timeout: float
-) -> RunResult | CampaignResult:
-    """One attempt under a per-spec wall-clock timeout.
+def _call_with_watchdog(call, budget: float, overrun: str):
+    """``call()`` under a wall-clock budget; ``TimeoutError(overrun)`` past it.
 
-    The attempt runs in a daemon thread; if it outlives ``timeout`` the
-    caller moves on (the thread is abandoned — it holds no locks and its
-    simulator state is garbage the moment we stop waiting).  Used serially
-    (so the BrokenProcessPool fallback cannot hang forever on a spec that
-    is itself a hang) and *inside* pool workers running a chunk of specs
-    (so one hung spec cannot eat its chunk-mates' time budget).
+    The call runs in a daemon thread; if it outlives ``budget`` the caller
+    moves on (the thread is abandoned — it holds no locks and its
+    simulator state is garbage the moment we stop waiting).  Whatever the
+    call raises, ``KeyboardInterrupt`` included, is re-raised here.
     """
     box: list = []
 
     def _target() -> None:
         try:
-            box.append(("ok", _execute_attempt(spec, attempt)))
+            box.append(("ok", call()))
         except BaseException as error:  # noqa: BLE001 - re-raised below
             box.append(("error", error))
 
     thread = threading.Thread(target=_target, daemon=True)
     thread.start()
-    thread.join(timeout)
+    thread.join(budget)
     if thread.is_alive():
-        raise TimeoutError(f"spec exceeded {timeout:.3f}s (watchdog)")
+        raise TimeoutError(overrun)
     status, value = box[0]
     if status == "error":
         raise value
     return value
+
+
+def _execute_with_watchdog(
+    spec: RunSpec | CampaignSpec, attempt: int, timeout: float
+) -> RunResult | CampaignResult:
+    """One attempt under a per-spec wall-clock timeout.
+
+    Used serially (so the BrokenProcessPool fallback cannot hang forever on
+    a spec that is itself a hang) and *inside* pool workers running a chunk
+    of specs (so one hung spec cannot eat its chunk-mates' time budget).
+    """
+    return _call_with_watchdog(
+        lambda: _execute_attempt(spec, attempt),
+        timeout,
+        f"spec exceeded {timeout:.3f}s (watchdog)",
+    )
 
 
 def _execute_chunk(
@@ -637,6 +654,32 @@ def _drain_interrupted_pool(
     _book_interrupted(remaining, attempts, outcomes)
 
 
+def _submit_round(
+    pool: ProcessPoolExecutor,
+    work: list[tuple[str, RunSpec | CampaignSpec]],
+    attempts: dict[str, int],
+    timeout: float | None,
+    workers: int,
+    futures: list,
+) -> None:
+    """Submit one pool round, appending ``(future, chunk)`` per adaptive
+    chunk to ``futures`` as it goes (so a broken pool or an interrupt
+    mid-submission leaves exactly the submitted chunks listed)."""
+    size = _chunk_size(len(work), workers)
+    for start in range(0, len(work), size):
+        chunk = work[start : start + size]
+        futures.append(
+            (
+                pool.submit(
+                    _execute_chunk,
+                    [(spec, attempts[key]) for key, spec in chunk],
+                    timeout,
+                ),
+                chunk,
+            )
+        )
+
+
 def _run_pool(
     work: list[tuple[str, RunSpec | CampaignSpec]],
     attempts: dict[str, int],
@@ -644,6 +687,8 @@ def _run_pool(
     retries: int,
     outcomes: dict[str, RunResult | CampaignResult | RunFailure],
     workers: int,
+    pool: ProcessPoolExecutor | None = None,
+    submitted: list | tuple = (),
 ) -> None:
     """Execute specs in a worker pool; degrade to serial if the pool breaks.
 
@@ -665,31 +710,31 @@ def _run_pool(
     spec without a result is booked as an ``interrupted``
     :class:`RunFailure` so the caller returns index-aligned partial
     results.
+
+    ``pool`` is the run's own pool (owned and shut down by the caller):
+    the first round runs on it, alongside ``submitted`` — chunks of
+    ``work`` already submitted there, so they could overlap the batch
+    tier.  Retry rounds always start a fresh pool, clear of hung workers.
     """
     remaining = work
     while remaining:
-        pool = ProcessPoolExecutor(
+        shared = pool is not None
+        round_pool = pool if shared else ProcessPoolExecutor(
             max_workers=min(workers, len(remaining)), initializer=_mark_worker
         )
+        futures: list = list(submitted)
+        pool, submitted = None, ()
         retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
-        size = _chunk_size(len(remaining), workers)
-        chunks = [
-            remaining[start : start + size]
-            for start in range(0, len(remaining), size)
-        ]
-        futures: list = []
         try:
-            futures = [
-                (
-                    pool.submit(
-                        _execute_chunk,
-                        [(spec, attempts[key]) for key, spec in chunk],
-                        timeout,
-                    ),
-                    chunk,
-                )
-                for chunk in chunks
-            ]
+            covered = {key for _, chunk in futures for key, _ in chunk}
+            _submit_round(
+                round_pool,
+                [item for item in remaining if item[0] not in covered],
+                attempts,
+                timeout,
+                workers,
+                futures,
+            )
             for future, chunk in futures:
                 # The in-worker watchdogs bound each spec; the future-level
                 # timeout is a backstop for a worker that never reports.
@@ -750,7 +795,8 @@ def _run_pool(
         finally:
             # wait=False: a hung worker must not stall the batch past its
             # timeout; abandoned tasks die with the interpreter.
-            pool.shutdown(wait=False, cancel_futures=True)
+            if not shared:
+                round_pool.shutdown(wait=False, cancel_futures=True)
         remaining = retry_list
         if remaining:
             try:
@@ -766,36 +812,23 @@ def _run_pool(
                 return
 
 
-def _run_lockstep_groups(
+def _lockstep_groups(
     work: list[tuple[str, RunSpec | CampaignSpec]],
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-    timeout: float | None,
-    lane_info: dict[str, dict] | None = None,
-) -> None:
-    """The lock-step batch tier: amortize compatible specs on one pipeline.
+) -> list[list[tuple[str, RunSpec | CampaignSpec]]]:
+    """The batch tier's kernel calls: one member list per call.
 
-    Groups the pending specs by :func:`~repro.sim.batch.batch_fingerprint`
-    and runs each group through
-    :func:`~repro.sim.batch.simulate_lockstep`, which batches
-    heterogeneous lanes (mixed workloads × mixed seeds) as one cohort tree
-    per :func:`~repro.sim.batch.trajectory_key`.  Lanes whose trajectory
-    is *unique* within their group amortize nothing — the kernel would run
-    them one pipeline each, pure overhead over a scalar run — so they
-    route straight to the scalar tiers; this also covers the width-1 case
-    (a singleton group is optimal scalar work).  Every batched lane is
-    booked directly into ``outcomes`` (byte-identical to the scalar path,
-    so downstream caching and dedup behave as if the scalar simulator had
-    run); acting lanes are retained in-batch by cohort splitting
-    (:mod:`repro.sim.cohort`), so only a whole-group engine failure or
-    time-budget overrun sends lanes back to the scalar pool/serial path.
-    No attempt is ever booked here: the batch tier is an accelerator, not
-    an attempt, so retry budgets are untouched.
+    Groups the pending specs by :func:`~repro.sim.batch.batch_fingerprint`.
+    Lanes whose trajectory is *unique* within their group amortize nothing
+    — the kernel would run them one pipeline each, pure overhead over a
+    scalar run — so they stay with the scalar tiers; this also covers the
+    width-1 case (a singleton group is optimal scalar work).
     """
     groups: dict[str, list[tuple[str, RunSpec | CampaignSpec]]] = {}
     for key, spec in work:
         group_key = batch_fingerprint(spec)
         if group_key is not None:
             groups.setdefault(group_key, []).append((key, spec))
+    calls = []
     for candidates in groups.values():
         lane_counts: dict[str, int] = {}
         for _, spec in candidates:
@@ -806,55 +839,106 @@ def _run_lockstep_groups(
             for key, spec in candidates
             if lane_counts[trajectory_key(spec)] >= 2
         ]
-        if len(members) < 2:
-            continue  # nothing to amortize; the scalar path is optimal
+        if len(members) >= 2:
+            calls.append(members)
+    return calls
+
+
+def _trajectory_count(members: list[tuple[str, RunSpec | CampaignSpec]]) -> int:
+    return len({trajectory_key(spec) for _, spec in members})
+
+
+def _run_lockstep_groups(
+    groups: list[list[tuple[str, RunSpec | CampaignSpec]]],
+    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
+    timeout: float | None,
+    lane_info: dict[str, dict] | None = None,
+    executor: ProcessPoolExecutor | None = None,
+    workers: int = 1,
+    after_submit=None,
+) -> None:
+    """The lock-step batch tier: amortize compatible specs on one pipeline.
+
+    Runs each of :func:`_lockstep_groups`' member lists through
+    :func:`~repro.sim.batch.simulate_lockstep`, which batches heterogeneous
+    lanes (mixed workloads × mixed seeds) as one cohort tree per
+    :func:`~repro.sim.batch.trajectory_key`.  With an ``executor`` and
+    ``workers >= 2`` the call shards its trajectory groups: this process
+    runs one shard, the executor the others.  Every batched lane is booked
+    directly into ``outcomes`` (byte-identical to the scalar path, so
+    downstream caching and dedup behave as if the scalar simulator had
+    run); acting lanes are retained in-batch by cohort splitting
+    (:mod:`repro.sim.cohort`), so only an engine failure or time-budget
+    overrun — of the whole call, or of one remote shard — sends lanes back
+    to the scalar pool/serial path, each failure counted once in
+    ``runner.batch_errors``.  No attempt is ever booked here: the batch
+    tier is an accelerator, not an attempt, so retry budgets are untouched.
+    An interrupt books the lanes that finished, then propagates.
+    ``after_submit`` is handed to every call (see
+    :func:`~repro.sim.batch.simulate_lockstep`).
+    """
+    for members in groups:
         specs = [spec for _, spec in members]
         RUNNER_METRICS.inc("runner.batch_groups")
         RUNNER_METRICS.inc("runner.batch_lanes", len(members))
-        RUNNER_METRICS.inc(
-            "runner.batch_trajectories",
-            sum(1 for count in lane_counts.values() if count >= 2),
-        )
+        RUNNER_METRICS.inc("runner.batch_trajectories", _trajectory_count(members))
         batch_metrics: dict = {}
+
+        def _call(batch_specs: list = specs, shape: dict = batch_metrics):
+            return simulate_lockstep(
+                batch_specs, shape, executor, shards=workers,
+                timeout=timeout, drain_grace=DRAIN_GRACE_S,
+                after_submit=after_submit,
+            )
+
         try:
-            if timeout is not None:
+            if timeout is None:
+                lane_results = _call()
+            else:
                 # One shared budget: the batch does at most the work of
                 # len(members) scalar runs.
-                box: list = []
-
-                def _target(batch_specs: list = specs, out: list = box) -> None:
-                    try:
-                        out.append(
-                            ("ok", simulate_lockstep(batch_specs, batch_metrics))
-                        )
-                    except BaseException as error:  # noqa: BLE001
-                        out.append(("error", error))
-
-                thread = threading.Thread(target=_target, daemon=True)
-                thread.start()
-                thread.join(timeout * len(members))
-                if thread.is_alive():
-                    raise TimeoutError("batch group exceeded its time budget")
-                status, value = box[0]
-                if status == "error":
-                    raise value
-                lane_results = value
-            else:
-                lane_results = simulate_lockstep(specs, batch_metrics)
+                lane_results = _call_with_watchdog(
+                    _call,
+                    timeout * len(members),
+                    "batch group exceeded its time budget",
+                )
+        except LockstepInterrupted as interrupt:
+            _book_batch(
+                members, interrupt.results, batch_metrics, outcomes, lane_info
+            )
+            raise
         except Exception:
             RUNNER_METRICS.inc("runner.batch_errors")
             continue  # every lane falls back to the scalar path
-        lane_cohorts = batch_metrics.get("lane_cohorts") or []
-        for lane, result in lane_results.items():
-            outcomes[members[lane][0]] = result
-            if lane_info is not None:
-                info = {"cohorts": batch_metrics.get("cohorts", 0)}
-                if lane < len(lane_cohorts):
-                    info["cohort"] = lane_cohorts[lane]
-                lane_info[members[lane][0]] = info
-        RUNNER_METRICS.inc("runner.batch_completed", len(lane_results))
-        RUNNER_METRICS.inc("runner.batch_cohorts", batch_metrics.get("cohorts", 0))
-        RUNNER_METRICS.inc("runner.batch_splits", batch_metrics.get("splits", 0))
+        # Lanes of a failed remote shard are absent: they go scalar.
+        RUNNER_METRICS.inc(
+            "runner.batch_errors", batch_metrics.get("failed_shards", 0)
+        )
+        RUNNER_METRICS.inc(
+            "runner.batch_pool_shards", batch_metrics.get("shards", 1) - 1
+        )
+        _book_batch(members, lane_results, batch_metrics, outcomes, lane_info)
+
+
+def _book_batch(
+    members: list[tuple[str, RunSpec | CampaignSpec]],
+    lane_results: dict[int, RunResult],
+    batch_metrics: dict,
+    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
+    lane_info: dict[str, dict] | None,
+) -> None:
+    """Book one kernel call's finished lanes, tagged with their cohorts."""
+    lane_cohorts = batch_metrics.get("lane_cohorts") or []
+    for lane, result in lane_results.items():
+        outcomes[members[lane][0]] = result
+        if lane_info is not None:
+            info = {"cohorts": batch_metrics.get("cohorts", 0)}
+            if lane < len(lane_cohorts):
+                info["cohort"] = lane_cohorts[lane]
+            lane_info[members[lane][0]] = info
+    RUNNER_METRICS.inc("runner.batch_completed", len(lane_results))
+    RUNNER_METRICS.inc("runner.batch_cohorts", batch_metrics.get("cohorts", 0))
+    RUNNER_METRICS.inc("runner.batch_splits", batch_metrics.get("splits", 0))
 
 
 def _emit_campaign_events(
@@ -914,16 +998,26 @@ def run_many(
 
     Results come back in input order.  Cache hits never touch a worker;
     duplicate specs within one batch execute once.  Cache misses go through
-    three tiers: compatible specs (same workloads/machine/seed/event grid —
-    see :func:`~repro.sim.batch.batch_fingerprint`) run lock-step on one
-    shared pipeline (:mod:`repro.sim.batch`), and whatever remains goes to
-    the process pool or the serial path.  ``batch=False`` disables the
-    lock-step tier (results are byte-identical either way; the knob exists
-    for benchmarking and for isolating the tier in tests).  ``jobs=None``
-    uses :func:`default_jobs` (the ``REPRO_BENCH_JOBS`` environment
-    variable); ``jobs<=1`` or a single miss runs in-process, so small
-    batches carry no pool-spawn overhead.  ``cache=False`` (or
-    ``cache_dir=None``) disables the disk cache entirely.
+    three tiers: compatible specs (same machine and event grid — see
+    :func:`~repro.sim.batch.batch_fingerprint`) run lock-step, one shared
+    pipeline per workloads/seed trajectory (:mod:`repro.sim.batch`), and
+    whatever remains goes to the process pool or the serial path.
+    ``batch=False`` disables the lock-step tier (results are
+    byte-identical either way; the knob exists for benchmarking and for
+    isolating the tier in tests).  ``cache=False`` (or ``cache_dir=None``)
+    disables the disk cache entirely.
+
+    ``jobs`` bounds the run's worker processes (``None`` uses
+    :func:`default_jobs`, the ``REPRO_BENCH_JOBS`` environment variable).
+    ``jobs<=1`` runs everything in-process.  With ``jobs>=2`` the run
+    makes one pool of at most ``jobs`` workers, and only when a worker
+    has work: two or more scalar specs, or a kernel call spanning two or
+    more trajectories.  Such a call is split into up to ``jobs`` shards
+    by trajectory; this process runs one and pool workers the others,
+    and the scalar specs' first round is queued behind those shards, so
+    it runs beside the kernel rather than after it (while this process
+    runs its shard, up to ``jobs + 1`` processes simulate).
+    Byte-identity holds at any ``jobs``.
 
     Robustness knobs (docs/robustness.md):
 
@@ -939,7 +1033,10 @@ def run_many(
       returns a :class:`RunFailure` in each failed spec's slot instead.
 
     A crashed worker process (``BrokenProcessPool``) never aborts the
-    batch: every spec without a result is re-executed serially.
+    batch: every spec without a result is re-executed serially, and a
+    kernel shard lost with the worker re-runs in this process.  A shard
+    that fails or overruns ``timeout`` × its lanes sends only its own
+    lanes to the scalar tiers (docs/robustness.md §2.1).
 
     An operator interrupt (``KeyboardInterrupt``) triggers a graceful
     drain instead of an abort: dispatch stops, in-flight pool chunks get a
@@ -1027,32 +1124,77 @@ def run_many(
         attempts = dict.fromkeys(order, 0)
         outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
         workers = default_jobs() if jobs is None else max(1, jobs)
+        groups = _lockstep_groups(work) if batch else []
+        batched = {key for members in groups for key, _ in members}
+        scalar = [(key, spec) for key, spec in work if key not in batched]
+        # One pool per run, created only when two processes can both work:
+        # scalar specs to spread, or kernel shards beyond the one this
+        # process runs.  Its first scalar round is queued behind the first
+        # kernel call's remote shards, before this process simulates, so
+        # those specs overlap the batch tier.
+        remote_shards = max(
+            (min(workers, _trajectory_count(members)) - 1 for members in groups),
+            default=0,
+        )
+        pool = None
+        if workers >= 2 and (len(scalar) >= 2 or remote_shards):
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(scalar) + remote_shards),
+                initializer=_mark_worker,
+            )
+        first_round: list = []
+        unsubmitted = [scalar] if pool is not None else []
+        submit_lock = threading.Lock()
+
+        def submit_first_round() -> None:
+            # Once, by whichever comes first: the first kernel call, right
+            # after queueing its remote shards, or the line after the
+            # batch tier.  The lock covers a kernel call still running in
+            # an abandoned watchdog thread.
+            with submit_lock:
+                if unsubmitted:
+                    try:
+                        _submit_round(
+                            pool, unsubmitted.pop(), attempts, timeout,
+                            workers, first_round,
+                        )
+                    except BrokenProcessPool:
+                        pass  # _run_pool meets it and falls back to serial
+
         try:
-            if batch:
-                _run_lockstep_groups(work, outcomes, timeout, lane_info)
-                for key in outcomes:
-                    sources[key] = "batch"
+            _run_lockstep_groups(
+                groups, outcomes, timeout, lane_info, pool, workers,
+                submit_first_round,
+            )
+            submit_first_round()
+            for key in outcomes:
+                sources[key] = "batch"
             unresolved = [
                 (key, spec) for key, spec in work if key not in outcomes
             ]
             if not unresolved:
                 pass
-            elif workers <= 1 or len(unresolved) == 1:
+            elif not first_round and (workers <= 1 or len(unresolved) == 1):
                 _run_serial(unresolved, attempts, timeout, retries, outcomes)
                 for key, _ in unresolved:
                     sources.setdefault(key, "serial")
             else:
                 _run_pool(
-                    unresolved, attempts, timeout, retries, outcomes, workers
+                    unresolved, attempts, timeout, retries, outcomes,
+                    workers, pool, first_round,
                 )
                 for key, _ in unresolved:
                     sources.setdefault(key, "pool")
         except KeyboardInterrupt:
             # The serial and batch tiers unwind to here on Ctrl-C/SIGTERM;
             # the pool tier drains internally and returns normally.  Either
-            # way every unresolved spec gets an index-aligned slot.
+            # way every unresolved spec gets an index-aligned slot, and a
+            # scalar round still in flight drains first.
             RUNNER_METRICS.inc("runner.interrupts")
-            _book_interrupted(work, attempts, outcomes)
+            _drain_interrupted_pool(first_round, work, attempts, outcomes)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
         for key, spec in work:
             outcome = outcomes[key]
             if isinstance(outcome, RunFailure):

@@ -146,14 +146,19 @@ def batch_narrative(counters: dict[str, int]) -> list[str]:
     cohorts = counters.get("runner.batch_cohorts", 0)
     splits = counters.get("runner.batch_splits", 0)
     errors = counters.get("runner.batch_errors", 0)
+    shards = counters.get("runner.batch_pool_shards", 0)
     lines = [
         f"{lanes} lanes in {groups} lock-step groups -> {cohorts} cohorts "
         f"({splits} divergence splits)",
         f"retention {completed / lanes:.0%}: {completed} lanes completed "
         f"in-batch",
     ]
+    if shards:
+        lines.append(f"{shards} kernel shards ran in pool workers")
     if errors:
-        lines.append(f"{errors} group errors fell back to the scalar path")
+        lines.append(
+            f"{errors} group or shard errors fell back to the scalar path"
+        )
     return lines
 
 

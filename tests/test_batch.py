@@ -891,3 +891,106 @@ class TestTierRouting:
         lanes_after, trajectories_after = self._counters()
         assert lanes_after - lanes_before == 4
         assert trajectories_after - trajectories_before == 2
+
+
+def sharded_grid() -> list[RunSpec]:
+    """Three trajectories (one splits on DTM divergence) plus a fault spec.
+
+    The attack trajectory's engaging lanes diverge from its ideal lane, so
+    the kernel splits at least one cohort; the faulted spec is not
+    batchable and takes the scalar tier beside the kernel.
+    """
+    base = tiny_config(quantum_cycles=8_000)
+    reseeded = tiny_config(quantum_cycles=8_000, seed=99)
+    specs = [
+        RunSpec(("gcc", "variant1"), base.with_policy(p))
+        for p in ("ideal", "stop_and_go", "dvfs")
+    ]
+    specs += [
+        RunSpec(("gcc", "swim"), base.with_policy(p))
+        for p in ("ideal", "sedation")
+    ]
+    specs += [
+        RunSpec(("gzip", "mcf"), reseeded.with_policy(p))
+        for p in ("stop_and_go", "sedation")
+    ]
+    specs.append(
+        RunSpec(
+            ("gcc", "swim"),
+            base.with_faults(
+                FaultPlan(seed=5, sensor=SensorFaultPlan(mode="dropout", rate=0.2))
+            ),
+        )
+    )
+    return specs
+
+
+class TestShardedKernel:
+    """jobs >= 2 shards a kernel call's trajectories across the pool."""
+
+    def test_jobs_two_matches_jobs_one_and_scalar(self):
+        from repro.sim.durable import results_to_canonical_json
+
+        specs = sharded_grid()
+        runs = [
+            run_many(specs, jobs=2, cache=False),
+            run_many(specs, jobs=1, cache=False),
+            run_many(specs, jobs=1, cache=False, batch=False),
+        ]
+        texts = {results_to_canonical_json(results) for results in runs}
+        assert len(texts) == 1
+
+    def test_merged_shape_matches_one_unsharded_call(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        specs = [spec for spec in sharded_grid() if spec.config.faults is None]
+        whole: dict = {}
+        expected = simulate_lockstep(specs, whole)
+        sharded: dict = {}
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            results = simulate_lockstep(specs, sharded, pool, shards=2)
+        assert sharded["shards"] == 2 and sharded["failed_shards"] == 0
+        for key in ("lanes", "trajectories", "cohorts", "splits"):
+            assert sharded[key] == whole[key], key
+        assert whole["trajectories"] == 3 and whole["splits"] >= 1
+        assert sorted(results) == sorted(expected)
+        for lane, result in expected.items():
+            assert canonical(results[lane]) == canonical(result)
+
+        def partition(lane_cohorts):
+            groups: dict = {}
+            for lane, ordinal in enumerate(lane_cohorts):
+                groups.setdefault(ordinal, set()).add(lane)
+            return groups
+
+        # Ordinals are unique across shards: each names one cohort, and
+        # the cohorts are the unsharded call's, lane for lane.
+        ordinals = partition(sharded["lane_cohorts"])
+        assert set(ordinals) == set(range(sharded["cohorts"]))
+        assert sorted(map(sorted, ordinals.values())) == sorted(
+            map(sorted, partition(whole["lane_cohorts"]).values())
+        )
+
+    def test_shards_balance_trajectories_then_lanes(self):
+        from repro.sim.batch import _shard_lanes
+
+        groups = {"a": [0, 1, 2, 3], "b": [4, 5], "c": [6, 7], "d": [8]}
+        assert _shard_lanes(groups, 2) == [[0, 1, 2, 3, 8], [4, 5, 6, 7]]
+        assert _shard_lanes(groups, 8) == [[0, 1, 2, 3], [4, 5], [6, 7], [8]]
+        assert _shard_lanes(groups, 1) == [list(range(9))]
+
+    def test_batch_lane_events_carry_cohort_tags(self):
+        from repro.telemetry import EventType, TelemetrySession
+
+        specs = sharded_grid()
+        session = TelemetrySession()
+        run_many(specs, jobs=2, cache=False, telemetry=session)
+        lanes = [
+            event.data
+            for event in session.events()
+            if event.type is EventType.LANE_COMPLETE
+        ]
+        batch_lanes = [data for data in lanes if data["source"] == "batch"]
+        assert len(batch_lanes) == len(specs) - 1
+        assert all("cohort" in data and "cohorts" in data for data in batch_lanes)
+        assert len({data["cohorts"] for data in batch_lanes}) == 1

@@ -261,3 +261,127 @@ class TestGracefulInterrupt:
             isinstance(r, (RunResult, RunFailure)) for r in results
         )
         assert RUNNER_METRICS.counters["runner.interrupts"] >= before + 1
+
+
+class TestShardedBatchTier:
+    """jobs=2 shards the kernel; failures stay inside their own shard.
+
+    Two trajectory groups make two shards: the larger one (three lanes)
+    runs in the calling process, the smaller one (two lanes) in a pool
+    worker.  Patches are installed before ``run_many`` forks its pool, so
+    workers inherit them, and they tell the two sides apart through
+    ``parallel._IN_WORKER``.
+    """
+
+    def specs(self):
+        base = tiny_config("ideal")
+        local = [
+            RunSpec(("gcc", "swim"), base.with_policy(policy))
+            for policy in ("ideal", "stop_and_go", "sedation")
+        ]
+        remote = [
+            RunSpec(("gzip", "mcf"), base.with_policy(policy))
+            for policy in ("ideal", "dvfs")
+        ]
+        return local, remote
+
+    def counters(self):
+        return dict(RUNNER_METRICS.counters)
+
+    def delta(self, before, name):
+        return RUNNER_METRICS.counters.get(name, 0) - before.get(name, 0)
+
+    def canonical(self, results):
+        from repro.sim.durable import results_to_canonical_json
+
+        return results_to_canonical_json(results)
+
+    def test_worker_shard_error_sends_only_its_lanes_scalar(self, monkeypatch):
+        from repro.sim import batch, parallel
+
+        local, remote = self.specs()
+        specs = local + remote
+        reference = run_many(specs, jobs=1, cache=False, batch=False)
+        real_build_root = batch._build_root
+
+        def build_root(*args, **kwargs):
+            if parallel._IN_WORKER:
+                raise RuntimeError("injected shard failure")
+            return real_build_root(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "_build_root", build_root)
+        session_before = self.counters()
+        from repro.telemetry import EventType, TelemetrySession
+
+        session = TelemetrySession()
+        results = run_many(specs, jobs=2, cache=False, telemetry=session)
+        assert self.canonical(results) == self.canonical(reference)
+        assert self.delta(session_before, "runner.batch_errors") == 1
+        assert self.delta(session_before, "runner.batch_completed") == len(local)
+        for name in ("runner.attempt_error", "runner.attempt_timeout",
+                     "runner.retries", "runner.failures"):
+            assert self.delta(session_before, name) == 0, name
+        sources = [
+            event.data["source"]
+            for event in session.events()
+            if event.type is EventType.LANE_COMPLETE
+        ]
+        assert sources[: len(local)] == ["batch"] * len(local)
+        assert "batch" not in sources[len(local):]
+
+    def test_pool_break_beside_a_batch_group_keeps_batch_lanes(self):
+        local, remote = self.specs()
+        crash = chaos_spec(("ammp", "lucas"), crash_attempts=1)
+        specs = local + remote + [crash]
+        before = self.counters()
+        results = run_many(specs, jobs=2, cache=False, retries=1)
+        assert self.delta(before, "runner.pool_breaks") >= 1
+        # A lost shard re-runs; it is never booked as a batch error.
+        assert self.delta(before, "runner.batch_errors") == 0
+        assert self.delta(before, "runner.batch_completed") == len(local + remote)
+        reference = run_many(specs, jobs=1, cache=False, batch=False, retries=1)
+        assert self.canonical(results) == self.canonical(reference)
+
+    def test_interrupt_in_local_shard_drains_and_books(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+        import time
+
+        from repro.sim import batch, parallel
+
+        local, remote = self.specs()
+        scalar = RunSpec(("vpr", "twolf"), tiny_config())  # unique: pool tier
+        specs = local + remote + [scalar]
+        real_build_root = batch._build_root
+
+        def build_root(*args, **kwargs):
+            if not parallel._IN_WORKER:
+                # Long enough for the pool to start the remote shard and
+                # the scalar spec, so the drain (not a cancel) meets them.
+                time.sleep(1.0)
+                raise KeyboardInterrupt("injected interrupt in the local shard")
+            return real_build_root(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "_build_root", build_root)
+        before = self.counters()
+        results = run_many(
+            specs, jobs=2, cache_dir=tmp_path, raise_on_error=False
+        )
+        assert self.delta(before, "runner.interrupts") == 1
+        assert len(results) == len(specs)
+        for result in results[: len(local)]:
+            assert isinstance(result, RunFailure) and result.kind == "interrupted"
+        # The remote shard and the scalar spec finished within the drain
+        # grace: their results are kept and cached.
+        for spec, result in zip(specs[len(local):], results[len(local):],
+                                strict=True):
+            assert isinstance(result, RunResult)
+            assert (tmp_path / f"{spec_fingerprint(spec)}.json").exists()
+        for spec in local:
+            assert not (tmp_path / f"{spec_fingerprint(spec)}.json").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+        deadline = time.monotonic() + parallel.DRAIN_GRACE_S + 5.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []

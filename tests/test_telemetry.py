@@ -231,6 +231,17 @@ class TestCanonicalNarrative:
         assert "batch execution:" not in summarize(session.events())
         assert batch_narrative({}) == []
 
+    def test_batch_narrative_names_pool_shards_and_errors(self):
+        lines = batch_narrative({
+            "runner.batch_groups": 1,
+            "runner.batch_lanes": 5,
+            "runner.batch_completed": 3,
+            "runner.batch_pool_shards": 1,
+            "runner.batch_errors": 1,
+        })
+        assert "1 kernel shards ran in pool workers" in lines
+        assert "1 group or shard errors fell back to the scalar path" in lines
+
 
 class TestMetricsSnapshot:
     def test_gauges_match_thread_stats(self, canonical):

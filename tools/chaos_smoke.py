@@ -30,7 +30,10 @@ a wave rides the lock-step kernel, and the resume — which re-dispatches
 the interrupted wave through the same kernel — must still produce results
 byte-identical to an uninterrupted run.  Runner metrics confirm the
 resumed lanes actually went through the batch tier, not a scalar
-fallback.
+fallback.  The scenario runs twice: at ``jobs=1``, and at ``jobs=2``,
+where each wave's kernel call is sharded by trajectory across the pool
+(the kill takes the pool's workers with the driver, and the resume
+shards again) — both compared with a clean ``jobs=1`` run.
 
 A fourth scenario fills the disk: every cache-entry write of a small
 journaled campaign fails with ENOSPC.  The campaign must still return
@@ -48,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -188,19 +192,23 @@ def het_durable_specs() -> list[RunSpec]:
     return specs
 
 
-def het_durable_child(cache_dir: str) -> int:
+def het_durable_child(cache_dir: str, jobs: int) -> int:
     """Child mode: drive the heterogeneous campaign until killed."""
     from repro.sim.durable import run_durable
 
     run_durable(
-        het_durable_specs(), cache_dir=cache_dir, jobs=1, wave_size=4,
+        het_durable_specs(), cache_dir=cache_dir, jobs=jobs, wave_size=4,
         raise_on_error=False,
     )
     return 0
 
 
-def het_durable_checks() -> list[tuple[str, bool]]:
-    """SIGKILL during a heterogeneous batch wave -> resume -> identity."""
+def het_durable_checks(jobs: int) -> list[tuple[str, bool]]:
+    """SIGKILL during a heterogeneous batch wave -> resume -> identity.
+
+    The child leads its own process group, so the kill also takes any
+    pool workers it started (as a host crash would).
+    """
     from repro.sim.durable import (
         JOURNAL_DIR,
         derive_campaign_id,
@@ -215,8 +223,10 @@ def het_durable_checks() -> list[tuple[str, bool]]:
     with tempfile.TemporaryDirectory() as killed_dir, \
             tempfile.TemporaryDirectory() as clean_dir:
         child = subprocess.Popen(
-            [sys.executable, __file__, "--het-durable-child", killed_dir],
+            [sys.executable, __file__, "--het-durable-child", killed_dir,
+             str(jobs)],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         journal_dir = Path(killed_dir) / JOURNAL_DIR / campaign
         deadline = time.monotonic() + 120.0
@@ -227,30 +237,31 @@ def het_durable_checks() -> list[tuple[str, bool]]:
                 break
             time.sleep(0.02)
         killed_midway = child.poll() is None and 2 <= completed < len(specs)
-        child.send_signal(signal.SIGKILL)
+        os.killpg(child.pid, signal.SIGKILL)
         child.wait()
         checks.append(
-            ("child SIGKILLed during a heterogeneous batch wave",
+            (f"jobs={jobs}: child SIGKILLed during a heterogeneous batch wave",
              killed_midway)
         )
 
         before = dict(RUNNER_METRICS.counters)
         resumed = resume_campaign(
-            campaign, cache_dir=killed_dir, jobs=1, raise_on_error=False
+            campaign, cache_dir=killed_dir, jobs=jobs, raise_on_error=False
         )
-        lanes = (RUNNER_METRICS.counters.get("runner.batch_lanes", 0)
-                 - before.get("runner.batch_lanes", 0))
-        trajectories = (
-            RUNNER_METRICS.counters.get("runner.batch_trajectories", 0)
-            - before.get("runner.batch_trajectories", 0)
-        )
+
+        def delta(name: str) -> int:
+            return RUNNER_METRICS.counters.get(name, 0) - before.get(name, 0)
+
         checks.append(
-            ("heterogeneous resume finished every slot",
+            (f"jobs={jobs}: heterogeneous resume finished every slot",
              not any(isinstance(r, RunFailure) for r in resumed))
         )
         checks.append(
-            ("resume rode the heterogeneous batch kernel",
-             lanes >= 4 and trajectories >= 2)
+            (f"jobs={jobs}: resume rode the heterogeneous batch kernel",
+             delta("runner.batch_lanes") >= 4
+             and delta("runner.batch_trajectories") >= 2
+             and delta("runner.batch_errors") == 0
+             and (jobs < 2 or delta("runner.batch_pool_shards") >= 1))
         )
 
         clean = run_durable(
@@ -258,7 +269,8 @@ def het_durable_checks() -> list[tuple[str, bool]]:
             raise_on_error=False,
         )
         checks.append(
-            ("heterogeneous resume byte-identical to an uninterrupted run",
+            (f"jobs={jobs}: heterogeneous resume byte-identical to a clean "
+             "jobs=1 run",
              results_to_canonical_json(resumed)
              == results_to_canonical_json(clean))
         )
@@ -391,7 +403,8 @@ def main() -> int:
         ]
 
     checks.extend(durable_checks())
-    checks.extend(het_durable_checks())
+    checks.extend(het_durable_checks(jobs=1))
+    checks.extend(het_durable_checks(jobs=2))
     checks.extend(cache_failure_checks())
 
     width = max(len(label) for label, _ in checks)
@@ -415,6 +428,6 @@ def main() -> int:
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "--durable-child":
         sys.exit(durable_child(sys.argv[2]))
-    if len(sys.argv) == 3 and sys.argv[1] == "--het-durable-child":
-        sys.exit(het_durable_child(sys.argv[2]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--het-durable-child":
+        sys.exit(het_durable_child(sys.argv[2], int(sys.argv[3])))
     sys.exit(main())
