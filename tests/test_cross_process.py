@@ -7,6 +7,9 @@ this repository drifted between runs.  This module runs :func:`probe` in
 two child interpreters with different salts and compares both with the
 value computed in the test process.
 
+:data:`PINNED` fixes the fingerprint bytes themselves: a cache key that
+changes without a ``CACHE_SCHEMA`` bump silently orphans every cache.
+
 Run it directly to print the probe as JSON:
 ``PYTHONPATH=src python tests/test_cross_process.py``.
 """
@@ -79,6 +82,51 @@ def test_probe_is_independent_of_the_hash_salt(hash_seed, in_process):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     assert json.loads(child.stdout) == in_process
+
+
+#: sha256 cache keys of one spec of each shape, at ``CACHE_SCHEMA`` 2.
+PINNED = {
+    "run": "45dded0e679604ca9f6dbe683a112ebbfdab11f17cb584b1cd741827aa26f3c1",
+    "telemetry": "527ec0eaa257ebeba1b90637bb3b7cd09c7ea80cee342346f37e6521336afd84",
+    "trace": "09fa9ba154eca33d456aef2df729f2f45440e0e868026cd5f75df95c8bd4ae2c",
+    "quantum": "1a241433cc96da88ea7e2d2168f7250c74b569d1f52c8d1b43320d5d37f3412c",
+    "faults": "2a339fc4b3f84d5501b23bb9340acd9e22bb6b3c1923834723a95649330fcea3",
+    "campaign": "0105322d6169f7003c872992abce15d632a8f3e63dddc9856f8154c38adb5462",
+}
+
+
+def pinned_specs() -> dict:
+    from repro.config import scaled_config
+    from repro.faults import FaultPlan, SensorFaultPlan, WorkerFaultPlan
+    from repro.sim import CampaignSpec, RunSpec
+
+    base = scaled_config(time_scale=20_000.0, quantum_cycles=3_000)
+    sedation = base.with_policy("sedation")
+    faults = FaultPlan(
+        seed=3,
+        sensor=SensorFaultPlan(mode="dropout", rate=0.2),
+        worker=WorkerFaultPlan(fail_attempts=1),
+    )
+    return {
+        "run": RunSpec(("gzip", "variant2"), sedation),
+        "telemetry": RunSpec(("gzip", "variant2"), sedation, telemetry=True),
+        "trace": RunSpec(("gzip", "variant2"), sedation, trace=True),
+        "quantum": RunSpec(
+            ("mcf", "idle"), base.with_ideal_sink(), quantum_cycles=2_000
+        ),
+        "faults": RunSpec(("gcc", "swim"), base.with_faults(faults)),
+        "campaign": CampaignSpec(
+            ("gzip", "variant2"), base.with_policy("stop_and_go"), quanta=3
+        ),
+    }
+
+
+def test_fingerprints_match_their_pins():
+    from repro.sim import spec_fingerprint
+
+    assert {
+        name: spec_fingerprint(spec) for name, spec in pinned_specs().items()
+    } == PINNED
 
 
 if __name__ == "__main__":
