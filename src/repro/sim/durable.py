@@ -1,24 +1,29 @@
-"""Durable campaigns: crash-safe journal, checkpoint/resume, drain.
+"""The campaign driver, and durable campaigns: journal, resume, drain.
 
-:func:`~repro.sim.parallel.run_many` already survives flaky specs, hung
-workers, and broken pools — but only *within* one process lifetime.  Kill
-the driver (OOM, SIGKILL, a pulled node) and everything not yet in the
-cache is forgotten: which specs were in flight, which had burned retries,
-which campaign the runs belonged to.  This module adds the missing
-process-death axis (docs/robustness.md):
+:func:`drive_campaign` is the one driver every campaign runs through: it
+fingerprints and dedupes the slots, serves cache hits, dispatches the
+misses through :func:`~repro.sim.parallel.dispatch`'s tiers (each result
+cached as it lands), then fills every slot, emits the lane events,
+publishes the rollup and raises.  :func:`~repro.sim.parallel.run_many` is
+that driver without a journal.  The tiers survive flaky specs, hung
+workers and broken pools, but only *within* one process lifetime.  Kill
+the driver (OOM, SIGKILL, a pulled node) and nothing records which specs
+were in flight, which had failed, which campaign the runs belonged to.
+This module adds the missing process-death axis (docs/robustness.md):
 
 * **write-ahead journal** — every campaign lifecycle transition (submit,
-  lease, attempt failure, completion, breaker trip, seal) is an
-  append-only record under ``<cache_dir>/journal/<campaign_id>/``,
-  published with the same tmp + ``os.replace`` + fsync discipline as the
-  run cache, keyed by the existing
-  :func:`~repro.sim.parallel.spec_fingerprint`;
+  lease, failure, completion, breaker trip, seal) is an append-only
+  record under ``<cache_dir>/journal/<campaign_id>/``, published with the
+  same tmp + ``os.replace`` + fsync discipline as the run cache, keyed by
+  the existing :func:`~repro.sim.parallel.spec_fingerprint`.  Each
+  outcome is journaled as it lands, after its cache entry is stored, so a
+  killed campaign keeps every spec that had finished;
 * **checkpoint/resume** — :func:`resume_campaign` replays the journal,
-  verifies completed entries against the cache (divergences are
-  quarantined and re-run), reclaims leases orphaned by dead or stale
-  pids, and re-dispatches only the unfinished tail through the normal
-  cache → batch → pool tiers.  The merged result list is byte-identical
-  to what the uninterrupted campaign would have returned;
+  reclaims leases orphaned by dead or stale pids, and drives the
+  campaign again: the driver's cache lookup verifies every completed
+  entry (divergences are quarantined and re-run) and only the unfinished
+  tail is dispatched.  The merged result list is byte-identical to what
+  the uninterrupted campaign would have returned;
 * **supervised graceful shutdown** — :func:`run_durable` installs
   SIGTERM/SIGINT handlers that translate the signal into the runner's
   graceful drain (stop dispatching, let in-flight chunks finish inside a
@@ -44,6 +49,7 @@ import pickle
 import signal
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,8 +64,10 @@ from .parallel import (
     RunSpec,
     _cache_load,
     _campaign_to_dict,
-    _emit_campaign_events,
-    run_many,
+    _Ledger,
+    _sweep_stale_tmp,
+    dispatch,
+    pid_alive,
     spec_fingerprint,
 )
 from .results import result_to_dict
@@ -110,17 +118,6 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
             os.close(dir_fd)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknowable pids count as alive."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
 
 
 def breaker_family(spec: RunSpec | CampaignSpec) -> str:
@@ -283,16 +280,6 @@ class CampaignState:
                 out.append(key)
         return out
 
-    def unresolved(self) -> list[str]:
-        """Fingerprints with no terminal journal state yet."""
-        return [
-            key
-            for key in self.order
-            if key not in self.completed
-            and key not in self.failed
-            and key not in self.skipped
-        ]
-
 
 def replay(journal: CampaignJournal) -> CampaignState:
     """Fold the journal into a :class:`CampaignState`.
@@ -436,7 +423,7 @@ class _HeartbeatThread(threading.Thread):
             self.join(timeout=2.0)
 
 
-# -- the durable driver ------------------------------------------------------
+# -- the campaign driver -----------------------------------------------------
 
 
 def _failure_from_record(record: dict) -> RunFailure:
@@ -449,234 +436,336 @@ def _failure_from_record(record: dict) -> RunFailure:
     )
 
 
-def _drive(
-    journal: CampaignJournal,
-    state: CampaignState,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
+def _breaker_open(
+    spec: RunSpec | CampaignSpec, key: str, family: str, breaker: dict
+) -> RunFailure:
+    return RunFailure(
+        workloads=spec.workloads,
+        fingerprint=key,
+        kind="breaker_open",
+        error=(
+            f"family {family!r} breaker is open "
+            f"(tripped by {str(breaker.get('fingerprint'))[:12]}; "
+            "resume with force=True to re-close)"
+        ),
+        attempts=0,
+    )
+
+
+class _Campaign:
+    """A journaled campaign, as :func:`drive_campaign` sees it.
+
+    The driver tells it which specs are about to be dispatched
+    (:meth:`lease`), each terminal outcome as it lands (:meth:`landed`,
+    after the result's cache entry is stored) and the end (:meth:`seal`);
+    :meth:`supervised` wraps the dispatch in the drain supervisor and the
+    lease heartbeat.  ``resumed`` campaigns journal a ``resume`` record
+    before their first lease.
+    """
+
+    def __init__(
+        self,
+        journal: CampaignJournal,
+        state: CampaignState,
+        telemetry,
+        *,
+        resumed: bool = False,
+        force: bool = False,
+    ) -> None:
+        self.journal = journal
+        self.state = state
+        enabled = telemetry is not None and telemetry.enabled
+        self.telemetry = telemetry if enabled else None
+        self.resumed = resumed
+        self.force = force
+        self.pid = os.getpid()
+
+    def settled(self) -> tuple[dict, dict]:
+        """Outcomes and sources of the slots the journal already settled.
+
+        Failed and breaker-skipped specs stay settled on a resume without
+        ``force`` (which clears them from the state first).
+        """
+        state = self.state
+        outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+        sources: dict[str, str] = {}
+        for key, record in state.failed.items():
+            outcomes[key] = _failure_from_record(record)
+            sources[key] = "journal"
+        for key, family in state.skipped.items():
+            outcomes[key] = _breaker_open(
+                state.specs[key], key, family, state.breakers.get(family, {})
+            )
+            sources[key] = "breaker"
+        return outcomes, sources
+
+    def looked_up(self, key: str, hit) -> str | None:
+        """Account one cache lookup; returns the slot's source on a hit.
+
+        A key the journal calls completed is verified by its hit, or
+        re-runs on a miss (the checked reader quarantined or never found
+        the entry).  A hit the journal has not recorded is journaled
+        completed now.
+        """
+        completed = self.state.completed
+        if hit is None:
+            if key in completed:
+                completed.discard(key)
+                RUNNER_METRICS.inc("runner.campaign_reverify_missing")
+            return None
+        if key in completed:
+            RUNNER_METRICS.inc("runner.campaign_verified")
+            return "journal"
+        self.journal.append({"type": "completed", "fingerprint": key})
+        completed.add(key)
+        return "cache"
+
+    def lease(self, ledger: _Ledger) -> None:
+        """Journal the dispatch: a lease per spec, a skip per open family.
+
+        A spec whose family's breaker is already open is booked
+        ``breaker_open`` instead of dispatched.
+        """
+        state = self.state
+        if self.resumed:
+            completed, pending = len(state.completed), len(ledger.work)
+            self.journal.append(
+                {"type": "resume", "campaign": state.campaign_id,
+                 "pid": self.pid, "completed": completed,
+                 "pending": pending, "reclaimed": state.reclaimed,
+                 "force": self.force}
+            )
+            if self.telemetry is not None:
+                self.telemetry.emit(
+                    EventType.CAMPAIGN_RESUME,
+                    cycle=0,
+                    data={"campaign": state.campaign_id,
+                          "completed": completed, "pending": pending,
+                          "reclaimed": state.reclaimed},
+                )
+        leased = 0
+        for key, spec in ledger.work:
+            family = breaker_family(spec)
+            breaker = state.breakers.get(family)
+            if breaker is not None:
+                RUNNER_METRICS.inc("runner.breaker_skipped")
+                self.journal.append(
+                    {"type": "skipped", "fingerprint": key, "family": family}
+                )
+                state.skipped[key] = family
+                ledger.book(key, _breaker_open(spec, key, family, breaker),
+                            "breaker")
+                continue
+            self.journal.append(
+                {"type": "lease", "fingerprint": key, "pid": self.pid}
+            )
+            state.leases[key] = self.pid
+            if self.telemetry is not None:
+                self.telemetry.emit(
+                    EventType.CAMPAIGN_LEASE,
+                    cycle=leased,
+                    data={"fingerprint": key, "pid": self.pid},
+                )
+            leased += 1
+
+    def landed(
+        self, key: str, outcome: RunResult | CampaignResult | RunFailure
+    ) -> None:
+        """Journal one terminal outcome; a failure trips its family open.
+
+        An ``interrupted`` slot keeps its lease: this pid reclaims it on
+        an in-process resume, a successor once the heartbeat goes stale.
+        A ``breaker_open`` slot was journaled ``skipped`` at lease time.
+        """
+        state = self.state
+        if not isinstance(outcome, RunFailure):
+            self.journal.append({"type": "completed", "fingerprint": key})
+            state.completed.add(key)
+        elif outcome.kind in ("interrupted", "breaker_open"):
+            return
+        else:
+            record = {
+                "type": "failed", "fingerprint": key, "kind": outcome.kind,
+                "error": outcome.error, "attempts": outcome.attempts,
+                "workloads": list(outcome.workloads),
+            }
+            self.journal.append(record)
+            state.failed[key] = record
+            family = breaker_family(state.specs[key])
+            if family not in state.breakers:
+                RUNNER_METRICS.inc("runner.breaker_trips")
+                breaker = {
+                    "type": "breaker", "family": family, "state": "open",
+                    "fingerprint": key, "attempts": outcome.attempts,
+                }
+                self.journal.append(breaker)
+                state.breakers[family] = breaker
+                if self.telemetry is not None:
+                    self.telemetry.emit(
+                        EventType.BREAKER_OPEN,
+                        cycle=state.manifest.index(key),
+                        data={"family": family, "fingerprint": key,
+                              "attempts": outcome.attempts},
+                    )
+        state.leases.pop(key, None)
+
+    @contextmanager
+    def supervised(self):
+        """Drain on SIGTERM/SIGINT and beat the lease heartbeat meanwhile."""
+        supervisor = _DrainSupervisor()
+        supervisor.install()
+        heartbeat = _HeartbeatThread(self.journal)
+        heartbeat.start()
+        try:
+            yield
+        finally:
+            heartbeat.stop()
+            supervisor.uninstall()
+
+    def seal(self, results: list, interrupted: bool) -> None:
+        state = self.state
+        status = "resumable" if interrupted else "complete"
+        self.journal.append(
+            {
+                "type": "seal",
+                "status": status,
+                "completed": len(state.completed),
+                "failed": len(state.failed),
+                "skipped": len(state.skipped),
+                "interrupted": sum(
+                    1 for r in results
+                    if isinstance(r, RunFailure) and r.kind == "interrupted"
+                ),
+            }
+        )
+        state.sealed = status
+        if interrupted:
+            RUNNER_METRICS.inc("runner.campaign_drained")
+
+
+def _emit_lane_events(
+    telemetry,
+    spec_list: list[RunSpec | CampaignSpec],
+    keys: list[str],
+    results: list,
     sources: dict[str, str],
+    lane_info: dict[str, dict],
+) -> None:
+    """Emit one LANE_COMPLETE per input slot on the campaign session.
+
+    The event's ``cycle`` is the lane index (campaign sessions count lanes,
+    not simulated cycles); ``data`` names the tier that produced the slot
+    (``cache``/``batch``/``pool``/``serial``, ``journal`` or ``breaker``
+    on a resume, ``drained`` when interrupted) and, for batch lanes, which
+    cohort the lane ended its quantum in.
+    """
+    for index, (spec, key) in enumerate(zip(spec_list, keys, strict=True)):
+        result = results[index]
+        data: dict = {
+            "lane": index,
+            "source": sources[key],
+            "workloads": "+".join(spec.workloads),
+            "policy": spec.config.dtm_policy,
+        }
+        info = lane_info.get(key)
+        if info is not None:
+            data.update(info)
+        if isinstance(result, RunFailure):
+            data["error"] = result.kind
+        else:
+            final = result.final if isinstance(result, CampaignResult) else result
+            data["cycles"] = final.cycles
+            data["ipc"] = final.threads[0].ipc
+        telemetry.emit(
+            # repro: noqa(RPR008) success and failure lanes intentionally
+            # carry different keys (cycles/ipc vs error), and cohort tags
+            # are batch-tier-only; tests pin this exact shape
+            EventType.LANE_COMPLETE, cycle=index, data=data,
+        )
+
+
+def drive_campaign(
+    spec_list: list[RunSpec | CampaignSpec],
     *,
     directory: Path | None,
     jobs: int | None,
-    telemetry,
-) -> bool:
-    """Dispatch every unresolved spec in waves; returns True if drained.
-
-    Each wave is journaled (lease per spec) and then handed to the normal
-    :func:`~repro.sim.parallel.run_many` tiers with per-wave rollups
-    suppressed — the durable layer publishes one rollup for the whole
-    campaign.  Terminal failures trip their family's breaker open, and
-    open breakers short-circuit later waves of the same family.
-    """
-    options = state.options
-    timeout = options.get("timeout")
-    retries = int(options.get("retries", 0))
-    batch = bool(options.get("batch", True))
-    wave_size = options.get("wave_size")
-    pid = os.getpid()
-
-    supervisor = _DrainSupervisor()
-    supervisor.install()
-    heartbeat = _HeartbeatThread(journal)
-    heartbeat.start()
-    interrupted = False
-    lease_ordinal = 0
-    try:
-        pending = [key for key in state.unresolved() if key not in outcomes]
-        waves: list[list[str]] = []
-        if wave_size:
-            waves = [
-                pending[start : start + int(wave_size)]
-                for start in range(0, len(pending), int(wave_size))
-            ]
-        elif pending:
-            waves = [pending]
-        for wave_index, wave in enumerate(waves):
-            if supervisor.draining:
-                interrupted = True
-                break
-            dispatch: list[str] = []
-            for key in wave:
-                spec = state.specs[key]
-                family = breaker_family(spec)
-                breaker = state.breakers.get(family)
-                if breaker is not None:
-                    RUNNER_METRICS.inc("runner.breaker_skipped")
-                    journal.append(
-                        {"type": "skipped", "fingerprint": key,
-                         "family": family}
-                    )
-                    state.skipped[key] = family
-                    outcomes[key] = RunFailure(
-                        workloads=spec.workloads,
-                        fingerprint=key,
-                        kind="breaker_open",
-                        error=(
-                            f"family {family!r} breaker is open "
-                            f"(tripped by {str(breaker.get('fingerprint'))[:12]}; "
-                            "resume with force=True to re-close)"
-                        ),
-                        attempts=0,
-                    )
-                    sources[key] = "breaker"
-                    continue
-                journal.append(
-                    {"type": "lease", "fingerprint": key, "pid": pid,
-                     "wave": wave_index}
-                )
-                state.leases[key] = pid
-                if telemetry is not None and telemetry.enabled:
-                    telemetry.emit(
-                        EventType.CAMPAIGN_LEASE,
-                        cycle=lease_ordinal,
-                        data={"fingerprint": key, "pid": pid,
-                              "wave": wave_index},
-                    )
-                lease_ordinal += 1
-                dispatch.append(key)
-            if not dispatch:
-                continue
-            wave_results = run_many(
-                [state.specs[key] for key in dispatch],
-                jobs=jobs,
-                cache_dir=directory,
-                cache=directory is not None,
-                timeout=timeout,
-                retries=retries,
-                raise_on_error=False,
-                batch=batch,
-                telemetry=None,
-                rollup=False,
-            )
-            for key, outcome in zip(dispatch, wave_results, strict=True):
-                spec = state.specs[key]
-                if isinstance(outcome, RunFailure):
-                    if outcome.kind == "interrupted":
-                        # Keep the lease: our own pid reclaims it on the
-                        # in-process resume, a successor reclaims it once
-                        # our heartbeat goes stale.
-                        interrupted = True
-                        outcomes[key] = outcome
-                        sources[key] = "drained"
-                        continue
-                    journal.append(
-                        {"type": "failed", "fingerprint": key,
-                         "kind": outcome.kind, "error": outcome.error,
-                         "attempts": outcome.attempts,
-                         "workloads": list(outcome.workloads)}
-                    )
-                    state.failed[key] = {
-                        "fingerprint": key, "kind": outcome.kind,
-                        "error": outcome.error,
-                        "attempts": outcome.attempts,
-                        "workloads": list(outcome.workloads),
-                    }
-                    family = breaker_family(spec)
-                    if family not in state.breakers:
-                        RUNNER_METRICS.inc("runner.breaker_trips")
-                        record = {
-                            "type": "breaker", "family": family,
-                            "state": "open", "fingerprint": key,
-                            "attempts": outcome.attempts,
-                        }
-                        journal.append(record)
-                        state.breakers[family] = record
-                        if telemetry is not None and telemetry.enabled:
-                            telemetry.emit(
-                                EventType.BREAKER_OPEN,
-                                cycle=wave_index,
-                                data={"family": family,
-                                      "fingerprint": key,
-                                      "attempts": outcome.attempts},
-                            )
-                    outcomes[key] = outcome
-                    sources[key] = "wave"
-                else:
-                    journal.append({"type": "completed", "fingerprint": key})
-                    state.completed.add(key)
-                    outcomes[key] = outcome
-                    sources[key] = "wave"
-                state.leases.pop(key, None)
-            if interrupted:
-                break
-    except KeyboardInterrupt:
-        # The signal landed between waves (run_many drains internally and
-        # returns partial results when it can).
-        interrupted = True
-    finally:
-        heartbeat.stop()
-        supervisor.uninstall()
-
-    if interrupted:
-        RUNNER_METRICS.inc("runner.campaign_drained")
-    return interrupted
-
-
-def _assemble(
-    state: CampaignState,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-    sources: dict[str, str],
-    attempts_hint: int = 0,
-) -> list[RunResult | CampaignResult | RunFailure]:
-    """Per-manifest-slot results, filling never-dispatched slots."""
-    results: list[RunResult | CampaignResult | RunFailure] = []
-    for key in state.manifest:
-        outcome = outcomes.get(key)
-        if outcome is None:
-            spec = state.specs[key]
-            outcome = RunFailure(
-                workloads=spec.workloads,
-                fingerprint=key,
-                kind="interrupted",
-                error="campaign drained before this spec was dispatched",
-                attempts=attempts_hint,
-            )
-            outcomes[key] = outcome
-            sources.setdefault(key, "drained")
-        results.append(outcome)
-    return results
-
-
-def _finish(
-    journal: CampaignJournal,
-    state: CampaignState,
-    outcomes: dict,
-    sources: dict[str, str],
-    interrupted: bool,
-    *,
-    directory: Path | None,
-    telemetry,
+    timeout: float | None,
+    retries: int,
     raise_on_error: bool,
+    batch: bool,
+    telemetry,
+    campaign: _Campaign | None = None,
 ) -> list[RunResult | CampaignResult | RunFailure]:
-    """Seal the journal, publish the rollup, emit events, honor errors."""
-    results = _assemble(state, outcomes, sources)
-    failures = [r for r in results if isinstance(r, RunFailure)]
-    status = "resumable" if interrupted else "complete"
-    journal.append(
-        {
-            "type": "seal",
-            "status": status,
-            "completed": len(state.completed),
-            "failed": len(state.failed),
-            "skipped": len(state.skipped),
-            "interrupted": sum(
-                1 for r in failures if r.kind == "interrupted"
-            ),
-        }
-    )
-    state.sealed = status
+    """The one campaign driver: specs in, index-aligned results out.
 
-    spec_list = [state.specs[key] for key in state.manifest]
+    Fingerprints and dedupes the slots, serves hits from the cache and
+    hands the misses to :func:`~repro.sim.parallel.dispatch` (batch →
+    pool/serial tiers, each result cached as it lands).  Then it fills
+    every slot, emits one ``LANE_COMPLETE`` per slot, publishes the rollup
+    (not after an interrupt) and raises as ``raise_on_error`` asks.  An
+    interrupt anywhere in the dispatch leaves every unfinished slot an
+    ``interrupted`` :class:`~repro.sim.parallel.RunFailure`.
+
+    :func:`~repro.sim.parallel.run_many` is this driver without a
+    ``campaign``.  With one, the journal is told what is about to be
+    dispatched, each terminal outcome as it lands, and the seal, so a
+    driver killed midway loses no finished spec.
+    """
+    if retries < 0:
+        raise SimulationError("retries must be >= 0")
+    if timeout is not None and timeout <= 0:
+        raise SimulationError("timeout must be positive")
+    if campaign is None:
+        keys = [spec_fingerprint(spec) for spec in spec_list]
+        outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+        sources: dict[str, str] = {}
+    else:
+        keys = campaign.state.manifest
+        outcomes, sources = campaign.settled()
+    if directory is not None and directory.is_dir():
+        _sweep_stale_tmp(directory)
+
+    pending: dict[str, RunSpec | CampaignSpec] = {}
+    for key, spec in zip(keys, spec_list, strict=True):
+        if key in outcomes or key in pending:
+            continue
+        hit = _cache_load(directory, key)
+        source = "cache" if campaign is None else campaign.looked_up(key, hit)
+        if hit is None:
+            pending[key] = spec
+        else:
+            outcomes[key] = hit
+            sources[key] = source
+
+    ledger = _Ledger(
+        list(pending.items()), directory, timeout, retries,
+        None if campaign is None else campaign.landed,
+    )
+    try:
+        with nullcontext() if campaign is None else campaign.supervised():
+            if campaign is not None:
+                campaign.lease(ledger)
+            dispatch(ledger, jobs, batch)
+    except KeyboardInterrupt:
+        # Landed outside the tiers' own drain (they book and return).
+        ledger.interrupt_rest()
+    outcomes.update(ledger.outcomes)
+    sources.update(ledger.sources)
+    interrupted = ledger.interrupted
+    results = [outcomes[key] for key in keys]
+    if campaign is not None:
+        campaign.seal(results, interrupted)
+
     if telemetry is not None and telemetry.enabled:
-        _emit_campaign_events(
-            telemetry, spec_list, list(state.manifest), results, sources, {}
+        _emit_lane_events(
+            telemetry, spec_list, keys, results, sources, ledger.lane_info
         )
-    if directory is not None and not interrupted and len(state.manifest) >= 2:
-        payload = build_rollup(
-            list(zip(spec_list, state.manifest, results, strict=True))
-        )
+    if directory is not None and len(spec_list) >= 2 and not interrupted:
+        payload = build_rollup(list(zip(spec_list, keys, results, strict=True)))
         try:
             write_rollup(directory, payload)
         except OSError:
+            # Derived from results in hand, like a cache entry.
             RUNNER_METRICS.inc("cache.store_failures")
         if telemetry is not None and telemetry.enabled:
             telemetry.emit(
@@ -686,25 +775,30 @@ def _finish(
                       "failures": payload["failures"]},
             )
 
-    if raise_on_error:
-        if interrupted:
-            raise KeyboardInterrupt(
-                f"campaign {state.campaign_id} drained: sealed resumable "
-                f"({len(state.completed)} completed)"
-            )
-        if failures:
-            detail = "; ".join(
-                f"{'+'.join(f.workloads)}: {f.kind} after {f.attempts} "
-                f"attempt(s) ({f.error})"
-                for f in failures[:3]
-            )
-            more = (
-                f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-            )
-            raise SimulationError(
-                f"{len(failures)} of {len(state.manifest)} spec(s) failed "
-                f"in campaign {state.campaign_id}: {detail}{more}"
-            )
+    if not raise_on_error:
+        return results
+    failures = [r for r in results if isinstance(r, RunFailure)]
+    where = "" if campaign is None else f" in campaign {campaign.state.campaign_id}"
+    if interrupted:
+        # Cleanup is done (finished outcomes cached and journaled, the
+        # journal sealed resumable); now honor the interrupt so callers'
+        # handlers still fire.
+        unfinished = sum(1 for f in failures if f.kind == "interrupted")
+        raise KeyboardInterrupt(
+            f"interrupted{where}: {unfinished} of {len(keys)} spec(s) "
+            "unfinished"
+        )
+    if failures:
+        detail = "; ".join(
+            f"{'+'.join(f.workloads)}: {f.kind} after {f.attempts} "
+            f"attempt(s) ({f.error})"
+            for f in failures[:3]
+        )
+        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
+        raise SimulationError(
+            f"{len(failures)} of {len(keys)} spec(s) failed{where}: "
+            f"{detail}{more}"
+        )
     return results
 
 
@@ -718,24 +812,23 @@ def run_durable(
     retries: int = 0,
     raise_on_error: bool = True,
     batch: bool = True,
-    wave_size: int | None = None,
     telemetry=None,
 ) -> list[RunResult | CampaignResult | RunFailure]:
     """Run a campaign under the crash-safe journal.
 
     Semantics match :func:`~repro.sim.parallel.run_many` (input-order
     results, cache/batch/pool tiers, partial results with
-    ``raise_on_error=False``) plus the durable contract: every lifecycle
-    transition is journaled *before* it takes effect, SIGTERM/SIGINT
-    drain gracefully into a ``resumable`` seal, and a later
+    ``raise_on_error=False``) plus the durable contract: the submit and
+    every lease are journaled before dispatch, each spec's outcome is
+    journaled as it lands (its cache entry first), SIGTERM/SIGINT drain
+    gracefully into a ``resumable`` seal, and a later
     :func:`resume_campaign` (or ``repro campaign resume``) completes the
-    tail with results byte-identical to an uninterrupted run.
+    tail with results byte-identical to an uninterrupted run.  A driver
+    killed outright keeps every spec that had finished.
 
-    ``wave_size`` bounds how many specs are leased per dispatch wave
-    (``None`` = everything at once, preserving the batch tier's full
-    amortization).  Calling :func:`run_durable` again with the same spec
-    list and an existing journal is an implicit resume — the restarted
-    driver finds its own half-finished campaign.
+    Calling :func:`run_durable` again with the same spec list and an
+    existing journal is an implicit resume — the restarted driver finds
+    its own half-finished campaign.
     """
     if cache_dir is None:
         raise SimulationError(
@@ -746,20 +839,19 @@ def run_durable(
         return []
     directory = Path(cache_dir)
     manifest = [spec_fingerprint(spec) for spec in spec_list]
-    derived = derive_campaign_id(manifest)
-    campaign = campaign_id or derived
-    journal = CampaignJournal(directory, campaign)
+    campaign_id = campaign_id or derive_campaign_id(manifest)
+    journal = CampaignJournal(directory, campaign_id)
 
     if journal.exists():
         existing = replay(journal)
         if existing.manifest != manifest:
             raise SimulationError(
-                f"campaign {campaign} already has a journal with a "
+                f"campaign {campaign_id} already has a journal with a "
                 f"different manifest ({len(existing.manifest)} slot(s) vs "
                 f"{len(manifest)}); pick another campaign_id or resume it"
             )
         return resume_campaign(
-            campaign,
+            campaign_id,
             cache_dir=directory,
             jobs=jobs,
             raise_on_error=raise_on_error,
@@ -767,24 +859,17 @@ def run_durable(
         )
 
     state = CampaignState(
-        campaign_id=campaign,
+        campaign_id=campaign_id,
         manifest=manifest,
-        specs={
-            key: spec
-            for key, spec in zip(manifest, spec_list, strict=True)
-        },
-        options={
-            "timeout": timeout,
-            "retries": retries,
-            "batch": batch,
-            "wave_size": wave_size,
-        },
+        specs=dict(zip(manifest, spec_list, strict=True)),
+        options={"timeout": timeout, "retries": retries, "batch": batch},
     )
+    campaign: _Campaign | None = _Campaign(journal, state, telemetry)
     try:
         journal.append(
             {
                 "type": "submit",
-                "campaign": campaign,
+                "campaign": campaign_id,
                 "schema": JOURNAL_SCHEMA,
                 "manifest": manifest,
                 "specs": {
@@ -799,22 +884,11 @@ def run_durable(
         # is nothing to resume: run the specs as a plain batch, whose
         # failed cache writes are counted rather than raised.
         RUNNER_METRICS.inc("runner.campaign_unjournaled")
-        return run_many(
-            spec_list, jobs=jobs, cache_dir=directory, timeout=timeout,
-            retries=retries, raise_on_error=raise_on_error, batch=batch,
-            telemetry=telemetry,
-        )
-
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
-    sources: dict[str, str] = {}
-    interrupted = _drive(
-        journal, state, outcomes, sources,
-        directory=directory, jobs=jobs, telemetry=telemetry,
-    )
-    return _finish(
-        journal, state, outcomes, sources, interrupted,
-        directory=directory, telemetry=telemetry,
-        raise_on_error=raise_on_error,
+        campaign = None
+    return drive_campaign(
+        spec_list, directory=directory, jobs=jobs, timeout=timeout,
+        retries=retries, raise_on_error=raise_on_error, batch=batch,
+        telemetry=telemetry, campaign=campaign,
     )
 
 
@@ -827,9 +901,7 @@ def resume_campaign(
     raise_on_error: bool = True,
     telemetry=None,
     lease_stale_s: float = DEFAULT_LEASE_STALE_S,
-    timeout: float | None = None,
     retries: int | None = None,
-    batch: bool | None = None,
 ) -> list[RunResult | CampaignResult | RunFailure]:
     """Replay a campaign's journal and finish its unfinished tail.
 
@@ -841,17 +913,19 @@ def resume_campaign(
        heartbeat means another driver is still running: refuse, loudly.
        Leases whose pid is dead, whose heartbeat is stale, or that belong
        to this very process are reclaimed (journaled, counted);
-    3. **cache verification** — every ``completed`` fingerprint is
-       re-loaded through the cache's checked reader; a divergent entry is
-       quarantined by the reader and the spec re-joins the pending tail;
-    4. **breaker handling** — ``force=True`` journals every open breaker
+    3. **breaker handling** — ``force=True`` journals every open breaker
        closed and returns failed/skipped specs to the tail; otherwise
-       open-family specs stay skipped;
-    5. **dispatch** — the tail runs through the normal tiers; the merged
-       per-slot result list is byte-identical to an uninterrupted run.
+       they stay settled, and unfinished specs of an open family are
+       skipped;
+    4. **dispatch** — :func:`drive_campaign` runs the rest.  Its cache
+       lookup verifies every ``completed`` fingerprint through the cache's
+       checked reader (``runner.campaign_verified``); a divergent entry is
+       quarantined by the reader and the spec re-runs
+       (``runner.campaign_reverify_missing``).  The merged per-slot
+       result list is byte-identical to an uninterrupted run.
 
-    ``timeout``/``retries``/``batch`` override the journaled options when
-    given (e.g. granting a poison spec more retries on a forced resume).
+    ``retries`` overrides the journaled retry budget when given (e.g.
+    granting a poison spec more retries on a forced resume).
     """
     if cache_dir is None:
         raise SimulationError(
@@ -863,11 +937,10 @@ def resume_campaign(
     RUNNER_METRICS.inc("runner.campaign_resumes")
     pid = os.getpid()
 
-    # 2. lease audit ------------------------------------------------------
     for key, holder in list(state.leases.items()):
         if (
             holder != pid
-            and _pid_alive(holder)
+            and pid_alive(holder)
             and journal.heartbeat_fresh(holder, lease_stale_s)
         ):
             raise SimulationError(
@@ -883,22 +956,6 @@ def resume_campaign(
         state.reclaimed += 1
         RUNNER_METRICS.inc("runner.campaign_reclaimed")
 
-    # 3. cache verification ----------------------------------------------
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
-    sources: dict[str, str] = {}
-    for key in sorted(state.completed):
-        hit = _cache_load(directory, key)
-        if hit is None:
-            # The checked reader quarantined (or never found) the entry;
-            # the journal said done, the cache disagrees — re-run it.
-            state.completed.discard(key)
-            RUNNER_METRICS.inc("runner.campaign_reverify_missing")
-            continue
-        RUNNER_METRICS.inc("runner.campaign_verified")
-        outcomes[key] = hit
-        sources[key] = "journal"
-
-    # 4. breaker handling -------------------------------------------------
     if force:
         for family, record in list(state.breakers.items()):
             journal.append(
@@ -908,64 +965,20 @@ def resume_campaign(
             del state.breakers[family]
         state.failed.clear()
         state.skipped.clear()
-    else:
-        for key, record in state.failed.items():
-            outcomes[key] = _failure_from_record(record)
-            sources[key] = "journal"
-        for key, family in state.skipped.items():
-            spec = state.specs[key]
-            outcomes[key] = RunFailure(
-                workloads=spec.workloads,
-                fingerprint=key,
-                kind="breaker_open",
-                error=(
-                    f"family {family!r} breaker is open "
-                    "(resume with force=True to re-close)"
-                ),
-                attempts=0,
-            )
-            sources[key] = "breaker"
 
-    pending = [key for key in state.order if key not in outcomes]
-    journal.append(
-        {
-            "type": "resume",
-            "campaign": state.campaign_id,
-            "pid": pid,
-            "completed": len(state.completed),
-            "pending": len(pending),
-            "reclaimed": state.reclaimed,
-            "force": force,
-        }
-    )
-    if telemetry is not None and telemetry.enabled:
-        telemetry.emit(
-            EventType.CAMPAIGN_RESUME,
-            cycle=0,
-            data={
-                "campaign": state.campaign_id,
-                "completed": len(state.completed),
-                "pending": len(pending),
-                "reclaimed": state.reclaimed,
-            },
-        )
-
-    if timeout is not None:
-        state.options["timeout"] = timeout
-    if retries is not None:
-        state.options["retries"] = retries
-    if batch is not None:
-        state.options["batch"] = batch
-
-    # 5. dispatch ---------------------------------------------------------
-    interrupted = _drive(
-        journal, state, outcomes, sources,
-        directory=directory, jobs=jobs, telemetry=telemetry,
-    )
-    return _finish(
-        journal, state, outcomes, sources, interrupted,
-        directory=directory, telemetry=telemetry,
+    options = state.options
+    return drive_campaign(
+        [state.specs[key] for key in state.manifest],
+        directory=directory,
+        jobs=jobs,
+        timeout=options.get("timeout"),
+        retries=int(options.get("retries", 0) if retries is None else retries),
         raise_on_error=raise_on_error,
+        batch=bool(options.get("batch", True)),
+        telemetry=telemetry,
+        campaign=_Campaign(
+            journal, state, telemetry, resumed=True, force=force
+        ),
     )
 
 

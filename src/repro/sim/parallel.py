@@ -13,11 +13,15 @@ makes two things safe that are normally hazardous for simulators:
   reloaded from ``.repro_cache/`` instead of re-simulated, across
   interpreter invocations.
 
-:func:`run_many` combines both: consult the cache, dispatch only the
-misses, store what came back, and return results in input order.  The
-experiment harness (:class:`~repro.sim.experiment.ExperimentRunner`) and
-:func:`~repro.sim.campaign.run_campaign` route through it when given a
-cache directory and/or a job count.
+This module is the execution half of a campaign: specs, fingerprints,
+cache I/O, the worker entry point, and :func:`dispatch`'s tiers, which
+store each result in the cache as they book it.  The slot-level driver —
+dedupe, cache lookup, result slots, events, rollup, errors — is
+:func:`repro.sim.durable.drive_campaign`; :func:`run_many` is that
+driver without a journal.  The experiment harness
+(:class:`~repro.sim.experiment.ExperimentRunner`) and
+:func:`~repro.sim.campaign.run_campaign` route through :func:`run_many`
+when given a cache directory and/or a job count.
 
 The runner is hardened against the three ways a big campaign dies
 (docs/robustness.md):
@@ -55,8 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..config import SimulationConfig
-from ..errors import FaultError, SimulationError
-from ..telemetry.events import EventType
+from ..errors import FaultError
 from ..telemetry.metrics import MetricsRegistry
 from .batch import (
     LockstepInterrupted,
@@ -160,10 +163,29 @@ def default_jobs() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _plain(node):
+    """``dataclasses.asdict`` without its deep copies: a JSON-ready tree.
+
+    Dataclasses become dicts of their fields and tuples become lists, as
+    in ``asdict``; leaves are shared, not copied, since they are only
+    serialized.
+    """
+    if hasattr(node, "__dataclass_fields__"):
+        return {
+            field.name: _plain(getattr(node, field.name))
+            for field in dataclasses.fields(node)
+        }
+    if isinstance(node, (list, tuple)):
+        return [_plain(value) for value in node]
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    return node
+
+
 def spec_fingerprint(spec: RunSpec | CampaignSpec) -> str:
     """Deterministic SHA-256 key for one spec.
 
-    Hashes the *entire* configuration tree (``dataclasses.asdict``), so any
+    Hashes the *entire* configuration tree (every dataclass field), so any
     parameter change — thermal constants, cache geometry, seeds — yields a
     different key.  JSON with sorted keys keeps the byte stream stable
     across interpreter runs; there is deliberately no ``default=`` hook, so
@@ -174,7 +196,7 @@ def spec_fingerprint(spec: RunSpec | CampaignSpec) -> str:
         "schema": CACHE_SCHEMA,
         "result_format": FORMAT_VERSION,
         "kind": type(spec).__name__,
-        "config": dataclasses.asdict(spec.config),
+        "config": _plain(spec.config),
         "workloads": list(spec.workloads),
         "quantum_cycles": spec.quantum_cycles,
     }
@@ -444,6 +466,17 @@ def _cache_load(
         return None
 
 
+def pid_alive(pid: int) -> bool:
+    """Best-effort liveness probe; unknowable pids count as alive."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True  # PermissionError included: the pid exists
+    return True
+
+
 def _sweep_stale_tmp(cache_dir: Path) -> int:
     """Remove ``*.tmp`` files stranded by dead writers; returns the count.
 
@@ -457,14 +490,8 @@ def _sweep_stale_tmp(cache_dir: Path) -> int:
             pid = int(tmp.suffixes[-2].lstrip("."))
         except (ValueError, IndexError):
             continue
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            pass  # the writer is gone; its tmp file is garbage
-        except (PermissionError, OSError):
-            continue  # pid exists (or is unknowable): leave the file alone
-        else:
-            continue  # pid alive: an in-flight write
+        if pid_alive(pid):
+            continue  # an in-flight write (or an unknowable pid): leave it
         try:
             tmp.unlink()
             removed += 1
@@ -511,67 +538,151 @@ def _cache_store(
 # -- the batch runner --------------------------------------------------------
 
 
-def _note_failed_attempt(
-    key: str,
-    spec: RunSpec | CampaignSpec,
-    kind: str,
-    message: str,
-    attempts: dict[str, int],
-    retries: int,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-    retry_list: list[tuple[str, RunSpec | CampaignSpec]],
-) -> None:
-    """Book one failed attempt: queue a retry or record the RunFailure."""
-    attempts[key] += 1
-    RUNNER_METRICS.inc(f"runner.attempt_{kind}")
-    if attempts[key] > retries:
-        RUNNER_METRICS.inc("runner.failures")
-        outcomes[key] = RunFailure(
-            workloads=spec.workloads,
+class _Pool(ProcessPoolExecutor):
+    """A run's worker pool; it remembers its futures to know how to close."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(max_workers=workers, initializer=_mark_worker)
+        self._futures: list = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self._futures.append(future)
+        return future
+
+    def close(self) -> None:
+        """Cancel what never started, then shut down.
+
+        The workers are joined, so none outlives the run, unless a future
+        is still running after the caller stopped waiting for it (a
+        timeout, or a drain that gave up): a hung worker must not stall
+        the run past its timeout, so that pool is left to die with the
+        interpreter.
+        """
+        for future in self._futures:
+            future.cancel()
+        self.shutdown(wait=all(future.done() for future in self._futures))
+
+
+class _Ledger:
+    """One dispatch's books: its specs, attempt counts and landed outcomes.
+
+    :meth:`book` is the only way an outcome lands.  A result is stored in
+    the cache at once, so a driver killed a moment later loses nothing
+    that had finished, and every outcome is then handed to ``landed``,
+    the caller's hook (a durable campaign journals it there).  ``sources``
+    names the tier that booked each outcome and ``lane_info`` tags batch
+    lanes with their cohorts.
+    """
+
+    def __init__(
+        self,
+        work: list[tuple[str, RunSpec | CampaignSpec]],
+        directory: Path | None,
+        timeout: float | None,
+        retries: int,
+        landed=None,
+    ) -> None:
+        self.work = work
+        self.specs = dict(work)
+        self.attempts = dict.fromkeys(self.specs, 0)
+        self.outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+        self.sources: dict[str, str] = {}
+        self.lane_info: dict[str, dict] = {}
+        self.directory = directory
+        self.timeout = timeout
+        self.retries = retries
+        self._landed = landed
+
+    def book(
+        self, key: str, outcome: RunResult | CampaignResult | RunFailure,
+        source: str,
+    ) -> None:
+        self.outcomes[key] = outcome
+        self.sources[key] = source
+        if not isinstance(outcome, RunFailure):
+            _cache_store(self.directory, key, self.specs[key], outcome)
+        if self._landed is not None:
+            self._landed(key, outcome)
+
+    def unresolved(self) -> list[tuple[str, RunSpec | CampaignSpec]]:
+        return [(key, spec) for key, spec in self.work if key not in self.outcomes]
+
+    @property
+    def interrupted(self) -> bool:
+        return any(
+            isinstance(outcome, RunFailure) and outcome.kind == "interrupted"
+            for outcome in self.outcomes.values()
+        )
+
+    def fail(
+        self, key: str, kind: str, message: str, source: str,
+        retry_list: list[tuple[str, RunSpec | CampaignSpec]],
+    ) -> None:
+        """Book one failed attempt: queue a retry or book the RunFailure."""
+        self.attempts[key] += 1
+        RUNNER_METRICS.inc(f"runner.attempt_{kind}")
+        if self.attempts[key] > self.retries:
+            RUNNER_METRICS.inc("runner.failures")
+            self.book(key, self._failure(key, kind, message), source)
+        else:
+            RUNNER_METRICS.inc("runner.retries")
+            retry_list.append((key, self.specs[key]))
+
+    def interrupt_rest(self) -> None:
+        """Book an ``interrupted`` failure for every still-unresolved spec.
+
+        Interrupted slots are bookkeeping, not failed attempts: they consume
+        no retry budget and do not count toward ``runner.failures`` — a
+        resumed campaign re-dispatches them.
+        """
+        for key, _ in self.unresolved():
+            RUNNER_METRICS.inc("runner.interrupted_specs")
+            self.book(
+                key,
+                self._failure(
+                    key, "interrupted", "operator interrupt before completion"
+                ),
+                "drained",
+            )
+
+    def _failure(self, key: str, kind: str, message: str) -> RunFailure:
+        return RunFailure(
+            workloads=self.specs[key].workloads,
             fingerprint=key,
             kind=kind,
             error=message,
-            attempts=attempts[key],
+            attempts=self.attempts[key],
         )
-    else:
-        RUNNER_METRICS.inc("runner.retries")
-        retry_list.append((key, spec))
 
 
 def _run_serial(
     work: list[tuple[str, RunSpec | CampaignSpec]],
-    attempts: dict[str, int],
-    timeout: float | None,
-    retries: int,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
+    ledger: _Ledger,
+    source: str = "serial",
 ) -> None:
     """Execute specs in-process with the full retry/timeout discipline."""
+    timeout = ledger.timeout
     for key, spec in work:
-        while key not in outcomes:
-            attempt = attempts[key]
+        while key not in ledger.outcomes:
+            attempt = ledger.attempts[key]
+            retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
             try:
                 if timeout is not None:
-                    outcomes[key] = _execute_with_watchdog(
-                        spec, attempt, timeout
-                    )
+                    result = _execute_with_watchdog(spec, attempt, timeout)
                 else:
-                    outcomes[key] = _execute_attempt(spec, attempt)
+                    result = _execute_attempt(spec, attempt)
             except TimeoutError as error:
-                retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
-                _note_failed_attempt(
-                    key, spec, "timeout", str(error), attempts, retries,
-                    outcomes, retry_list,
-                )
-                if retry_list:
-                    time.sleep(_backoff_seconds(key, attempts[key]))
+                ledger.fail(key, "timeout", str(error), source, retry_list)
             except Exception as error:
-                retry_list = []
-                _note_failed_attempt(
-                    key, spec, "error", f"{type(error).__name__}: {error}",
-                    attempts, retries, outcomes, retry_list,
+                ledger.fail(
+                    key, "error", f"{type(error).__name__}: {error}", source,
+                    retry_list,
                 )
-                if retry_list:
-                    time.sleep(_backoff_seconds(key, attempts[key]))
+            else:
+                ledger.book(key, result, source)
+            if retry_list:
+                time.sleep(_backoff_seconds(key, ledger.attempts[key]))
 
 
 #: Extra wall seconds granted to a chunk future beyond the sum of its
@@ -597,36 +708,7 @@ def _chunk_size(pending: int, workers: int) -> int:
 DRAIN_GRACE_S = 5.0
 
 
-def _book_interrupted(
-    work: list[tuple[str, RunSpec | CampaignSpec]],
-    attempts: dict[str, int],
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-) -> None:
-    """Record an ``interrupted`` failure for every still-unresolved spec.
-
-    Interrupted slots are bookkeeping, not failed attempts: they consume no
-    retry budget and do not count toward ``runner.failures`` — a resumed
-    campaign re-dispatches them with their attempt counters intact.
-    """
-    for key, spec in work:
-        if key in outcomes:
-            continue
-        RUNNER_METRICS.inc("runner.interrupted_specs")
-        outcomes[key] = RunFailure(
-            workloads=spec.workloads,
-            fingerprint=key,
-            kind="interrupted",
-            error="operator interrupt before completion",
-            attempts=attempts.get(key, 0),
-        )
-
-
-def _drain_interrupted_pool(
-    futures: list,
-    remaining: list[tuple[str, RunSpec | CampaignSpec]],
-    attempts: dict[str, int],
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-) -> None:
+def _drain_interrupted_pool(futures: list, ledger: _Ledger) -> None:
     """Bounded drain of a pool round after an operator interrupt.
 
     Futures that never started are cancelled; chunks already running in a
@@ -649,16 +731,15 @@ def _drain_interrupted_pool(
             grace = 0.0
             continue
         for (key, _spec), (status, value) in zip(chunk, slots, strict=True):
-            if status == "ok" and key not in outcomes:
-                outcomes[key] = value
-    _book_interrupted(remaining, attempts, outcomes)
+            if status == "ok" and key not in ledger.outcomes:
+                ledger.book(key, value, "pool")
+    ledger.interrupt_rest()
 
 
 def _submit_round(
     pool: ProcessPoolExecutor,
     work: list[tuple[str, RunSpec | CampaignSpec]],
-    attempts: dict[str, int],
-    timeout: float | None,
+    ledger: _Ledger,
     workers: int,
     futures: list,
 ) -> None:
@@ -672,8 +753,8 @@ def _submit_round(
             (
                 pool.submit(
                     _execute_chunk,
-                    [(spec, attempts[key]) for key, spec in chunk],
-                    timeout,
+                    [(spec, ledger.attempts[key]) for key, spec in chunk],
+                    ledger.timeout,
                 ),
                 chunk,
             )
@@ -682,12 +763,9 @@ def _submit_round(
 
 def _run_pool(
     work: list[tuple[str, RunSpec | CampaignSpec]],
-    attempts: dict[str, int],
-    timeout: float | None,
-    retries: int,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
+    ledger: _Ledger,
     workers: int,
-    pool: ProcessPoolExecutor | None = None,
+    pool: _Pool | None = None,
     submitted: list | tuple = (),
 ) -> None:
     """Execute specs in a worker pool; degrade to serial if the pool breaks.
@@ -708,20 +786,18 @@ def _run_pool(
     stack unwind: pending futures are cancelled, in-flight chunks get a
     bounded grace to finish (:func:`_drain_interrupted_pool`), and every
     spec without a result is booked as an ``interrupted``
-    :class:`RunFailure` so the caller returns index-aligned partial
-    results.
+    :class:`RunFailure`.
 
-    ``pool`` is the run's own pool (owned and shut down by the caller):
-    the first round runs on it, alongside ``submitted`` — chunks of
-    ``work`` already submitted there, so they could overlap the batch
-    tier.  Retry rounds always start a fresh pool, clear of hung workers.
+    ``pool`` is the run's own pool (owned and closed by the caller): the
+    first round runs on it, alongside ``submitted`` — chunks of ``work``
+    already submitted there, so they could overlap the batch tier.  Retry
+    rounds always start a fresh pool, clear of hung workers.
     """
+    timeout = ledger.timeout
     remaining = work
     while remaining:
         shared = pool is not None
-        round_pool = pool if shared else ProcessPoolExecutor(
-            max_workers=min(workers, len(remaining)), initializer=_mark_worker
-        )
+        round_pool = pool if shared else _Pool(min(workers, len(remaining)))
         futures: list = list(submitted)
         pool, submitted = None, ()
         retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
@@ -730,8 +806,7 @@ def _run_pool(
             _submit_round(
                 round_pool,
                 [item for item in remaining if item[0] not in covered],
-                attempts,
-                timeout,
+                ledger,
                 workers,
                 futures,
             )
@@ -752,63 +827,55 @@ def _run_pool(
                     message = str(error) or (
                         f"chunk exceeded {outer:.3f}s in worker"
                     )
-                    for key, spec in chunk:
-                        if key in outcomes:
-                            continue
-                        _note_failed_attempt(
-                            key, spec, "timeout", message, attempts,
-                            retries, outcomes, retry_list,
-                        )
+                    for key, _ in chunk:
+                        if key not in ledger.outcomes:
+                            ledger.fail(key, "timeout", message, "pool",
+                                        retry_list)
                 except Exception as error:
-                    for key, spec in chunk:
-                        if key in outcomes:
-                            continue
-                        _note_failed_attempt(
-                            key, spec, "error",
-                            f"{type(error).__name__}: {error}", attempts,
-                            retries, outcomes, retry_list,
-                        )
+                    for key, _ in chunk:
+                        if key not in ledger.outcomes:
+                            ledger.fail(
+                                key, "error",
+                                f"{type(error).__name__}: {error}", "pool",
+                                retry_list,
+                            )
                 else:
-                    for (key, spec), (status, value) in zip(
+                    for (key, _), (status, value) in zip(
                         chunk, slots, strict=True
                     ):
                         if status == "ok":
-                            outcomes[key] = value
+                            ledger.book(key, value, "pool")
                         else:
-                            _note_failed_attempt(
-                                key, spec, status, str(value), attempts,
-                                retries, outcomes, retry_list,
-                            )
+                            ledger.fail(key, status, str(value), "pool",
+                                        retry_list)
         except KeyboardInterrupt:
             RUNNER_METRICS.inc("runner.interrupts")
-            _drain_interrupted_pool(futures, remaining, attempts, outcomes)
+            _drain_interrupted_pool(futures, ledger)
             return
         except BrokenProcessPool:
             RUNNER_METRICS.inc("runner.pool_breaks")
             survivors = [
                 (key, spec)
                 for key, spec in remaining
-                if key not in outcomes
-            ] + retry_list
-            _run_serial(survivors, attempts, timeout, retries, outcomes)
+                if key not in ledger.outcomes
+            ]
+            _run_serial(survivors, ledger, "pool")
             return
         finally:
-            # wait=False: a hung worker must not stall the batch past its
-            # timeout; abandoned tasks die with the interpreter.
             if not shared:
-                round_pool.shutdown(wait=False, cancel_futures=True)
+                round_pool.close()
         remaining = retry_list
         if remaining:
             try:
                 time.sleep(
                     max(
-                        _backoff_seconds(key, attempts[key])
+                        _backoff_seconds(key, ledger.attempts[key])
                         for key, _ in remaining
                     )
                 )
             except KeyboardInterrupt:
                 RUNNER_METRICS.inc("runner.interrupts")
-                _book_interrupted(remaining, attempts, outcomes)
+                ledger.interrupt_rest()
                 return
 
 
@@ -850,9 +917,7 @@ def _trajectory_count(members: list[tuple[str, RunSpec | CampaignSpec]]) -> int:
 
 def _run_lockstep_groups(
     groups: list[list[tuple[str, RunSpec | CampaignSpec]]],
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-    timeout: float | None,
-    lane_info: dict[str, dict] | None = None,
+    ledger: _Ledger,
     executor: ProcessPoolExecutor | None = None,
     workers: int = 1,
     after_submit=None,
@@ -865,9 +930,9 @@ def _run_lockstep_groups(
     :func:`~repro.sim.batch.trajectory_key`.  With an ``executor`` and
     ``workers >= 2`` the call shards its trajectory groups: this process
     runs one shard, the executor the others.  Every batched lane is booked
-    directly into ``outcomes`` (byte-identical to the scalar path, so
-    downstream caching and dedup behave as if the scalar simulator had
-    run); acting lanes are retained in-batch by cohort splitting
+    into the ledger as its call returns (byte-identical to the scalar
+    path, so caching and dedup behave as if the scalar simulator had run);
+    acting lanes are retained in-batch by cohort splitting
     (:mod:`repro.sim.cohort`), so only an engine failure or time-budget
     overrun — of the whole call, or of one remote shard — sends lanes back
     to the scalar pool/serial path, each failure counted once in
@@ -877,6 +942,7 @@ def _run_lockstep_groups(
     ``after_submit`` is handed to every call (see
     :func:`~repro.sim.batch.simulate_lockstep`).
     """
+    timeout = ledger.timeout
     for members in groups:
         specs = [spec for _, spec in members]
         RUNNER_METRICS.inc("runner.batch_groups")
@@ -903,9 +969,7 @@ def _run_lockstep_groups(
                     "batch group exceeded its time budget",
                 )
         except LockstepInterrupted as interrupt:
-            _book_batch(
-                members, interrupt.results, batch_metrics, outcomes, lane_info
-            )
+            _book_batch(members, interrupt.results, batch_metrics, ledger)
             raise
         except Exception:
             RUNNER_METRICS.inc("runner.batch_errors")
@@ -917,68 +981,112 @@ def _run_lockstep_groups(
         RUNNER_METRICS.inc(
             "runner.batch_pool_shards", batch_metrics.get("shards", 1) - 1
         )
-        _book_batch(members, lane_results, batch_metrics, outcomes, lane_info)
+        _book_batch(members, lane_results, batch_metrics, ledger)
 
 
 def _book_batch(
     members: list[tuple[str, RunSpec | CampaignSpec]],
     lane_results: dict[int, RunResult],
     batch_metrics: dict,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-    lane_info: dict[str, dict] | None,
+    ledger: _Ledger,
 ) -> None:
     """Book one kernel call's finished lanes, tagged with their cohorts."""
     lane_cohorts = batch_metrics.get("lane_cohorts") or []
     for lane, result in lane_results.items():
-        outcomes[members[lane][0]] = result
-        if lane_info is not None:
-            info = {"cohorts": batch_metrics.get("cohorts", 0)}
-            if lane < len(lane_cohorts):
-                info["cohort"] = lane_cohorts[lane]
-            lane_info[members[lane][0]] = info
+        key = members[lane][0]
+        info = {"cohorts": batch_metrics.get("cohorts", 0)}
+        if lane < len(lane_cohorts):
+            info["cohort"] = lane_cohorts[lane]
+        ledger.lane_info[key] = info
+        ledger.book(key, result, "batch")
     RUNNER_METRICS.inc("runner.batch_completed", len(lane_results))
     RUNNER_METRICS.inc("runner.batch_cohorts", batch_metrics.get("cohorts", 0))
     RUNNER_METRICS.inc("runner.batch_splits", batch_metrics.get("splits", 0))
 
 
-def _emit_campaign_events(
-    telemetry,
-    spec_list: list[RunSpec | CampaignSpec],
-    keys: list[str],
-    results: list,
-    sources: dict[str, str],
-    lane_info: dict[str, dict],
-) -> None:
-    """Emit one LANE_COMPLETE per input slot on the campaign session.
+def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
+    """Run the ledger's unresolved specs through the execution tiers.
 
-    The event's ``cycle`` is the lane index (campaign sessions count lanes,
-    not simulated cycles); ``data`` names the execution tier that produced
-    the slot (``cache``/``batch``/``pool``/``serial``) and, for batch
-    lanes, which cohort the lane ended its quantum in.
+    Compatible specs (same machine and event grid — see
+    :func:`~repro.sim.batch.batch_fingerprint`) run lock-step, one shared
+    pipeline per workloads/seed trajectory (:mod:`repro.sim.batch`);
+    whatever remains goes to the process pool or the serial path.  Every
+    outcome is booked into ``ledger`` as it lands.
+
+    ``jobs`` bounds the run's worker processes (``None`` uses
+    :func:`default_jobs`).  ``jobs<=1`` runs everything in-process.  With
+    ``jobs>=2`` the run makes one pool of at most ``jobs`` workers, and
+    only when a worker has work: two or more scalar specs, or a kernel
+    call spanning two or more trajectories.  Such a call is split into up
+    to ``jobs`` shards by trajectory; this process runs one and pool
+    workers the others, and the scalar specs' first round is queued
+    behind those shards, so it runs beside the kernel rather than after
+    it (while this process runs its shard, up to ``jobs + 1`` processes
+    simulate).
+
+    An operator interrupt drains: in-flight pool chunks get a bounded
+    grace to finish, and every spec still unresolved is booked
+    ``interrupted``.
     """
-    for index, (spec, key) in enumerate(zip(spec_list, keys, strict=True)):
-        result = results[index]
-        data: dict = {
-            "lane": index,
-            "source": sources.get(key, "cache"),
-            "workloads": "+".join(spec.workloads),
-            "policy": spec.config.dtm_policy,
-        }
-        info = lane_info.get(key)
-        if info is not None:
-            data.update(info)
-        if isinstance(result, RunFailure):
-            data["error"] = result.kind
-        else:
-            final = result.final if isinstance(result, CampaignResult) else result
-            data["cycles"] = final.cycles
-            data["ipc"] = final.threads[0].ipc
-        telemetry.emit(
-            # repro: noqa(RPR008) success and failure lanes intentionally
-            # carry different keys (cycles/ipc vs error), and cohort tags
-            # are batch-tier-only; tests pin this exact shape
-            EventType.LANE_COMPLETE, cycle=index, data=data,
+    work = ledger.unresolved()
+    workers = default_jobs() if jobs is None else max(1, jobs)
+    groups = _lockstep_groups(work) if batch else []
+    batched = {key for members in groups for key, _ in members}
+    scalar = [(key, spec) for key, spec in work if key not in batched]
+    # One pool per run, created only when two processes can both work:
+    # scalar specs to spread, or kernel shards beyond the one this
+    # process runs.  Its first scalar round is queued behind the first
+    # kernel call's remote shards, before this process simulates, so
+    # those specs overlap the batch tier.
+    remote_shards = max(
+        (min(workers, _trajectory_count(members)) - 1 for members in groups),
+        default=0,
+    )
+    pool = None
+    if workers >= 2 and (len(scalar) >= 2 or remote_shards):
+        pool = _Pool(min(workers, len(scalar) + remote_shards))
+    first_round: list = []
+    unsubmitted = [scalar] if pool is not None else []
+    submit_lock = threading.Lock()
+
+    def submit_first_round() -> None:
+        # Once, by whichever comes first: the first kernel call, right
+        # after queueing its remote shards, or the line after the batch
+        # tier.  The lock covers a kernel call still running in an
+        # abandoned watchdog thread.
+        with submit_lock:
+            if unsubmitted:
+                try:
+                    _submit_round(
+                        pool, unsubmitted.pop(), ledger, workers, first_round
+                    )
+                except BrokenProcessPool:
+                    pass  # _run_pool meets it and falls back to serial
+
+    try:
+        _run_lockstep_groups(
+            groups, ledger, pool, workers, submit_first_round
         )
+        submit_first_round()
+        unresolved = ledger.unresolved()
+        if first_round or (workers >= 2 and len(unresolved) >= 2):
+            _run_pool(unresolved, ledger, workers, pool, first_round)
+        elif unresolved:
+            _run_serial(unresolved, ledger)
+    except KeyboardInterrupt:
+        # The serial and batch tiers unwind to here on Ctrl-C/SIGTERM; the
+        # pool tier drains internally and returns normally.  A scalar
+        # round still in flight drains first.
+        RUNNER_METRICS.inc("runner.interrupts")
+        _drain_interrupted_pool(first_round, ledger)
+    finally:
+        if pool is not None:
+            pool.close()
+    directory = ledger.directory
+    if ledger.interrupted and directory is not None and directory.is_dir():
+        # A drain may have abandoned workers mid-write; their tmp files
+        # are dead-pid garbage once the pool is gone.
+        _sweep_stale_tmp(directory)
 
 
 def run_many(
@@ -991,33 +1099,19 @@ def run_many(
     raise_on_error: bool = True,
     batch: bool = True,
     telemetry=None,
-    rollup: bool = True,
-    resume: str | None = None,
 ) -> list[RunResult | CampaignResult | RunFailure]:
     """Run a batch of specs, in parallel, through the on-disk cache.
 
     Results come back in input order.  Cache hits never touch a worker;
-    duplicate specs within one batch execute once.  Cache misses go through
-    three tiers: compatible specs (same machine and event grid — see
-    :func:`~repro.sim.batch.batch_fingerprint`) run lock-step, one shared
-    pipeline per workloads/seed trajectory (:mod:`repro.sim.batch`), and
-    whatever remains goes to the process pool or the serial path.
-    ``batch=False`` disables the lock-step tier (results are
-    byte-identical either way; the knob exists for benchmarking and for
-    isolating the tier in tests).  ``cache=False`` (or ``cache_dir=None``)
-    disables the disk cache entirely.
-
-    ``jobs`` bounds the run's worker processes (``None`` uses
-    :func:`default_jobs`, the ``REPRO_BENCH_JOBS`` environment variable).
-    ``jobs<=1`` runs everything in-process.  With ``jobs>=2`` the run
-    makes one pool of at most ``jobs`` workers, and only when a worker
-    has work: two or more scalar specs, or a kernel call spanning two or
-    more trajectories.  Such a call is split into up to ``jobs`` shards
-    by trajectory; this process runs one and pool workers the others,
-    and the scalar specs' first round is queued behind those shards, so
-    it runs beside the kernel rather than after it (while this process
-    runs its shard, up to ``jobs + 1`` processes simulate).
-    Byte-identity holds at any ``jobs``.
+    duplicate specs within one batch execute once.  Cache misses go
+    through :func:`dispatch`'s tiers — the lock-step batch kernel, then
+    the process pool or the serial path — and each result is stored in
+    the cache as it lands.  ``batch=False`` disables the lock-step tier
+    (results are byte-identical either way; the knob exists for
+    benchmarking and for isolating the tier in tests).  ``cache=False``
+    (or ``cache_dir=None``) disables the disk cache entirely.  ``jobs``
+    bounds the worker processes (``None`` reads ``REPRO_BENCH_JOBS``, see
+    :func:`default_jobs`); byte-identity holds at any ``jobs``.
 
     Robustness knobs (docs/robustness.md):
 
@@ -1040,20 +1134,11 @@ def run_many(
 
     An operator interrupt (``KeyboardInterrupt``) triggers a graceful
     drain instead of an abort: dispatch stops, in-flight pool chunks get a
-    bounded grace to finish, completed outcomes are cached, and every
-    unfinished spec's slot is filled with a
-    :class:`RunFailure`(``kind="interrupted"``).  With
+    bounded grace to finish, and every unfinished spec's slot is filled
+    with a :class:`RunFailure`(``kind="interrupted"``).  With
     ``raise_on_error=False`` the partial, index-aligned result list is
     returned; with the default ``raise_on_error=True`` the
-    ``KeyboardInterrupt`` is re-raised *after* that cleanup, so the cache
-    (and any durable-campaign journal) reflects everything that finished.
-
-    ``rollup=False`` suppresses the per-batch rollup document (the durable
-    layer drives several partial waves through here and publishes one
-    rollup for the whole campaign itself).  ``resume=<campaign_id>``
-    ignores ``specs`` (which must be empty) and replays a durable
-    campaign's journal instead — a convenience alias for
-    :func:`repro.sim.durable.resume_campaign`.
+    ``KeyboardInterrupt`` is re-raised *after* that cleanup.
 
     Observability: ``telemetry`` (a
     :class:`~repro.telemetry.TelemetrySession`) receives one
@@ -1063,196 +1148,19 @@ def run_many(
     the cache enabled, every multi-spec batch writes a campaign rollup
     under ``<cache_dir>/rollups/`` (see :mod:`repro.sim.rollup` and the
     ``repro campaign-summary`` verb).
+
+    This is :func:`repro.sim.durable.drive_campaign` without a journal;
+    :func:`repro.sim.durable.run_durable` adds one.
     """
-    if retries < 0:
-        raise SimulationError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise SimulationError("timeout must be positive")
-    spec_list = list(specs)
-    if resume is not None:
-        if spec_list:
-            raise SimulationError(
-                "run_many(resume=...) replays the journal's own manifest; "
-                "pass an empty spec list"
-            )
-        from .durable import resume_campaign
+    from .durable import drive_campaign
 
-        overrides: dict = {}
-        if timeout is not None:
-            overrides["timeout"] = timeout
-        if retries:
-            overrides["retries"] = retries
-        if not batch:
-            overrides["batch"] = False
-        return resume_campaign(
-            resume,
-            cache_dir=cache_dir if cache else None,
-            jobs=jobs,
-            raise_on_error=raise_on_error,
-            telemetry=telemetry,
-            **overrides,
-        )
-    directory = Path(cache_dir) if (cache and cache_dir is not None) else None
-    if directory is not None and directory.is_dir():
-        _sweep_stale_tmp(directory)
-
-    results: list[RunResult | CampaignResult | RunFailure | None] = (
-        [None] * len(spec_list)
+    return drive_campaign(
+        list(specs),
+        directory=Path(cache_dir) if (cache and cache_dir is not None) else None,
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        raise_on_error=raise_on_error,
+        batch=batch,
+        telemetry=telemetry,
     )
-    order: list[str] = []  # first-seen fingerprints still to execute
-    pending: dict[str, list[int]] = {}  # fingerprint -> indices needing it
-    keys: list[str] = []  # per-slot fingerprint, input order
-    sources: dict[str, str] = {}  # fingerprint -> execution tier
-    lane_info: dict[str, dict] = {}  # fingerprint -> batch cohort tags
-    for index, spec in enumerate(spec_list):
-        key = spec_fingerprint(spec)
-        keys.append(key)
-        if key in pending:
-            pending[key].append(index)
-            continue
-        hit = _cache_load(directory, key)
-        if hit is not None:
-            results[index] = hit
-            sources[key] = "cache"
-        else:
-            pending[key] = [index]
-            order.append(key)
-
-    interrupted = False
-    if order:
-        work = [(key, spec_list[pending[key][0]]) for key in order]
-        attempts = dict.fromkeys(order, 0)
-        outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
-        workers = default_jobs() if jobs is None else max(1, jobs)
-        groups = _lockstep_groups(work) if batch else []
-        batched = {key for members in groups for key, _ in members}
-        scalar = [(key, spec) for key, spec in work if key not in batched]
-        # One pool per run, created only when two processes can both work:
-        # scalar specs to spread, or kernel shards beyond the one this
-        # process runs.  Its first scalar round is queued behind the first
-        # kernel call's remote shards, before this process simulates, so
-        # those specs overlap the batch tier.
-        remote_shards = max(
-            (min(workers, _trajectory_count(members)) - 1 for members in groups),
-            default=0,
-        )
-        pool = None
-        if workers >= 2 and (len(scalar) >= 2 or remote_shards):
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(scalar) + remote_shards),
-                initializer=_mark_worker,
-            )
-        first_round: list = []
-        unsubmitted = [scalar] if pool is not None else []
-        submit_lock = threading.Lock()
-
-        def submit_first_round() -> None:
-            # Once, by whichever comes first: the first kernel call, right
-            # after queueing its remote shards, or the line after the
-            # batch tier.  The lock covers a kernel call still running in
-            # an abandoned watchdog thread.
-            with submit_lock:
-                if unsubmitted:
-                    try:
-                        _submit_round(
-                            pool, unsubmitted.pop(), attempts, timeout,
-                            workers, first_round,
-                        )
-                    except BrokenProcessPool:
-                        pass  # _run_pool meets it and falls back to serial
-
-        try:
-            _run_lockstep_groups(
-                groups, outcomes, timeout, lane_info, pool, workers,
-                submit_first_round,
-            )
-            submit_first_round()
-            for key in outcomes:
-                sources[key] = "batch"
-            unresolved = [
-                (key, spec) for key, spec in work if key not in outcomes
-            ]
-            if not unresolved:
-                pass
-            elif not first_round and (workers <= 1 or len(unresolved) == 1):
-                _run_serial(unresolved, attempts, timeout, retries, outcomes)
-                for key, _ in unresolved:
-                    sources.setdefault(key, "serial")
-            else:
-                _run_pool(
-                    unresolved, attempts, timeout, retries, outcomes,
-                    workers, pool, first_round,
-                )
-                for key, _ in unresolved:
-                    sources.setdefault(key, "pool")
-        except KeyboardInterrupt:
-            # The serial and batch tiers unwind to here on Ctrl-C/SIGTERM;
-            # the pool tier drains internally and returns normally.  Either
-            # way every unresolved spec gets an index-aligned slot, and a
-            # scalar round still in flight drains first.
-            RUNNER_METRICS.inc("runner.interrupts")
-            _drain_interrupted_pool(first_round, work, attempts, outcomes)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-        for key, spec in work:
-            outcome = outcomes[key]
-            if isinstance(outcome, RunFailure):
-                if outcome.kind == "interrupted":
-                    interrupted = True
-                    sources[key] = "drained"
-            else:
-                _cache_store(directory, key, spec, outcome)
-            for index in pending[key]:
-                results[index] = outcome
-        if interrupted and directory is not None and directory.is_dir():
-            # A drain may have abandoned workers mid-write; their tmp files
-            # are dead-pid garbage once the pool is gone.
-            _sweep_stale_tmp(directory)
-
-    if telemetry is not None and telemetry.enabled:
-        _emit_campaign_events(
-            telemetry, spec_list, keys, results, sources, lane_info
-        )
-    if directory is not None and len(spec_list) >= 2 and rollup and not interrupted:
-        from .rollup import build_rollup, write_rollup
-
-        payload = build_rollup(
-            list(zip(spec_list, keys, results, strict=True))
-        )
-        try:
-            write_rollup(directory, payload)
-        except OSError:
-            # Derived from results in hand, like a cache entry.
-            RUNNER_METRICS.inc("cache.store_failures")
-        if telemetry is not None and telemetry.enabled:
-            telemetry.emit(
-                EventType.CAMPAIGN_ROLLUP,
-                cycle=len(spec_list),
-                data={
-                    "key": payload["key"],
-                    "runs": payload["runs"],
-                    "failures": payload["failures"],
-                },
-            )
-
-    failures = [r for r in results if isinstance(r, RunFailure)]
-    if interrupted and raise_on_error:
-        # Cleanup is done (completed outcomes cached, tmp files swept);
-        # now honor the interrupt so callers' handlers still fire.
-        raise KeyboardInterrupt(
-            f"interrupted: {len(failures)} of {len(spec_list)} spec(s) "
-            "unfinished"
-        )
-    if failures and raise_on_error:
-        detail = "; ".join(
-            f"{'+'.join(f.workloads)}: {f.kind} after {f.attempts} "
-            f"attempt(s) ({f.error})"
-            for f in failures[:3]
-        )
-        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-        raise SimulationError(
-            f"{len(failures)} of {len(spec_list)} spec(s) failed: "
-            f"{detail}{more}"
-        )
-    return results  # type: ignore[return-value]  # every slot is filled

@@ -108,7 +108,7 @@ def narrative_line(event: Event) -> str:
     elif event.type is EventType.CAMPAIGN_LEASE:
         detail = (
             f"spec {str(data.get('fingerprint', '?'))[:12]} leased by "
-            f"pid {data.get('pid', '?')} (wave {data.get('wave', '?')})"
+            f"pid {data.get('pid', '?')}"
         )
     elif event.type is EventType.CAMPAIGN_RESUME:
         detail = (

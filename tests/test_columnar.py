@@ -439,8 +439,7 @@ class TestRollups:
             [spec_fingerprint(s) for s in specs]
         )
         partial = run_durable(
-            specs, cache_dir=tmp_path, jobs=1, wave_size=1,
-            raise_on_error=False,
+            specs, cache_dir=tmp_path, jobs=1, raise_on_error=False,
         )
         assert any(not getattr(r, "ok", True) for r in partial)
         assert list_rollups(tmp_path) == []

@@ -13,6 +13,8 @@ import errno
 import json
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,8 @@ from repro.sim.durable import (
 )
 from repro.sim.parallel import RUNNER_METRICS
 from repro.sim.rollup import list_rollups
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_config(**kwargs):
@@ -148,6 +152,30 @@ class TestRunDurable:
         with pytest.raises(SimulationError, match="cache_dir"):
             run_durable([plain_spec(("gcc", "swim"))], cache_dir=None)
 
+    def test_lane_events_name_the_real_tier(self, tmp_path):
+        from repro.telemetry import EventType, TelemetrySession
+
+        specs = [
+            RunSpec(("gcc", "swim"), tiny_config().with_policy(policy))
+            for policy in ("ideal", "sedation")
+        ] + [plain_spec(("vpr", "art"))]
+
+        def sources(session):
+            return [
+                event.data["source"]
+                for event in session.events()
+                if event.type is EventType.LANE_COMPLETE
+            ]
+
+        first = TelemetrySession()
+        run_durable(specs, cache_dir=tmp_path, jobs=1, telemetry=first)
+        assert sources(first) == ["batch", "batch", "serial"]
+        again = TelemetrySession()
+        resume_campaign(
+            campaign_id_of(specs), cache_dir=tmp_path, jobs=1, telemetry=again
+        )
+        assert sources(again) == ["journal"] * 3
+
     def test_duplicate_specs_share_one_execution(self, tmp_path):
         spec = plain_spec(("gcc", "swim"))
         results = run_durable([spec, spec], cache_dir=tmp_path, jobs=1)
@@ -167,8 +195,7 @@ class TestDrainAndResume:
         ]
         campaign = campaign_id_of(specs)
         partial = run_durable(
-            specs, cache_dir=tmp_path / "k", jobs=1, wave_size=1,
-            raise_on_error=False,
+            specs, cache_dir=tmp_path / "k", jobs=1, raise_on_error=False,
         )
         assert kinds(partial) == ["ok", "interrupted", "interrupted"]
         assert list_campaigns(tmp_path / "k")[0]["sealed"] == "resumable"
@@ -267,53 +294,118 @@ class TestDrainAndResume:
 
 
 class TestCircuitBreaker:
+    """A terminal failure trips its family open; a resume skips siblings.
+
+    The failing spec's sibling (same family) is interrupted on the first
+    run, so it is still unfinished when the breaker is consulted at the
+    resume's lease time.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fresh_interrupts(self, monkeypatch):
+        # The interrupt hook fires once per process per fingerprint; every
+        # test here needs it to fire on its own first run.
+        from repro.sim import parallel
+
+        monkeypatch.setattr(parallel, "_INTERRUPTED_ONCE", set())
+
     def failing_campaign(self, tmp_path):
         specs = [
             chaos_spec(("gzip", "gzip"), fail_attempts=5),
             RunSpec(
                 ("gzip", "gzip"),
                 tiny_config(seed=7).with_faults(
-                    FaultPlan(worker=WorkerFaultPlan(fail_attempts=5))
+                    FaultPlan(worker=WorkerFaultPlan(interrupt_attempts=1))
                 ),
             ),
             plain_spec(("gcc", "swim")),
         ]
         results = run_durable(
-            specs, cache_dir=tmp_path, jobs=1, wave_size=1,
-            raise_on_error=False,
+            specs, cache_dir=tmp_path, jobs=1, raise_on_error=False,
         )
-        return specs, results
+        assert kinds(results) == ["error", "interrupted", "interrupted"]
+        return specs
+
+    def resume(self, tmp_path, specs, **kwargs):
+        return resume_campaign(
+            campaign_id_of(specs), cache_dir=tmp_path, jobs=1,
+            raise_on_error=False, **kwargs,
+        )
 
     def test_terminal_failure_trips_family_and_skips_siblings(
         self, tmp_path
     ):
         before = RUNNER_METRICS.counters.get("runner.breaker_trips", 0)
-        specs, results = self.failing_campaign(tmp_path)
-        assert kinds(results) == ["error", "breaker_open", "ok"]
-        assert "breaker is open" in results[1].error
+        specs = self.failing_campaign(tmp_path)
         assert RUNNER_METRICS.counters["runner.breaker_trips"] == before + 1
         assert breaker_family(specs[0]) == breaker_family(specs[1])
         assert breaker_family(specs[0]) != breaker_family(specs[2])
         assert list_campaigns(tmp_path)[0]["breakers"] == [
             breaker_family(specs[0])
         ]
+        results = self.resume(tmp_path, specs)
+        assert kinds(results) == ["error", "breaker_open", "ok"]
+        assert "breaker is open" in results[1].error
 
     def test_resume_keeps_breaker_open_without_force(self, tmp_path):
-        specs, _ = self.failing_campaign(tmp_path)
-        resumed = resume_campaign(
-            campaign_id_of(specs), cache_dir=tmp_path, jobs=1,
-            raise_on_error=False,
-        )
+        specs = self.failing_campaign(tmp_path)
+        self.resume(tmp_path, specs)
+        resumed = self.resume(tmp_path, specs)
         assert kinds(resumed) == ["error", "breaker_open", "ok"]
 
     def test_force_recloses_breaker_and_redispatches(self, tmp_path):
-        specs, _ = self.failing_campaign(tmp_path)
-        resumed = resume_campaign(
-            campaign_id_of(specs), cache_dir=tmp_path, jobs=1,
-            force=True, retries=5, raise_on_error=False,
-        )
+        specs = self.failing_campaign(tmp_path)
+        resumed = self.resume(tmp_path, specs, force=True, retries=5)
         assert kinds(resumed) == ["ok", "ok", "ok"]
         assert list_campaigns(tmp_path)[0]["breakers"] == []
+
+
+def checkpoint_specs():
+    """Four scalar specs (unique trajectories: no batch tier)."""
+    mixes = [("gcc", "swim"), ("gzip", "mcf"), ("vpr", "art"), ("eon", "apsi")]
+    return [plain_spec(mix) for mix in mixes]
+
+
+def checkpoint_child(cache_dir: str) -> None:
+    """Drive a default-shaped campaign; hard-exit as the third spec starts."""
+    from repro.sim import parallel
+
+    execute = parallel._execute
+    started = []
+
+    def dying(spec):
+        started.append(spec)
+        if len(started) == 3:
+            os._exit(17)  # no cleanup: as if the host died
+        return execute(spec)
+
+    parallel._execute = dying
+    run_durable(checkpoint_specs(), cache_dir=cache_dir, jobs=1)
+
+
+class TestCheckpoint:
+    def test_killed_campaign_keeps_every_finished_spec(self, tmp_path):
+        specs = checkpoint_specs()
+        campaign = campaign_id_of(specs)
+        child = subprocess.run(
+            [sys.executable, __file__, "--checkpoint-child", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 17, child.stderr
+        records = CampaignJournal(tmp_path, campaign).records()
+        assert sum(r["type"] == "completed" for r in records) == 2
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+        verified = RUNNER_METRICS.counters.get("runner.campaign_verified", 0)
+        resumed = resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
+        assert RUNNER_METRICS.counters["runner.campaign_verified"] == (
+            verified + 2
+        )
+        clean = run_many(specs, jobs=1, cache=False)
+        assert results_to_canonical_json(resumed) == (
+            results_to_canonical_json(clean)
+        )
 
 
 class TestDrainSupervisor:
@@ -344,34 +436,12 @@ class TestDrainSupervisor:
         ]
         campaign = campaign_id_of(specs)
         partial = run_durable(
-            specs, cache_dir=tmp_path, jobs=1, wave_size=1,
-            raise_on_error=False,
+            specs, cache_dir=tmp_path, jobs=1, raise_on_error=False,
         )
         assert kinds(partial) == ["ok", "interrupted"]
         assert list_campaigns(tmp_path)[0]["sealed"] == "resumable"
         resumed = resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
         assert kinds(resumed) == ["ok", "ok"]
-
-
-class TestRunManyResumeParam:
-    def test_resume_param_routes_to_durable_layer(self, tmp_path):
-        specs = [chaos_spec(("vpr", "art"), interrupt_attempts=1)]
-        campaign = campaign_id_of(specs)
-        run_durable(
-            specs, cache_dir=tmp_path, jobs=1, raise_on_error=False
-        )
-        results = run_many(
-            [], resume=campaign, cache_dir=tmp_path, jobs=1,
-            raise_on_error=False,
-        )
-        assert kinds(results) == ["ok"]
-
-    def test_resume_param_rejects_specs(self, tmp_path):
-        with pytest.raises(SimulationError, match="empty spec list"):
-            run_many(
-                [plain_spec(("gcc", "swim"))],
-                resume="cafe", cache_dir=tmp_path,
-            )
 
 
 def fail_cache_writes(monkeypatch, cache_dir, keys=None):
@@ -539,10 +609,7 @@ class TestCampaignCli:
             chaos_spec(("eon", "apsi"), interrupt_attempts=1),
         ]
         campaign = campaign_id_of(specs)
-        run_durable(
-            specs, cache_dir=tmp_path, jobs=1, wave_size=1,
-            raise_on_error=False,
-        )
+        run_durable(specs, cache_dir=tmp_path, jobs=1, raise_on_error=False)
         assert self.run_cli(
             "campaign", "list", "--cache-dir", str(tmp_path)
         ) == 0
@@ -579,3 +646,8 @@ class TestCampaignCli:
             "campaign", "list", "--cache-dir", str(tmp_path)
         ) == 0
         assert "no campaign journals" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--checkpoint-child"]:
+        checkpoint_child(sys.argv[2])

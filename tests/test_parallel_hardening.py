@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +108,34 @@ class TestCrashRecovery:
         good = RunSpec(("gzip", "mcf"), tiny_config())
         results = run_many([crash_once, good], jobs=2, cache=False, retries=1)
         assert all(isinstance(r, RunResult) for r in results)
+
+
+#: Three jobs=2 runs in a fresh interpreter, printing how many child
+#: processes are alive right after each returns.
+POOL_CHILD = """
+import multiprocessing
+from repro.config import scaled_config
+from repro.sim import RunSpec, run_many
+
+config = scaled_config(time_scale=20_000.0, quantum_cycles=3_000)
+mixes = (("gcc", "swim"), ("gzip", "mcf"), ("vpr", "art"))
+specs = [RunSpec(mix, config) for mix in mixes]
+for _ in range(3):
+    run_many(specs, jobs=2, cache=False)
+    print(multiprocessing.active_children())
+"""
+
+
+class TestPoolShutdown:
+    def test_no_worker_outlives_a_normal_return(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", POOL_CHILD],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert child.stdout.split("\n")[:3] == ["[]"] * 3
+        assert "Exception ignored" not in child.stderr
 
 
 class TestPartialResults:

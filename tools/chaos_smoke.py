@@ -24,16 +24,17 @@ same campaign in a separate cache — with exactly one rollup covering the
 full member set.
 
 A third scenario repeats the kill-and-resume shape against the
-**heterogeneous batch kernel**: the campaign's waves mix workload pairs
-and seeds (two trajectory groups per wave), the child is SIGKILLed while
-a wave rides the lock-step kernel, and the resume — which re-dispatches
-the interrupted wave through the same kernel — must still produce results
-byte-identical to an uninterrupted run.  Runner metrics confirm the
-resumed lanes actually went through the batch tier, not a scalar
+**heterogeneous batch kernel**: the campaign makes two kernel calls (two
+sample intervals), each mixing workload pairs and seeds (two trajectory
+groups), and the child is SIGKILLed once the first call's lanes are
+journaled, while the second call runs.  The resume re-dispatches the
+second call's lanes through the same kernel and must still produce
+results byte-identical to an uninterrupted run.  Runner metrics confirm
+the resumed lanes actually went through the batch tier, not a scalar
 fallback.  The scenario runs twice: at ``jobs=1``, and at ``jobs=2``,
-where each wave's kernel call is sharded by trajectory across the pool
-(the kill takes the pool's workers with the driver, and the resume
-shards again) — both compared with a clean ``jobs=1`` run.
+where each kernel call is sharded by trajectory across the pool (the
+kill takes the pool's workers with the driver, and the resume shards
+again) — both compared with a clean ``jobs=1`` run.
 
 A fourth scenario fills the disk: every cache-entry write of a small
 journaled campaign fails with ENOSPC.  The campaign must still return
@@ -88,8 +89,7 @@ def durable_child(cache_dir: str) -> int:
     from repro.sim.durable import run_durable
 
     run_durable(
-        durable_specs(), cache_dir=cache_dir, jobs=1, wave_size=1,
-        raise_on_error=False,
+        durable_specs(), cache_dir=cache_dir, jobs=1, raise_on_error=False
     )
     return 0
 
@@ -149,8 +149,7 @@ def durable_checks() -> list[tuple[str, bool]]:
         )
 
         clean = run_durable(
-            specs, cache_dir=clean_dir, jobs=1, wave_size=1,
-            raise_on_error=False,
+            specs, cache_dir=clean_dir, jobs=1, raise_on_error=False
         )
         checks.append(
             ("resumed results byte-identical to an uninterrupted run",
@@ -179,16 +178,24 @@ def durable_checks() -> list[tuple[str, bool]]:
 def het_durable_specs() -> list[RunSpec]:
     """The heterogeneous kill-and-resume campaign: mixed pairs and seeds.
 
-    Eight specs over two trajectory groups — ``(gcc, swim)`` at the base
-    seed and ``(gzip, mcf)`` at seed 99 — interleaved so every wave of
-    four holds both trajectories and rides one heterogeneous kernel call.
+    Eight specs in two kernel calls (two sample intervals, so two batch
+    fingerprints), listed call by call.  Each call holds two trajectory
+    groups — ``(gcc, swim)`` at the base seed and ``(gzip, mcf)`` at seed
+    99 — under two policies, and rides one heterogeneous kernel call.
     """
-    base = scaled_config(time_scale=8_000.0, quantum_cycles=12_000)
-    reseeded = dataclasses.replace(base, seed=99)
+    first = scaled_config(time_scale=8_000.0, quantum_cycles=12_000)
+    second = dataclasses.replace(
+        first,
+        sedation=dataclasses.replace(
+            first.sedation, sample_interval=2 * first.sedation.sample_interval
+        ),
+    )
     specs = []
-    for policy in ("ideal", "stop_and_go", "dvfs", "sedation"):
-        specs.append(RunSpec(("gcc", "swim"), base.with_policy(policy)))
-        specs.append(RunSpec(("gzip", "mcf"), reseeded.with_policy(policy)))
+    for base in (first, second):
+        reseeded = dataclasses.replace(base, seed=99)
+        for policy in ("stop_and_go", "sedation"):
+            specs.append(RunSpec(("gcc", "swim"), base.with_policy(policy)))
+            specs.append(RunSpec(("gzip", "mcf"), reseeded.with_policy(policy)))
     return specs
 
 
@@ -197,14 +204,14 @@ def het_durable_child(cache_dir: str, jobs: int) -> int:
     from repro.sim.durable import run_durable
 
     run_durable(
-        het_durable_specs(), cache_dir=cache_dir, jobs=jobs, wave_size=4,
+        het_durable_specs(), cache_dir=cache_dir, jobs=jobs,
         raise_on_error=False,
     )
     return 0
 
 
 def het_durable_checks(jobs: int) -> list[tuple[str, bool]]:
-    """SIGKILL during a heterogeneous batch wave -> resume -> identity.
+    """SIGKILL during a heterogeneous kernel call -> resume -> identity.
 
     The child leads its own process group, so the kill also takes any
     pool workers it started (as a host crash would).
@@ -240,7 +247,7 @@ def het_durable_checks(jobs: int) -> list[tuple[str, bool]]:
         os.killpg(child.pid, signal.SIGKILL)
         child.wait()
         checks.append(
-            (f"jobs={jobs}: child SIGKILLed during a heterogeneous batch wave",
+            (f"jobs={jobs}: child SIGKILLed during a heterogeneous kernel call",
              killed_midway)
         )
 
@@ -265,8 +272,7 @@ def het_durable_checks(jobs: int) -> list[tuple[str, bool]]:
         )
 
         clean = run_durable(
-            specs, cache_dir=clean_dir, jobs=1, wave_size=4,
-            raise_on_error=False,
+            specs, cache_dir=clean_dir, jobs=1, raise_on_error=False
         )
         checks.append(
             (f"jobs={jobs}: heterogeneous resume byte-identical to a clean "
