@@ -12,32 +12,15 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline, norm_path, paths_match
 from .findings import Finding, SuppressionMap
 from .project import ProjectContext
-from .registry import Module, Rule, select_rules
+from .registry import Module, select_rules
 
 #: Reserved code for files the linter cannot parse at all.
 PARSE_ERROR_CODE = "RPR000"
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".repro_cache", ".venv", "node_modules"}
-
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Run-level knobs (rule selection; rules carry their own policy).
-
-    ``baseline`` points at a checked-in findings file whose entries do not
-    fail the run (see :mod:`repro.lint.baseline`); ``only_paths`` restricts
-    *reporting* to the given files while the whole path set is still
-    scanned, so cross-module rules keep their full context (``--diff``).
-    """
-
-    select: tuple[str, ...] | None = None
-    ignore: tuple[str, ...] = ()
-    baseline: str | Path | Baseline | None = None
-    only_paths: frozenset[str] | None = None
 
 
 @dataclass
@@ -47,8 +30,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
-    baselined: int = 0
-    stale_baseline: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -94,61 +75,32 @@ def _load_module(path: Path) -> tuple[Module | None, Finding | None]:
 
 
 def run_lint(
-    paths: Sequence[str | Path], config: LintConfig | None = None
+    paths: Sequence[str | Path], rules: Iterable[str] | None = None
 ) -> LintResult:
-    """Lint the given files/directories and return every surviving finding."""
-    config = config or LintConfig()
-    rules: list[Rule] = select_rules(config.select, config.ignore)
+    """Lint the given files/directories with the given rule codes (default:
+    every registered rule) and return every unsuppressed finding."""
+    selected = select_rules(rules)
     result = LintResult()
     raw_findings: list[Finding] = []
-    suppressions: dict[str, SuppressionMap] = {}
     modules: list[Module] = []
 
     for path in iter_python_files(paths):
         module, parse_error = _load_module(path)
         if parse_error is not None:
             raw_findings.append(parse_error)
-            continue
-        assert module is not None
-        result.files_checked += 1
-        suppressions[module.path] = module.suppressions
-        modules.append(module)
-        for rule in rules:
-            raw_findings.extend(rule.check_module(module))
-    for rule in rules:
-        raw_findings.extend(rule.finalize())
+        else:
+            modules.append(module)
+    result.files_checked = len(modules)
 
-    # One shared whole-program context for every project-level rule.
     project = ProjectContext(modules)
-    for rule in rules:
-        raw_findings.extend(rule.check_project(project))
+    for rule in selected:
+        raw_findings.extend(rule.check(project))
 
-    survivors: list[Finding] = []
+    suppressions = {module.path: module.suppressions for module in modules}
     for finding in sorted(set(raw_findings)):
         noqa = suppressions.get(finding.path)
         if noqa is not None and noqa.suppresses(finding.line, finding.code):
             result.suppressed += 1
         else:
-            survivors.append(finding)
-
-    if config.baseline is not None:
-        baseline = (
-            config.baseline
-            if isinstance(config.baseline, Baseline)
-            else Baseline.load(config.baseline)
-        )
-        survivors, result.baselined = baseline.apply(survivors)
-        result.stale_baseline = sum(
-            entry.count - entry.matched for entry in baseline.stale_entries()
-        )
-
-    if config.only_paths is not None:
-        wanted = {norm_path(p) for p in config.only_paths}
-        survivors = [
-            f
-            for f in survivors
-            if any(paths_match(norm_path(f.path), w) for w in wanted)
-        ]
-
-    result.findings = survivors
+            result.findings.append(finding)
     return result

@@ -1,6 +1,7 @@
-"""Project-wide analysis context shared by every cross-module rule.
+"""Project-wide analysis context shared by every rule.
 
-One pass over the parsed modules builds four queryable structures:
+It holds every parsed module, and one pass over them builds four
+queryable structures:
 
 * a **symbol table** — every function/method under a stable qualified name
   (``<dotted module>::Class.method``), plus per-module class bindings;
@@ -15,10 +16,9 @@ One pass over the parsed modules builds four queryable structures:
 * a **dict-shape analysis** — intraprocedural key schemas for
   payload-style locals.
 
-Rules receive the finished :class:`ProjectContext` through the
-``check_project`` hook and query it instead of re-walking single modules;
-the per-module ``check_module`` + ``finalize`` protocol stays untouched as
-a compatibility shim for the v1 rules.
+Every rule receives the finished :class:`ProjectContext` through its one
+``check`` hook: module-local rules loop over ``modules``, cross-module
+rules query the tables.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def value_kind(node: ast.expr) -> str:
     return "any"
 
 
-def _shape_from_dict_literal(node: ast.Dict, *, conditional: bool) -> DictShape:
+def dict_literal_shape(node: ast.Dict, *, conditional: bool = False) -> DictShape:
     shape = DictShape()
     for key, value in zip(node.keys, node.values):
         if key is None:  # ``**other`` unpack
@@ -221,7 +221,7 @@ def _apply_stmt(
         for tgt in targets:
             if isinstance(tgt, ast.Name) and tgt.id == name:
                 if isinstance(value, ast.Dict):
-                    shape = _shape_from_dict_literal(value, conditional=False)
+                    shape = dict_literal_shape(value)
                     if conditional:
                         # A rebind inside a branch: merge conservatively.
                         shape.optional |= shape.required
@@ -265,7 +265,7 @@ def _apply_stmt(
                     and not call.keywords
                     and isinstance(call.args[0], ast.Dict)
                 ):
-                    merged = _shape_from_dict_literal(
+                    merged = dict_literal_shape(
                         call.args[0], conditional=conditional
                     )
                     shape.required |= merged.required
@@ -282,7 +282,7 @@ def _apply_stmt(
 
 
 class ProjectContext:
-    """Everything the cross-module rules query, built in one pass."""
+    """Everything the rules query, built in one pass."""
 
     def __init__(self, modules: list[Module]):
         self.modules: list[ModuleInfo] = []
@@ -404,7 +404,7 @@ class ProjectContext:
             return None
         if not isinstance(func, ast.Attribute):
             return None
-        chain = _attr_chain(func)
+        chain = attr_chain(func)
         if not chain:
             return None
         if chain[0] in ("self", "cls") and len(chain) == 2 and caller.class_name:
@@ -477,7 +477,9 @@ class ProjectContext:
         return best
 
 
-def _attr_chain(node: ast.expr) -> tuple[str, ...]:
+
+def attr_chain(node: ast.expr) -> tuple[str, ...]:
+    """``a.b.c`` -> ("a", "b", "c"); empty tuple when not a plain chain."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)

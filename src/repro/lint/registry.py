@@ -1,13 +1,10 @@
 """Rule registry: one class per rule code, discovered by the engine.
 
-A rule sees every scanned module once (:meth:`Rule.check_module`) and gets
-one :meth:`Rule.finalize` call after the walk, where cross-file rules (the
-telemetry-coverage check, for instance) reconcile what they saw.  Rules
-that need whole-program structure implement :meth:`Rule.check_project`
-instead and query the :class:`~repro.lint.project.ProjectContext` (symbol
-table, import graph, call graph) the engine builds once per run.  Rules
-are instantiated fresh per lint run, so accumulated state never leaks
-between runs.
+Every rule has one hook, :meth:`Rule.check`, which receives the
+:class:`~repro.lint.project.ProjectContext` the engine builds once per run
+(every parsed module, plus the symbol table, import graph and call graph).
+Module-local rules loop over ``project.modules`` themselves; cross-module
+rules query the context.  Rules are instantiated fresh per lint run.
 """
 
 from __future__ import annotations
@@ -50,21 +47,13 @@ class Rule:
     name: str = ""
     summary: str = ""
 
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        """Yield findings for one module."""
-        return iter(())
-
-    def finalize(self) -> Iterator[Finding]:
-        """Yield cross-module findings once every module has been seen."""
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        """Yield findings against the shared whole-program context.
+    def check(self, project) -> Iterator[Finding]:
+        """Yield findings for the scanned project.
 
         ``project`` is a :class:`~repro.lint.project.ProjectContext`
         (untyped here to keep the registry import-light).
         """
-        return iter(())
+        raise NotImplementedError
 
     def finding(
         self, module: Module, node: ast.AST | None, message: str,
@@ -91,20 +80,16 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
     return rule_cls
 
 
-def select_rules(
-    select: Iterable[str] | None = None, ignore: Iterable[str] = ()
-) -> list[Rule]:
+def select_rules(codes: Iterable[str] | None = None) -> list[Rule]:
     """Instantiate the requested rules (default: all registered)."""
-    ignored = {code.upper() for code in ignore}
-    if select is None:
-        wanted = list(RULES)
-    else:
-        wanted = []
-        for code in select:
-            code = code.upper()
-            if code not in RULES:
-                raise ConfigError(
-                    f"unknown rule {code!r}; known: {', '.join(sorted(RULES))}"
-                )
-            wanted.append(code)
-    return [RULES[code]() for code in wanted if code not in ignored]
+    if codes is None:
+        return [rule_cls() for rule_cls in RULES.values()]
+    wanted = []
+    for code in codes:
+        code = code.strip().upper()
+        if code not in RULES:
+            raise ConfigError(
+                f"unknown rule {code!r}; known: {', '.join(sorted(RULES))}"
+            )
+        wanted.append(RULES[code]())
+    return wanted

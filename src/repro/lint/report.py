@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from ..errors import ConfigError
 from .engine import LintResult
 from .registry import RULES
 
@@ -13,32 +12,12 @@ def render_text(result: LintResult) -> str:
     """One ``path:line:col: CODE message`` line per finding plus a summary."""
     lines = [finding.render() for finding in result.findings]
     noun = "finding" if len(result.findings) == 1 else "findings"
-    extras = []
-    if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    if result.stale_baseline:
-        extras.append(f"{result.stale_baseline} stale baseline entr"
-                      + ("y" if result.stale_baseline == 1 else "ies"))
     lines.append(
         f"checked {result.files_checked} file(s): "
         f"{len(result.findings)} {noun}"
-        + (f" ({', '.join(extras)})" if extras else "")
+        + (f" ({result.suppressed} suppressed)" if result.suppressed else "")
     )
     return "\n".join(lines)
-
-
-def render_json(result: LintResult) -> str:
-    """Machine-readable report (stable key order) for tooling and CI."""
-    payload = {
-        "files_checked": result.files_checked,
-        "suppressed": result.suppressed,
-        "baselined": result.baselined,
-        "stale_baseline": result.stale_baseline,
-        "findings": [finding.to_dict() for finding in result.findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 #: SARIF 2.1.0 — the interchange schema GitHub code scanning and most
@@ -110,12 +89,3 @@ def render_rules() -> str:
         lines.append(f"{code} {rule_cls.name}: {rule_cls.summary}")
     return "\n".join(lines)
 
-
-def render(result: LintResult, fmt: str) -> str:
-    if fmt == "text":
-        return render_text(result)
-    if fmt == "json":
-        return render_json(result)
-    if fmt == "sarif":
-        return render_sarif(result)
-    raise ConfigError(f"unknown report format {fmt!r}")

@@ -9,7 +9,6 @@ from . import (
     payloads,
     taint,
     telemetry,
-    thresholds,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "payloads",
     "taint",
     "telemetry",
-    "thresholds",
 ]

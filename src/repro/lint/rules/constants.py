@@ -24,6 +24,7 @@ from ...config import (
     UPPER_THRESHOLD_K,
 )
 from ..findings import Finding
+from ..project import ProjectContext
 from ..registry import Module, Rule, register
 
 #: Files allowed to define paper constants.
@@ -76,9 +77,12 @@ class PaperConstantRule(Rule):
         "intervals) duplicated outside repro/config.py"
     )
 
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        if module.filename in CANONICAL_FILES:
-            return
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
+        for info in project.modules:
+            if info.module.filename not in CANONICAL_FILES:
+                yield from self._check_module(info.module)
+
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         context: dict[int, str] = {}  # id(literal node) -> binding name
         for node in ast.walk(module.tree):
             if isinstance(node, ast.keyword) and node.arg:

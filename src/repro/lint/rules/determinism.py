@@ -8,9 +8,10 @@ variables, or set iteration order — silently breaks that contract, and a
 broken contract means cached figures that no re-run can reproduce.
 
 This rule guards the packages that execute inside a fingerprinted run
-(``sim``, ``pipeline``, ``thermal``, ``dtm``, ``core``, ``faults``).  Code
-outside those packages (workload registries, CLI, analysis) may read the
-environment freely.
+(``sim``, ``pipeline``, ``thermal``, ``dtm``, ``core``, ``faults``, and
+the µop generation under it: ``workloads``, ``memory``, ``power``,
+``branch``, ``isa``).  Code outside those packages (CLI, analysis,
+telemetry sinks) may read the environment freely.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ import ast
 from collections.abc import Iterator
 
 from ..findings import Finding
-from ..registry import Module, Rule, register
+from ..project import ProjectContext, attr_chain
+from ..registry import Rule, register
 
 #: Packages whose modules run inside a fingerprinted simulation.
-GUARDED_PACKAGES = ("sim", "pipeline", "thermal", "dtm", "core", "faults")
+GUARDED_PACKAGES = (
+    "sim", "pipeline", "thermal", "dtm", "core", "faults",
+    "workloads", "memory", "power", "branch", "isa",
+)
 
 #: ``random.<fn>`` calls that touch the process-global RNG.  Constructing a
 #: seeded ``random.Random(...)`` instance is the sanctioned pattern.
@@ -42,18 +47,6 @@ _TIME_FNS = frozenset({
 
 #: Wall-clock reads on ``datetime``/``date`` objects.
 _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-
-
-def attr_chain(node: ast.expr) -> tuple[str, ...]:
-    """``a.b.c`` -> ("a", "b", "c"); empty tuple when not a plain chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ()
-    parts.append(node.id)
-    return tuple(reversed(parts))
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -158,8 +151,8 @@ class DeterminismRule(Rule):
         "order) inside cache-fingerprinted simulation packages"
     )
 
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        if not module.in_package(*GUARDED_PACKAGES):
-            return
-        for node, _label, message in iter_hazards(module.tree):
-            yield self.finding(module, node, message)
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
+        for info in project.modules:
+            if info.module.in_package(*GUARDED_PACKAGES):
+                for node, _label, message in iter_hazards(info.module.tree):
+                    yield self.finding(info.module, node, message)

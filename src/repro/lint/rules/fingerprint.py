@@ -19,6 +19,7 @@ import ast
 from collections.abc import Iterator
 
 from ..findings import Finding
+from ..project import ProjectContext
 from ..registry import Module, Rule, register
 
 #: Class names treated as cache-keyed specs.
@@ -69,7 +70,11 @@ class FingerprintRule(Rule):
         "(unkeyed fields serve stale cache entries)"
     )
 
-    def check_module(self, module: Module) -> Iterator[Finding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
+        for info in project.modules:
+            yield from self._check_module(info.module)
+
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         specs = [
             node for node in module.tree.body
             if isinstance(node, ast.ClassDef)

@@ -36,8 +36,8 @@ from ..registry import Module, Rule, register
 from ..project import (
     DictShape,
     ProjectContext,
+    dict_literal_shape,
     dict_shape_at,
-    value_kind,
 )
 
 
@@ -86,18 +86,6 @@ def _site_from_shape(site: EmitSite, shape: DictShape) -> EmitSite:
     return site
 
 
-def _literal_shape(node: ast.Dict) -> DictShape:
-    shape = DictShape()
-    for key, value in zip(node.keys, node.values):
-        if key is None:
-            shape.dynamic = True
-        elif isinstance(key, ast.Constant) and isinstance(key.value, str):
-            shape.add_key(key.value, value_kind(value), conditional=False)
-        else:
-            shape.dynamic = True
-    return shape
-
-
 def _collect_sites(project: ProjectContext) -> list[EmitSite]:
     sites: list[EmitSite] = []
     for info in project.modules:
@@ -119,7 +107,7 @@ def _collect_sites(project: ProjectContext) -> list[EmitSite]:
                 sites.append(site)
                 continue
             if isinstance(data, ast.Dict):
-                sites.append(_site_from_shape(site, _literal_shape(data)))
+                sites.append(_site_from_shape(site, dict_literal_shape(data)))
                 continue
             shape = None
             if isinstance(data, ast.Name):
@@ -147,7 +135,7 @@ class PayloadSchemaRule(Rule):
         "stable value kinds (guards columnar packed-column eligibility)"
     )
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         by_event: dict[str, list[EmitSite]] = {}
         for site in _collect_sites(project):
             by_event.setdefault(site.event, []).append(site)

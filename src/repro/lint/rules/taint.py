@@ -62,7 +62,7 @@ class TransitiveTaintRule(Rule):
         "/ environment reads through helpers outside the guarded packages"
     )
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         # taint witness per non-guarded function: (label, [qualname chain])
         memo: dict[str, tuple[str, list[str]] | None] = {}
 

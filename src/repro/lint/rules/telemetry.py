@@ -22,6 +22,7 @@ import ast
 from collections.abc import Iterator
 
 from ..findings import Finding
+from ..project import ProjectContext
 from ..registry import Module, Rule, register
 
 
@@ -42,58 +43,55 @@ class TelemetryCoverageRule(Rule):
         "an undefined member"
     )
 
-    def __init__(self) -> None:
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
         # member name -> (module, line) of its definition
-        self._defined: dict[str, tuple[Module, int]] = {}
-        self._definition_module: Module | None = None
+        defined: dict[str, tuple[Module, int]] = {}
+        definition_module: Module | None = None
         # member names seen as the first argument of an .emit(...) call
-        self._emitted: set[str] = set()
+        emitted: set[str] = set()
         # every EventType.<attr> use: (module, node, attr)
-        self._uses: list[tuple[Module, ast.Attribute, str]] = []
-
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == "EventType":
-                self._definition_module = module
-                for statement in node.body:
-                    if isinstance(statement, ast.Assign):
-                        for target in statement.targets:
-                            if isinstance(target, ast.Name):
-                                self._defined[target.id] = (
-                                    module, statement.lineno
-                                )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "emit"
-                    and node.args
-                ):
-                    member = _event_attr(node.args[0])
+        uses: list[tuple[Module, ast.Attribute, str]] = []
+        for info in project.modules:
+            module = info.module
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ClassDef) and node.name == "EventType":
+                    definition_module = module
+                    for statement in node.body:
+                        if isinstance(statement, ast.Assign):
+                            for target in statement.targets:
+                                if isinstance(target, ast.Name):
+                                    defined[target.id] = (
+                                        module, statement.lineno
+                                    )
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    if (
+                        isinstance(func, ast.Attribute)
+                        and func.attr == "emit"
+                        and node.args
+                    ):
+                        member = _event_attr(node.args[0])
+                        if member is not None:
+                            emitted.add(member)
+                elif isinstance(node, ast.Attribute):
+                    member = _event_attr(node)
                     if member is not None:
-                        self._emitted.add(member)
-            elif isinstance(node, ast.Attribute):
-                member = _event_attr(node)
-                if member is not None:
-                    self._uses.append((module, node, member))
-        return
-        yield  # pragma: no cover — make this a generator function
+                        uses.append((module, node, member))
 
-    def finalize(self) -> Iterator[Finding]:
-        if self._definition_module is None:
+        if definition_module is None:
             return
-        for module, node, member in self._uses:
-            if member not in self._defined and not member.startswith("__"):
+        for module, node, member in uses:
+            if member not in defined and not member.startswith("__"):
                 yield self.finding(
                     module, node,
                     f"EventType.{member} is not defined in "
-                    f"{self._definition_module.path}; this emit/reference "
+                    f"{definition_module.path}; this emit/reference "
                     "would raise AttributeError at runtime",
                 )
-        if not self._emitted:
+        if not emitted:
             return  # single-module lint: no emit sites in scope
-        for member, (module, line) in sorted(self._defined.items()):
-            if member not in self._emitted:
+        for member, (module, line) in sorted(defined.items()):
+            if member not in emitted:
                 yield self.finding(
                     module, None,
                     f"EventType.{member} has no emit site in the scanned "

@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from ..config import SimulationConfig, scaled_config
+from ..errors import ConfigError
 from .stats import RunResult
 
 
@@ -37,6 +38,8 @@ class ExperimentRunner:
     ) -> None:
         self.base = base_config or scaled_config()
         self.results: dict[str, RunResult] = {}
+        #: label -> the (workloads, config) it was first run with
+        self._runs: dict[str, tuple[tuple[str, ...], SimulationConfig]] = {}
         #: worker processes per batch (None or 1 = serial, in-process)
         self.jobs = jobs
         #: on-disk result cache directory (None = no cache)
@@ -67,32 +70,37 @@ class ExperimentRunner:
         """Run a batch of labeled simulations and return *those* results.
 
         Two memo layers stack here.  The runner's in-memory memo
-        (``self.results``) is keyed by *label alone* — reusing a label with
-        a different config returns the first run's result, so labels must
-        encode every varied parameter (:meth:`pair` bakes policy and sink
-        into its labels for exactly this reason).  Labels not in the memo go
-        through :func:`repro.sim.parallel.run_many` in one dispatch — a
-        batch of N misses occupies up to N workers at once (``jobs``), and
-        each miss first consults the on-disk cache (``cache_dir``), which is
-        keyed by a fingerprint of the *full* configuration and is therefore
-        immune to label collisions (see DESIGN.md §9 for the invalidation
-        rules).  Duplicate labels within a batch run once.
+        (``self.results``) is keyed by label, so a label must name one run:
+        reusing it with other workloads or another config raises
+        :class:`~repro.errors.ConfigError` (:meth:`pair` bakes policy and
+        sink into its labels for exactly this reason).  Labels not in the
+        memo go through :func:`repro.sim.parallel.run_many` in one dispatch
+        — a batch of N misses occupies up to N workers at once (``jobs``),
+        and each miss first consults the on-disk cache (``cache_dir``),
+        which is keyed by a fingerprint of the *full* configuration (see
+        DESIGN.md §9 for the invalidation rules).  Duplicate labels within
+        a batch run once.
         """
         items: list[tuple[str, list[str], SimulationConfig]] = []
+        missing: dict[str, tuple[str, list[str], SimulationConfig]] = {}
         for label, workloads, config in labeled:
-            items.append((label, list(workloads), config or self.base))
-        missing: list[tuple[str, list[str], SimulationConfig]] = []
-        seen: set[str] = set()
-        for label, workloads, config in items:
-            if label not in self.results and label not in seen:
-                seen.add(label)
-                missing.append((label, workloads, config))
+            run = (tuple(workloads), config or self.base)
+            known = self._runs.setdefault(label, run)
+            if known != run:
+                raise ConfigError(
+                    f"label {label!r} already names a run of "
+                    f"{'+'.join(known[0])}; another workload list or "
+                    "config needs its own label"
+                )
+            items.append((label, list(run[0]), run[1]))
+            if label not in self.results:
+                missing.setdefault(label, items[-1])
         if missing:
             from .parallel import RunSpec, run_many
 
             specs = [
                 RunSpec(workloads=tuple(workloads), config=config)
-                for _, workloads, config in missing
+                for _, workloads, config in missing.values()
             ]
             fresh = run_many(
                 specs,
@@ -102,7 +110,7 @@ class ExperimentRunner:
                 batch=self.batch,
                 telemetry=self.telemetry,
             )
-            for (label, _, _), result in zip(missing, fresh, strict=True):
+            for label, result in zip(missing, fresh, strict=True):
                 self.results[label] = result
         return {label: self.results[label] for label, _, _ in items}
 

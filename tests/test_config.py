@@ -146,6 +146,21 @@ class TestSedationConfig:
         with pytest.raises(ConfigError):
             SedationConfig(sample_interval=0)
 
+    @pytest.mark.parametrize(
+        "make", [SimulationConfig, scaled_config, paper_config],
+        ids=["default", "scaled", "paper"],
+    )
+    def test_ladder_sits_below_emergency(self, make):
+        # Neither dataclass can see the other's default, so nothing at
+        # construction stops an upper threshold edited above the emergency
+        # temperature, which hands every detection to stop-and-go.
+        config = make()
+        assert (
+            config.sedation.lower_threshold_k
+            < config.sedation.upper_threshold_k
+            < config.thermal.emergency_k
+        )
+
 
 class TestPresets:
     def test_paper_config_uses_paper_intervals(self):

@@ -55,6 +55,20 @@ class TestChecker:
         errors = check_links.check_file(doc)
         assert len(errors) == 1 and "points past end" in errors[0]
 
+    def test_named_line_anchor_must_land_on_the_name(self, check_links, tmp_path):
+        (tmp_path / "code.py").write_text(
+            "class Spec:\n    def key(self):\n        pass\n\ndef fingerprint(spec):\n"
+        )
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "[`fingerprint()`](code.py#L5) [`Spec.key`](code.py#L2)"
+            " [`Spec`](code.py#L1-L3) [prose](code.py#L4)\n"
+            "[`fingerprint`](code.py#L2)\n"  # drifted inside the file
+        )
+        errors = check_links.check_file(doc)
+        assert len(errors) == 1
+        assert "doc.md:2:" in errors[0] and "does not land on 'fingerprint'" in errors[0]
+
     def test_external_and_fenced_links_ignored(self, check_links, tmp_path):
         doc = tmp_path / "doc.md"
         doc.write_text(

@@ -18,6 +18,7 @@ import pytest
 
 from repro.blocks import INT_RF, NUM_BLOCKS
 from repro.config import scaled_config
+from repro.errors import ConfigError
 from repro.sim import ExperimentRunner, RunSpec, run_many, spec_fingerprint
 from repro.sim.results import load_result, save_result
 from repro.thermal import RCThermalModel
@@ -255,6 +256,21 @@ class TestExperimentRunnerBatching:
         assert result.workloads == ("gcc", "idle")
         assert result.threads[1].committed == 0
         assert result.threads[0].committed > 0
+
+    def test_label_reused_for_another_run_raises(self):
+        runner = ExperimentRunner(tiny_config())
+        first = runner.run("victim", ["gcc", "swim"])
+        # The same label and run again is a memo hit, not a collision.
+        assert runner.run("victim", ["gcc", "swim"], tiny_config()) is first
+        with pytest.raises(ConfigError, match="'victim'"):
+            runner.run("victim", ["gzip", "swim"])
+        with pytest.raises(ConfigError, match="'victim'"):
+            runner.run("victim", ["gcc", "swim"], runner.base.with_policy("sedation"))
+        with pytest.raises(ConfigError, match="'twice'"):
+            runner.sweep([
+                ("twice", ["gcc", "swim"], runner.base),
+                ("twice", ["gcc", "mcf"], runner.base),
+            ])
 
 
 @pytest.mark.parametrize("name", ["idle"])

@@ -3,21 +3,19 @@
 The v1 rules keep their fixtures in ``test_lint.py``; this file covers the
 project-wide analysis context (symbol table, import/call graph, dict
 shapes) and everything built on it: RPR007 transitive determinism taint,
-RPR008 payload schemas, the findings baseline, the SARIF reporter, multi-line suppression, and the
-``--rule``/``--diff`` CLI flags.
+RPR008 payload schemas, the SARIF reporter, multi-line suppression, and the
+``--rule``/``--output`` CLI flags.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import subprocess
 import textwrap
 import time
 from pathlib import Path
 
-from repro.lint import Finding, LintConfig, LintResult, run_lint
-from repro.lint.baseline import Baseline, paths_match
+from repro.lint import Finding, LintResult, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import _load_module, iter_python_files
 from repro.lint.findings import SuppressionMap
@@ -42,10 +40,9 @@ def lint_tree(
     tmp_path: Path,
     files: dict[str, str],
     select: tuple[str, ...] | None = None,
-    **config,
 ) -> LintResult:
     write_tree(tmp_path, files)
-    return run_lint([tmp_path], LintConfig(select=select, **config))
+    return run_lint([tmp_path], select)
 
 
 def build_context(tmp_path: Path, files: dict[str, str]) -> ProjectContext:
@@ -239,7 +236,7 @@ class TestTransitiveTaintRule:
         }
         taint_only = lint_tree(tmp_path, files, select=("RPR007",))
         assert taint_only.findings == []
-        both = run_lint([tmp_path], LintConfig(select=("RPR001", "RPR007")))
+        both = run_lint([tmp_path], ("RPR001", "RPR007"))
         assert codes(both) == ["RPR001"]
 
     def test_guarded_helper_is_a_taint_barrier(self, tmp_path):
@@ -356,103 +353,6 @@ class TestPayloadSchemaRule:
         assert result.findings == [] and result.suppressed == 1
 
 
-# -- the findings baseline ----------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_absorbs_everything(self, tmp_path):
-        findings = [
-            Finding("src/a.py", 3, 1, "RPR003", "magic constant"),
-            Finding("src/a.py", 9, 1, "RPR003", "magic constant"),
-            Finding("src/b.py", 2, 1, "RPR001", "wall clock"),
-        ]
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.write(path)
-        loaded = Baseline.load(path)
-        survivors, absorbed = loaded.apply(findings)
-        assert survivors == [] and absorbed == 3
-        assert loaded.stale_entries() == []
-
-    def test_counts_cap_absorption_and_reveal_staleness(self, tmp_path):
-        two = [
-            Finding("src/a.py", 3, 1, "RPR003", "magic constant"),
-            Finding("src/a.py", 9, 1, "RPR003", "magic constant"),
-        ]
-        baseline = Baseline.from_findings(two)
-        # Three findings against a count-2 entry: one survives.
-        survivors, absorbed = baseline.apply(
-            two + [Finding("src/a.py", 20, 1, "RPR003", "magic constant")]
-        )
-        assert len(survivors) == 1 and absorbed == 2
-        # One finding against a count-2 entry: the entry is stale.
-        survivors, absorbed = baseline.apply(two[:1])
-        assert survivors == [] and absorbed == 1
-        assert len(baseline.stale_entries()) == 1
-
-    def test_render_is_deterministic(self):
-        findings = [
-            Finding("src/b.py", 2, 1, "RPR001", "wall clock"),
-            Finding("src/a.py", 3, 1, "RPR003", "magic constant"),
-        ]
-        first = Baseline.from_findings(findings).render()
-        second = Baseline.from_findings(list(reversed(findings))).render()
-        assert first == second
-        assert json.loads(first)["schema"] == 1
-
-    def test_path_matching_tolerates_prefixes(self):
-        assert paths_match("src/repro/x.py", "src/repro/x.py")
-        assert paths_match("/repo/src/repro/x.py", "src/repro/x.py")
-        assert paths_match("src/repro/x.py", "/repo/src/repro/x.py")
-        assert not paths_match("src/repro/x.py", "repro_x.py")
-
-    def test_engine_subtracts_baselined_findings(self, tmp_path):
-        files = {"dtm/policy.py": "EMERGENCY = 358.0\n"}
-        flagged = lint_tree(tmp_path, files, select=("RPR003",))
-        assert codes(flagged) == ["RPR003"]
-        baseline = Baseline.from_findings(flagged.findings)
-        gated = run_lint(
-            [tmp_path], LintConfig(select=("RPR003",), baseline=baseline)
-        )
-        assert gated.findings == [] and gated.baselined == 1
-        assert gated.exit_code == 0
-
-    def test_engine_counts_stale_entries(self, tmp_path):
-        write_tree(tmp_path, {"dtm/policy.py": "x = 1\n"})
-        baseline = Baseline.from_findings(
-            [Finding("dtm/policy.py", 1, 1, "RPR003", "gone finding")]
-        )
-        result = run_lint([tmp_path], LintConfig(baseline=baseline))
-        assert result.stale_baseline == 1
-
-    def test_checked_in_baseline_matches_the_tree(self):
-        result = run_lint(
-            [REPO_ROOT / "src"],
-            LintConfig(baseline=REPO_ROOT / "tools" / "lint_baseline.json"),
-        )
-        assert result.findings == [] and result.stale_baseline == 0
-
-    def test_update_tool_is_deterministic(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        write_tree(tmp_path, {"src/dtm/policy.py": "EMERGENCY = 358.0\n"})
-        argv = [str(tmp_path / "src"), "--baseline", str(target), "--update"]
-        for _ in range(2):
-            proc = subprocess.run(
-                ["python", str(REPO_ROOT / "tools" / "lint_baseline.py"), *argv],
-                capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-        first = target.read_text()
-        payload = json.loads(first)
-        assert payload["findings"][0]["code"] == "RPR003"
-        check = subprocess.run(
-            ["python", str(REPO_ROOT / "tools" / "lint_baseline.py"),
-             str(tmp_path / "src"), "--baseline", str(target), "--check"],
-            capture_output=True, text=True,
-        )
-        assert check.returncode == 0, check.stdout + check.stderr
-
-
 # -- multi-line suppression (regression) --------------------------------------
 
 
@@ -503,7 +403,7 @@ class TestSarifReporter:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.lint"
         ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == sorted(ids) and len(ids) == 7
+        assert ids == sorted(ids) and len(ids) == 6
         entry = run["results"][0]
         assert entry["ruleId"] == "RPR008"
         assert ids[entry["ruleIndex"]] == "RPR008"
@@ -516,15 +416,7 @@ class TestSarifReporter:
         assert payload["runs"][0]["results"] == []
 
 
-# -- CLI: --rule and --diff ---------------------------------------------------
-
-
-def _git(cwd: Path, *args: str) -> None:
-    subprocess.run(
-        ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
-         *args],
-        cwd=cwd, check=True, capture_output=True,
-    )
+# -- CLI: --rule and --output -----------------------------------------------
 
 
 class TestCLIFlags:
@@ -550,23 +442,6 @@ class TestCLIFlags:
         assert status == 1
         assert "RPR003" in out and "RPR001" in out
 
-    def test_diff_reports_only_changed_files(self, tmp_path, monkeypatch, capsys):
-        write_tree(tmp_path, {
-            "dtm/stable.py": "EMERGENCY = 358.0\n",
-            "dtm/edited.py": "UPPER = 356.5\n",
-        })
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        (tmp_path / "dtm" / "edited.py").write_text(
-            "UPPER = 356.5\nEMERGENCY = 358.0\n"
-        )
-        monkeypatch.chdir(tmp_path)
-        status = lint_main([".", "--diff", "--rule", "RPR003"])
-        out = capsys.readouterr().out
-        assert status == 1
-        assert "edited.py" in out and "stable.py" not in out
-
     def test_output_writes_report_and_prints_summary(self, tmp_path, capsys):
         write_tree(tmp_path, {"dtm/policy.py": "EMERGENCY = 358.0\n"})
         target = tmp_path / "lint.sarif"
@@ -579,17 +454,6 @@ class TestCLIFlags:
         payload = json.loads(target.read_text())
         assert payload["runs"][0]["results"][0]["ruleId"] == "RPR003"
         assert "1 finding" in out  # the one-line text pulse
-
-    def test_baseline_flag_gates_on_regressions_only(self, tmp_path, capsys):
-        write_tree(tmp_path, {"dtm/policy.py": "EMERGENCY = 358.0\n"})
-        baseline = tmp_path / "baseline.json"
-        flagged = run_lint([tmp_path], LintConfig(select=("RPR003",)))
-        Baseline.from_findings(flagged.findings).write(baseline)
-        status = lint_main([
-            str(tmp_path), "--rule", "RPR003", "--baseline", str(baseline),
-        ])
-        out = capsys.readouterr().out
-        assert status == 0 and "1 baselined" in out
 
 
 # -- performance budget -------------------------------------------------------
@@ -641,5 +505,5 @@ class TestDurableModuleGuard:
         target = tmp_path / "sim" / "durable.py"
         target.parent.mkdir(parents=True)
         target.write_text(stripped)
-        result = run_lint([tmp_path], LintConfig(select=("RPR001",)))
+        result = run_lint([tmp_path], ("RPR001",))
         assert codes(result).count("RPR001") == 2

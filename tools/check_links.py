@@ -10,7 +10,10 @@ Validates every inline markdown link (``[text](target)``) whose target is
   file, using GitHub's slug rules (lowercased, punctuation stripped, spaces
   to hyphens, ``-N`` suffixes for duplicates);
 * a ``#L<n>`` line anchor into a source file must not point past the end
-  of the file.
+  of the file, and when the link text is a code span naming an identifier
+  (`` `name` ``, `` `name()` ``, `` `Cls.meth` ``) the anchored line must
+  contain the identifier's last dotted part, so an anchor that drifts
+  inside the file fails too.
 
 External links (``http(s)://``, ``mailto:``) are deliberately ignored —
 CI must not depend on the network.  Exit status is the number of dead
@@ -45,7 +48,10 @@ DEFAULT_FILES = (
 
 # Inline links; [text](target "title") and [text](target).  Images share
 # the syntax (leading !) and are validated the same way.
-_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+_LINK = re.compile(r"\[([^\]]*)\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+_CODE_SPAN = re.compile(r"`[^`]*`")
+# Link text that names an identifier: `name`, `name()`, `Cls.meth`.
+_NAMED = re.compile(r"^`((?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*))(?:\(\))?`$")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _LINE_ANCHOR = re.compile(r"^L(\d+)(?:-L?\d+)?$")
 _EXTERNAL = ("http://", "https://", "mailto:")
@@ -77,7 +83,8 @@ def github_slugs(markdown: str) -> set[str]:
 
 
 def iter_links(markdown: str):
-    """Yield (lineno, target) for every inline link, skipping code fences."""
+    """Yield (lineno, text, target) for every inline link, skipping code
+    fences and links inside inline code spans."""
     in_fence = False
     for lineno, line in enumerate(markdown.splitlines(), start=1):
         if line.lstrip().startswith("```"):
@@ -85,10 +92,11 @@ def iter_links(markdown: str):
             continue
         if in_fence:
             continue
-        # Drop inline code spans so `[x](y)` inside backticks is not a link.
-        stripped = re.sub(r"`[^`]*`", "", line)
-        for match in _LINK.finditer(stripped):
-            yield lineno, match.group(1)
+        # A link that starts inside a code span (`[x](y)`) is not a link.
+        spans = [m.span() for m in _CODE_SPAN.finditer(line)]
+        for match in _LINK.finditer(line):
+            if not any(a <= match.start() < b for a, b in spans):
+                yield lineno, match.group(1), match.group(2)
 
 
 def check_file(path: Path) -> list[str]:
@@ -98,7 +106,7 @@ def check_file(path: Path) -> list[str]:
         markdown = path.read_text()
     except OSError as error:
         return [f"{path}: unreadable ({error})"]
-    for lineno, target in iter_links(markdown):
+    for lineno, text, target in iter_links(markdown):
         if target.startswith(_EXTERNAL):
             continue
         try:
@@ -122,11 +130,20 @@ def check_file(path: Path) -> list[str]:
             if dest.is_dir():
                 errors.append(f"{where}: line anchor into directory {target!r}")
                 continue
-            total = len(dest.read_text().splitlines())
-            if wanted > total:
+            lines = dest.read_text().splitlines()
+            named = _NAMED.match(text)
+            if wanted > len(lines):
                 errors.append(
                     f"{where}: {target!r} points past end of file "
-                    f"({wanted} > {total} lines)"
+                    f"({wanted} > {len(lines)} lines)"
+                )
+            elif named and not re.search(
+                rf"\b{named.group(2)}\b", lines[wanted - 1]
+            ):
+                errors.append(
+                    f"{where}: {target!r} does not land on "
+                    f"{named.group(2)!r} (line {wanted} reads "
+                    f"{lines[wanted - 1].strip()!r})"
                 )
         elif dest.suffix == ".md":
             if fragment.lower() not in github_slugs(dest.read_text()):
