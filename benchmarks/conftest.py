@@ -5,7 +5,14 @@ Environment knobs (all optional):
 ``REPRO_BENCH_SCALE``      thermal time-scale (default 4000; smaller = more
                            faithful and slower; DESIGN.md §4)
 ``REPRO_BENCH_QUANTUM``    cycles per simulated OS quantum (default 125000,
-                           i.e. the paper's 125 ms quantum at the default scale)
+                           i.e. the paper's 125 ms quantum at the default scale).
+                           The paper-shape bands are sized for the default: at
+                           a small quantum (8000) six tests fail their bands —
+                           test_monopolization_vs_heat_stroke,
+                           test_fig3_access_rates, test_fig4_emergencies,
+                           test_fig5_ipc, test_fig6_time_breakdown and
+                           test_sec56_threshold_sensitivity.  A small quantum
+                           is a smoke test of the runner, not of the figures.
 ``REPRO_BENCH_SET``        'subset' (default), 'full', or a comma-separated
                            list of benchmark names
 ``REPRO_BENCH_JOBS``       worker processes for independent simulations

@@ -10,11 +10,10 @@ gate fetch instead; see :mod:`repro.pipeline.fetch`).
 A program is decoded once into a per-pc table of :class:`Op` records: the µop
 static fields plus an evaluator specialised to the instruction.
 :meth:`ArchExecutor.advance` runs one record; :meth:`~ArchExecutor.step` wraps
-it in a :class:`StepResult` and ``ProgramSource.next_uop`` builds a µop from
-it.  Evaluators take the registers and memory as arguments and close over
-decode-time constants only, so ``copy.deepcopy`` (which shares functions)
-gives an independent executor.  A malformed instruction still fails only when
-executed.
+it in a :class:`StepResult` and ``ProgramSource.next_row`` emits a µop row
+from it.  Evaluators take the registers and memory as arguments and close
+over decode-time constants only, so no executor's table reaches another
+executor's state.  A malformed instruction still fails only when executed.
 
 Data memory is a sparse dictionary; uninitialized loads return zero.  Writes
 to ``$31`` are dropped at decode time, so ``registers[31]`` stays zero.

@@ -1,30 +1,32 @@
-"""Columnar uop streams: generate a trajectory once, replay it per cohort.
+"""Columnar µop streams: generate a source's rows once, replay them per pipeline.
 
+Every pipeline reads its threads' µops through a :class:`StreamCursor`.
 Workload sources have no pipeline feedback: ``build_pipeline`` guarantees a
-thread's uop stream is a pure function of (workload, context id, seed,
-machine, thermal time base).  The lock-step batch engine exploits that
-purity twice over — lanes sharing a trajectory share one pipeline, and
-*pipelines* sharing a trajectory (the root cohort and every cohort split
-off it, or sibling trajectory groups that reuse a workload/seed pair)
-share one **generated stream**.
+thread's µop stream is a pure function of (workload, context id, seed,
+machine, thermal time base).  A scalar run gives each thread its own
+stream; the lock-step batch engine exploits the purity twice over — lanes
+sharing a trajectory share one pipeline, and *pipelines* sharing a
+trajectory (the root cohort and every cohort split off it, or sibling
+trajectory groups that reuse a workload/seed pair) share one **generated
+stream** (:class:`repro.sim.soa.StreamBank`).
 
-:class:`SharedStream` wraps a scalar source and materializes its output as
-packed static-field rows (plain tuples, in :data:`~repro.pipeline.uop.Uop`
-constructor order) the first time any reader reaches that index.
-:class:`StreamCursor` is a :class:`~repro.pipeline.source.UopSource` view
-over a shared stream: it re-hydrates fresh :class:`Uop` objects per
-pipeline (scheduling fields are mutable, so uops are never shared), forks
-in O(1) at a cohort split, and registers itself so the stream can trim
-rows every live reader has passed — memory stays proportional to the
-*spread* between the slowest and fastest cohort, not to trajectory length.
+:class:`SharedStream` wraps a :class:`~repro.pipeline.source.RowSource` and
+keeps its rows (static-field tuples in :class:`~repro.pipeline.uop.Uop`
+constructor order) from the first time any reader reaches that index.
+:class:`StreamCursor` is the pipeline-facing
+:class:`~repro.pipeline.source.UopSource` over a shared stream: it builds a
+fresh :class:`Uop` per row and pipeline (scheduling fields are mutable, so
+µops are never shared), forks in O(1) at a cohort split, and registers
+itself so the stream can trim rows every live reader has passed — memory
+stays proportional to the *spread* between the slowest and fastest
+cursor, not to trajectory length.
 
-The replay contract is byte-exact by construction: generation itself runs
-the real scalar source (same RNG draws, same branch-predictor updates,
-same executor steps, in the same order), and the pipeline only ever
-observes a source through ``peek_pc``/``next_uop``, both of which the
-cursor reproduces verbatim — including the peek-at-halt case, where the
-scalar ``ProgramSource`` reports the halt instruction's pc from ``peek_pc``
-*before* ``next_uop`` returns ``None`` (the core I-cache-accesses that pc;
+The replay is byte-exact by construction: generation runs the source
+itself (same RNG draws, same branch-predictor updates, same executor
+steps, in the same order), and the cursor reproduces the source's
+``peek_pc`` — including the peek-at-halt case: the cursor reports the
+halt instruction's pc from ``peek_pc`` until ``next_uop`` has returned
+``None`` at it, and -1 after (the core I-cache-accesses that pc;
 dropping it would skew access counts).
 """
 
@@ -34,27 +36,26 @@ from .uop import Uop
 
 #: Rows generated per refill; amortizes the ensure() call overhead without
 #: running far ahead of the slowest pipeline.
-_CHUNK = 4096
+_CHUNK = 512
 
 #: Keep at least this many dead rows before compacting, so trims are O(1)
 #: amortized instead of O(rows) per call.
-_TRIM_SLACK = 8192
+_TRIM_SLACK = 1024
 
 
 class SharedStream:
     """One workload trajectory, generated lazily and shared by cursors.
 
-    ``rows[i - base]`` holds uop ``i``'s static fields as a tuple in
-    ``Uop.__init__`` positional order (minus the thread id, which the
+    ``rows[i - base]`` holds µop ``i``'s row: its static fields as a tuple
+    in ``Uop.__init__`` positional order (minus the thread id, which the
     cursor supplies).  ``halted_at`` is the stream length once the source
-    halts; ``halt_peek_pc`` is what ``peek_pc`` reports at that index
-    (-1, or the halt instruction's pc for program sources).
+    halts; ``halt_peek_pc`` is the halt instruction's pc, which ``peek_pc``
+    reports at that index until a ``next_uop`` has refused it.
     """
 
     __slots__ = (
         "source",
         "rows",
-        "pcs",
         "base",
         "halted_at",
         "halt_peek_pc",
@@ -65,10 +66,6 @@ class SharedStream:
     def __init__(self, source) -> None:
         self.source = source
         self.rows: list[tuple] = []
-        #: peek_pc per row — generation records the *peeked* pc separately
-        #: from ``uop.pc`` so replay cannot drift even if a source ever
-        #: distinguished the two.
-        self.pcs: list[int] = []
         self.base = 0
         self.halted_at: int | None = None
         self.halt_peek_pc = -1
@@ -76,42 +73,29 @@ class SharedStream:
         self.generated = 0
 
     def ensure(self, index: int) -> None:
-        """Generate rows until ``index`` exists or the source halts."""
+        """Generate rows until ``index`` exists or the source halts.
+
+        Each refill first trims behind the live cursors, so a stream read
+        by one cursor (every scalar run's) holds fewer than
+        ``_CHUNK + _TRIM_SLACK`` rows.
+        """
         while self.halted_at is None and self.base + len(self.rows) <= index:
+            self.trim()
             self._generate(_CHUNK)
 
     def _generate(self, count: int) -> None:
-        source = self.source
-        peek_pc = source.peek_pc
-        next_uop = source.next_uop
-        rows_append = self.rows.append
-        pcs_append = self.pcs.append
+        next_row = self.source.next_row
+        rows = self.rows
+        append = rows.append
+        start = len(rows)
         for _ in range(count):
-            pc = peek_pc()
-            if pc < 0:
-                self.halted_at = self.base + len(self.rows)
-                self.halt_peek_pc = -1
-                return
-            uop = next_uop()
-            if uop is None:
-                # Program sources discover the halt one step late: peek
-                # reported the halt instruction's pc, next refused it.
-                self.halted_at = self.base + len(self.rows)
-                self.halt_peek_pc = pc
-                return
-            rows_append(
-                (
-                    uop.pc,
-                    uop.opclass,
-                    uop.dest,
-                    uop.srcs,
-                    uop.address,
-                    uop.taken,
-                    uop.mispredict,
-                )
-            )
-            pcs_append(pc)
-            self.generated += 1
+            row = next_row()
+            if row is None:
+                self.halted_at = self.base + len(rows)
+                self.halt_peek_pc = self.source.peek_pc()
+                break
+            append(row)
+        self.generated += len(rows) - start
 
     def trim(self) -> None:
         """Drop rows every registered cursor has already consumed."""
@@ -125,7 +109,6 @@ class SharedStream:
         dead = low - self.base
         if dead >= _TRIM_SLACK or (dead > 0 and not cursors):
             del self.rows[:dead]
-            del self.pcs[:dead]
             self.base = low
 
 
@@ -135,13 +118,13 @@ class StreamCursor:
     Satisfies the :class:`~repro.pipeline.source.UopSource` protocol
     structurally (it is a Protocol, not a base class).
 
-    Each pipeline (root cohort or split-off child) owns its cursors;
-    ``fork`` hands a child cohort an O(1) continuation at the same stream
-    position, replacing the deep copy of a live generator the scalar
-    engine would otherwise pay for.
+    Each pipeline (a scalar run's, a root cohort or a split-off child)
+    owns its cursors; ``fork`` hands a child cohort an O(1) continuation at
+    the same stream position.  ``__dict__`` stays among the slots so a
+    profiler can wrap ``peek_pc``/``next_uop`` on one instance.
     """
 
-    __slots__ = ("stream", "thread_id", "index", "halt_consumed")
+    __slots__ = ("stream", "thread_id", "index", "halt_consumed", "__dict__")
 
     def __init__(
         self,
@@ -153,46 +136,52 @@ class StreamCursor:
         self.stream = stream
         self.thread_id = thread_id
         self.index = index
-        #: a ProgramSource peeks the halt instruction's pc only until the
-        #: refusing ``next_uop`` steps its executor; afterwards it peeks -1.
-        #: The cursor mirrors that one-way edge per reader.
+        #: the cursor peeks the halt instruction's pc only until its own
+        #: ``next_uop`` has refused it; afterwards it peeks -1 (halted).
         self.halt_consumed = halt_consumed
         stream.cursors.append(self)
 
     def peek_pc(self) -> int:
         stream = self.stream
-        index = self.index
-        if stream.base + len(stream.rows) <= index:
-            if stream.halted_at is None:
-                stream.ensure(index)
-        halted_at = stream.halted_at
-        if halted_at is not None and index >= halted_at:
+        rows = stream.rows
+        offset = self.index - stream.base
+        if offset < len(rows):
+            return rows[offset][0]
+        if self._at_halt():
             return -1 if self.halt_consumed else stream.halt_peek_pc
-        return stream.pcs[index - stream.base]
+        return rows[self.index - stream.base][0]
 
     def next_uop(self) -> Uop | None:
         stream = self.stream
+        rows = stream.rows
         index = self.index
-        if stream.base + len(stream.rows) <= index:
-            if stream.halted_at is None:
-                stream.ensure(index)
-        halted_at = stream.halted_at
-        if halted_at is not None and index >= halted_at:
-            self.halt_consumed = True
-            return None
+        offset = index - stream.base
+        if offset >= len(rows):
+            if self._at_halt():
+                self.halt_consumed = True
+                return None
+            offset = index - stream.base
         self.index = index + 1
-        return Uop(self.thread_id, *stream.rows[index - stream.base])
+        return Uop(self.thread_id, *rows[offset])
+
+    def _at_halt(self) -> bool:
+        """Generate up to this cursor's row; True if the stream halts first.
+
+        The slow path of ``peek_pc``/``next_uop``: once a stream has halted
+        it never grows, so testing for a buffered row first is exact.
+        """
+        stream = self.stream
+        stream.ensure(self.index)
+        return stream.halted_at is not None and self.index >= stream.halted_at
 
     def prefill(self, hierarchy) -> None:
-        """Warm the caches exactly as the wrapped scalar source would.
+        """Warm the caches exactly as the wrapped source would.
 
         Prefill only reads the source's static program/profile data, so
         delegating to the shared source is safe to repeat once per root
         pipeline; forked pipelines inherit warm caches and never re-call.
         """
-        prefill = getattr(self.stream.source, "prefill", None)
-        if prefill is not None:
-            prefill(hierarchy)
+        self.stream.source.prefill(hierarchy)
 
     def fork(self) -> "StreamCursor":
         return StreamCursor(
@@ -205,3 +194,8 @@ class StreamCursor:
             self.stream.cursors.remove(self)
         except ValueError:
             pass
+
+
+def stream_cursor(thread_id: int, source) -> StreamCursor:
+    """Thread ``thread_id``'s cursor at the start of a new stream over ``source``."""
+    return StreamCursor(SharedStream(source), thread_id)

@@ -57,8 +57,8 @@ from ..config import MachineConfig
 from ..errors import PipelineError
 from ..isa.registers import FP_BASE, TOTAL_REGS
 from ..memory import MemLevel, MemoryHierarchy
+from .banks import StreamCursor
 from .fetch import make_fetch_selector
-from .source import UopSource
 from .thread import ThreadContext
 from .uop import OP_BRANCH, OP_STORE, Uop, fork_uop
 
@@ -84,7 +84,7 @@ class SMTCore:
     def __init__(
         self,
         config: MachineConfig,
-        sources: list[UopSource],
+        sources: list[StreamCursor],
         hierarchy: MemoryHierarchy | None = None,
     ) -> None:
         if len(sources) != config.num_threads:
@@ -120,8 +120,7 @@ class SMTCore:
         state: the in-flight uop graph (a few hundred objects) is cloned
         through one identity-preserving memo, caches copy their tag lists,
         and immutable structure (config, shared uop-stream columns) is
-        shared.  Sources fork via their own ``fork`` when available (O(1)
-        for stream cursors), else deep-copy.
+        shared.  Each thread's stream cursor forks in O(1).
 
         Telemetry sessions are intentionally not forkable: batchable specs
         never carry telemetry, and silently sharing a sink between sibling

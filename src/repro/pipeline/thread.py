@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 
 from ..isa.registers import TOTAL_REGS
-from .source import UopSource
+from .banks import StreamCursor
 from .uop import Uop, fork_uop
 
 
 class ThreadContext:
     """One hardware thread: front-end state, ROB, and run-state flags.
+
+    ``source`` is the thread's :class:`~repro.pipeline.banks.StreamCursor`,
+    the only way the pipeline reads µops.
 
     Run-state flags and what sets them:
 
@@ -58,7 +60,7 @@ class ThreadContext:
         "seq_counter",
     )
 
-    def __init__(self, tid: int, source: UopSource) -> None:
+    def __init__(self, tid: int, source: StreamCursor) -> None:
         self.tid = tid
         self.source = source
         self.fetch_queue: deque[tuple[int, Uop]] = deque()
@@ -88,18 +90,12 @@ class ThreadContext:
         Every in-flight uop reachable from this context (fetch queue, ROB,
         writer table, gating pointers) is cloned through the shared
         ``memo`` so the forked pipeline preserves the original's object
-        identities among its own twins.  Sources fork via their own
-        ``fork`` when they have one (stream cursors are O(1)); anything
-        else falls back to ``copy.deepcopy``, which every scalar source
-        supports — that is exactly what the pre-fork engine did wholesale.
+        identities among its own twins.  The source is a stream cursor,
+        which forks in O(1) at the same stream position.
         """
         clone = ThreadContext.__new__(ThreadContext)
         clone.tid = self.tid
-        source_fork = getattr(self.source, "fork", None)
-        if source_fork is not None:
-            clone.source = source_fork()
-        else:
-            clone.source = copy.deepcopy(self.source)
+        clone.source = self.source.fork()
         clone.fetch_queue = deque(
             (ready, fork_uop(uop, memo)) for ready, uop in self.fetch_queue
         )

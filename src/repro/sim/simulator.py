@@ -28,7 +28,8 @@ from ..faults.injectors import SAMPLE_MISS, FaultController
 from ..perf import PerfCounters
 from ..blocks import INT_RF, NUM_BLOCKS
 from ..pipeline.smt import SMTCore
-from ..pipeline.source import UopSource
+from ..pipeline.banks import stream_cursor
+from ..pipeline.source import RowSource
 from ..power import EnergyModel, PowerAccountant
 from ..telemetry import TelemetrySession, trace_row
 from ..thermal import Floorplan, RCThermalModel, SensorBank
@@ -37,23 +38,21 @@ from .stats import RunResult, ThreadStats
 
 
 def build_core(machine, names: list, make) -> SMTCore:
-    """The SMT core over one source per hardware thread, caches prefilled.
+    """The SMT core over one stream cursor per hardware thread, caches prefilled.
 
-    Every pipeline is built here: the scalar simulator's (from workload
-    names or caller-supplied sources) and each batch trajectory's (from
-    shared stream cursors, :class:`repro.sim.soa.StreamBank`).
-    ``make(tid, name)`` turns entry ``tid`` of ``names`` into its source.
+    Every pipeline is built here: the scalar simulator's (a new stream per
+    thread over a workload name's or caller-supplied source) and each
+    batch trajectory's (shared streams, :class:`repro.sim.soa.StreamBank`).
+    ``make(tid, name)`` turns entry ``tid`` of ``names`` into its cursor.
     """
     if len(names) != machine.num_threads:
         raise SimulationError(
             f"need {machine.num_threads} workloads, got {len(names)}"
         )
-    sources = [make(tid, name) for tid, name in enumerate(names)]
-    core = SMTCore(machine, sources)
-    for source in sources:
-        prefill = getattr(source, "prefill", None)
-        if prefill is not None:
-            prefill(core.hierarchy)
+    cursors = [make(tid, name) for tid, name in enumerate(names)]
+    core = SMTCore(machine, cursors)
+    for cursor in cursors:
+        cursor.prefill(core.hierarchy)
     return core
 
 
@@ -73,8 +72,8 @@ def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
     return build_core(
         machine,
         workloads,
-        lambda tid, name: make_source(
-            name, tid, machine, config.thermal, seed=config.seed
+        lambda tid, name: stream_cursor(
+            tid, make_source(name, tid, machine, config.thermal, seed=config.seed)
         ),
     )
 
@@ -268,7 +267,7 @@ class Simulator:
         self,
         config: SimulationConfig,
         workloads: list[str] | None = None,
-        sources: list[UopSource] | None = None,
+        sources: list[RowSource] | None = None,
         energy: EnergyModel | None = None,
         floorplan: Floorplan | None = None,
         telemetry: TelemetrySession | None = None,
@@ -280,9 +279,7 @@ class Simulator:
             self.core = build_pipeline(config, list(workloads))
             self.workload_names = tuple(workloads)
         else:
-            self.core = build_core(
-                config.machine, sources, lambda tid, source: source
-            )
+            self.core = build_core(config.machine, sources, stream_cursor)
             self.workload_names = tuple(
                 workloads
                 if workloads

@@ -9,8 +9,8 @@ stream per distinct ``(workload, thread, seed)`` triple, shared across
 every trajectory group and cohort that replays it (see
 :mod:`repro.pipeline.banks`).  A workload appearing in many mixes — ``gcc``
 in ``(gcc, swim)`` and ``(gcc, mcf)`` lanes — is generated once per seed,
-not once per mix.  A pipeline built on its cursors forks at a cohort split
-in O(in-flight uops), not by a deep copy of generators.
+not once per mix.  Every pipeline, scalar or batch, reads stream cursors
+and forks at a cohort split in O(in-flight uops).
 
 Per-lane observers need no structure-of-arrays form: each cohort reads one
 scalar :class:`~repro.thermal.sensors.SensorBank` per distinct thermal
@@ -33,10 +33,10 @@ class StreamBank:
 
     Keyed by ``(workload, thread id, seed)`` — the full set of inputs that
     (for a fixed machine and thermal time base, both batch-fingerprinted)
-    determine a source's output.  Sources are built through the real
-    scalar :func:`~repro.workloads.registry.make_source`, so generation
-    replays the exact crc32-salted RNG streams and executor steps of a
-    scalar run.
+    determine a source's output.  Sources are built through
+    :func:`~repro.workloads.registry.make_source`, as a scalar run builds
+    them, so generation replays the exact crc32-salted RNG streams and
+    executor steps of a scalar run.
     """
 
     def __init__(self, machine, thermal) -> None:
@@ -72,6 +72,4 @@ class StreamBank:
 def release_cursors(core: SMTCore) -> None:
     """Unregister a finished pipeline's cursors so streams can trim."""
     for thread in core.threads:
-        release = getattr(thread.source, "release", None)
-        if release is not None:
-            release()
+        thread.source.release()

@@ -1,4 +1,4 @@
-"""Workload registry: names → uop sources.
+"""Workload registry: names → row sources.
 
 A workload name is either a SPEC2K benchmark (synthetic profile) or one of
 the malicious kernels (``variant1``/``variant2``/``variant3``).  The factory
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..config import MachineConfig, ThermalConfig
 from ..errors import WorkloadError
-from ..pipeline.source import UopSource
+from ..pipeline.source import RowSource
 from .malicious import MALICIOUS_VARIANTS, build_variant
 from .profiles import SPEC_PROFILES, get_profile
 from .program_source import ProgramSource
@@ -31,7 +31,7 @@ def make_source(
     machine: MachineConfig,
     thermal: ThermalConfig,
     seed: int = 42,
-) -> UopSource:
+) -> RowSource:
     """Instantiate the workload ``name`` on hardware context ``thread_id``.
 
     ``"idle"`` resolves to an immediately-halting context (how a solo

@@ -14,7 +14,6 @@ so runs are exactly reproducible.
 
 from __future__ import annotations
 
-import copy
 import random
 import zlib
 from math import log as _log
@@ -29,8 +28,8 @@ from ..pipeline.uop import (
     OP_LOAD,
     OP_NOP,
     OP_STORE,
-    Uop,
 )
+from ..pipeline.source import Row
 from .profiles import SpecProfile
 from .program_source import THREAD_REGION_BYTES
 
@@ -53,7 +52,7 @@ _RING_SIZE = 32
 
 
 class SyntheticSource:
-    """Uop stream for one synthetic benchmark on one hardware context."""
+    """Row stream for one synthetic benchmark on one hardware context."""
 
     def __init__(
         self, profile: SpecProfile, thread_id: int, seed: int = 42
@@ -66,7 +65,7 @@ class SyntheticSource:
         # result cache and for comparing serial against worker-pool runs.
         name_hash = zlib.crc32(profile.name.encode())
         self._rng = random.Random((seed << 8) ^ thread_id ^ name_hash)
-        # Hot-loop bindings: next_uop runs once per fetched instruction, so
+        # Hot-loop bindings: next_row runs once per generated instruction, so
         # the RNG methods and the profile fields it draws against are bound
         # once here.  The *sequence* of RNG calls is unchanged — streams stay
         # byte-identical with the unoptimized generator.
@@ -137,29 +136,12 @@ class SyntheticSource:
             self._next_burst = -1
         self.generated = 0
 
-    def __deepcopy__(self, memo: dict) -> "SyntheticSource":
-        # The hot-loop bindings above are bound *builtin* methods of the
-        # Random instance, and copy.deepcopy treats BuiltinFunctionType as
-        # atomic — a naive deepcopy would leave the clone's _random/_randrange
-        # pointing at the ORIGINAL's RNG, silently entangling the two streams.
-        # Cohort splitting in the batch kernel deep-copies a mid-run pipeline,
-        # so rebind them against the cloned RNG explicitly.
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key in ("_random", "_randrange"):
-                continue
-            clone.__dict__[key] = copy.deepcopy(value, memo)
-        clone._random = clone._rng.random
-        clone._randrange = clone._rng.randrange
-        return clone
-
-    # -- UopSource protocol -----------------------------------------------------
+    # -- RowSource protocol -----------------------------------------------------
 
     def peek_pc(self) -> int:
         return self._pc
 
-    def next_uop(self) -> Uop:
+    def next_row(self) -> Row:
         random_draw = self._random
         if self._next_burst >= 0:
             self._advance_phase()
@@ -217,9 +199,7 @@ class SyntheticSource:
             self._pc = pc + 4
 
         self.generated += 1
-        return Uop(
-            self.thread_id, pc, opclass, dest, srcs, address, taken, mispredict
-        )
+        return (pc, opclass, dest, srcs, address, taken, mispredict)
 
     # -- internals ------------------------------------------------------------
 

@@ -757,11 +757,11 @@ class TestStreamCursor:
         cursor = StreamCursor(stream, 1)
         for _ in range(5_000):
             assert cursor.peek_pc() == scalar.peek_pc()
-            mine, theirs = cursor.next_uop(), scalar.next_uop()
+            mine, theirs = cursor.next_uop(), scalar.next_row()
             if theirs is None:
                 assert mine is None
                 break
-            assert self._fields(mine) == self._fields(theirs)
+            assert self._fields(mine) == (1, *theirs)
 
     def test_cursor_fork_continues_identically(self):
         from repro.pipeline.banks import SharedStream, StreamCursor
@@ -786,8 +786,9 @@ class TestStreamCursor:
 
     def test_peek_at_halt_matches_program_source(self):
         # "idle" is a ProgramSource: peek_pc reports the halt instruction's
-        # pc (>= 0) even though next_uop refuses it.  The cursor must
-        # replay that quirk — the core I-cache-accesses the peeked pc.
+        # pc (>= 0) even though next_row refuses it.  The cursor must
+        # replay that quirk until its next_uop refuses the halt — the core
+        # I-cache-accesses the peeked pc.
         from repro.pipeline.banks import SharedStream, StreamCursor
         from repro.workloads.registry import make_source
 
@@ -801,13 +802,14 @@ class TestStreamCursor:
         cursor = StreamCursor(stream, 0)
         while True:
             assert cursor.peek_pc() == scalar.peek_pc()
-            mine, theirs = cursor.next_uop(), scalar.next_uop()
+            mine, theirs = cursor.next_uop(), scalar.next_row()
             if theirs is None:
                 assert mine is None
                 break
-            assert self._fields(mine) == self._fields(theirs)
-        # halted: peek keeps reporting the same pc, next keeps refusing
-        assert cursor.peek_pc() == scalar.peek_pc()
+            assert self._fields(mine) == (0, *theirs)
+        # halted: the cursor peeks -1 so the core marks the thread halted,
+        # and next keeps refusing
+        assert cursor.peek_pc() == -1
         assert cursor.next_uop() is None
 
     def test_trim_respects_slowest_cursor(self):

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.isa import assemble
 from repro.pipeline import SMTCore
+from repro.pipeline.banks import stream_cursor
 from repro.thermal.sensors import SensorReading
 from repro.workloads.program_source import ProgramSource
 
@@ -30,7 +31,7 @@ SLOW = "L:\n" + "mull $1, $1, $26\n" * 4 + "br L"
 def make_core(num_threads=2, programs=None):
     programs = programs or [ADDS] * num_threads
     sources = [
-        ProgramSource(assemble(text, name=f"p{i}"), i)
+        stream_cursor(i, ProgramSource(assemble(text, name=f"p{i}"), i))
         for i, text in enumerate(programs)
     ]
     core = SMTCore(MachineConfig(num_threads=num_threads), sources)

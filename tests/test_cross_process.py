@@ -59,12 +59,7 @@ def probe() -> dict:
         source = make_source(name, tid, base.machine, base.thermal, seed=base.seed)
         digest = hashlib.sha256()
         for _ in range(UOPS):
-            uop = source.next_uop()
-            static = (
-                uop.thread, uop.pc, uop.opclass, uop.dest, uop.srcs,
-                uop.address, uop.taken, uop.mispredict,
-            )
-            digest.update(repr(static).encode())
+            digest.update(repr((tid, *source.next_row())).encode())
         streams[name] = digest.hexdigest()
     return {"fingerprints": fingerprints, "streams": streams}
 

@@ -9,6 +9,7 @@ from repro.core import SelectiveSedationController, UsageMonitor
 from repro.dtm import DTMPolicy, DVFS, SedationPolicy, StopAndGo
 from repro.isa import assemble
 from repro.pipeline import SMTCore
+from repro.pipeline.banks import stream_cursor
 from repro.thermal.sensors import SensorReading
 from repro.workloads.program_source import ProgramSource
 
@@ -84,8 +85,8 @@ def make_sedation_policy():
     adds = "L:\n" + "addl $1, $25, $26\n" * 16 + "br L"
     slow = "L:\n" + "mull $1, $1, $26\n" * 4 + "br L"
     sources = [
-        ProgramSource(assemble(slow, name="slow"), 0),
-        ProgramSource(assemble(adds, name="adds"), 1),
+        stream_cursor(0, ProgramSource(assemble(slow, name="slow"), 0)),
+        stream_cursor(1, ProgramSource(assemble(adds, name="adds"), 1)),
     ]
     core = SMTCore(MachineConfig(), sources)
     for source in sources:

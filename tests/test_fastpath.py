@@ -19,6 +19,7 @@ import pytest
 from repro.blocks import INT_RF, NUM_BLOCKS
 from repro.config import scaled_config
 from repro.errors import ConfigError
+from repro.pipeline.banks import stream_cursor
 from repro.sim import ExperimentRunner, RunSpec, run_many, spec_fingerprint
 from repro.sim.results import load_result, save_result
 from repro.thermal import RCThermalModel
@@ -106,7 +107,10 @@ class TestSkipCycles:
     def make_core(self):
         config = tiny_config()
         sources = [
-            make_source(name, tid, config.machine, config.thermal, config.seed)
+            stream_cursor(
+                tid,
+                make_source(name, tid, config.machine, config.thermal, config.seed),
+            )
             for tid, name in enumerate(["gcc", "swim"])
         ]
         from repro.pipeline import SMTCore
@@ -155,7 +159,10 @@ class TestIdleFastForward:
         cores = []
         for disable_skip in (False, True):
             sources = [
-                make_source(name, tid, config.machine, config.thermal, config.seed)
+                stream_cursor(
+                    tid,
+                    make_source(name, tid, config.machine, config.thermal, config.seed),
+                )
                 for tid, name in enumerate(["gcc", "swim"])
             ]
             from repro.pipeline import SMTCore

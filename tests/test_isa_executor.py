@@ -158,6 +158,6 @@ class TestLazyErrors:
         from repro.workloads.program_source import ProgramSource
 
         source = ProgramSource(assemble("nop"), 0)
-        assert source.next_uop() is not None
+        assert source.next_row() is not None
         with pytest.raises(ExecutionError, match="outside program"):
-            source.next_uop()
+            source.next_row()

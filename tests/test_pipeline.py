@@ -9,6 +9,7 @@ from repro.config import MachineConfig
 from repro.errors import PipelineError
 from repro.isa import assemble
 from repro.pipeline import SMTCore
+from repro.pipeline.banks import stream_cursor
 from repro.pipeline.fetch import icount_select, make_fetch_selector
 from repro.pipeline.thread import ThreadContext
 from repro.workloads.malicious import conflict_addresses
@@ -24,7 +25,7 @@ def program_core(*sources_text, **machine_kwargs):
     texts = list(sources_text)
     machine_kwargs.setdefault("num_threads", len(texts))
     sources = [
-        ProgramSource(assemble(text, name=f"p{i}"), i)
+        stream_cursor(i, ProgramSource(assemble(text, name=f"p{i}"), i))
         for i, text in enumerate(texts)
     ]
     core = core_for(sources, **machine_kwargs)
@@ -79,7 +80,7 @@ class TestBasicExecution:
         baseline.run_cycles(1000)
         # Force mispredicts by monkeypatching the predictor to always miss.
         core = program_core(loop, IDLE)
-        core.threads[0].source.predictor.update = (
+        core.threads[0].source.stream.source.predictor.update = (
             lambda thread, pc, taken, target: False
         )
         core.run_cycles(1000)

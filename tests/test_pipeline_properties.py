@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MachineConfig
 from repro.pipeline import SMTCore
+from repro.pipeline.banks import stream_cursor
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import SyntheticSource
 
@@ -22,7 +23,7 @@ def random_profile_source(draw_seed, tid, load, branch, dep, dist):
         dep_fraction=dep,
         dep_distance_mean=dist,
     )
-    return SyntheticSource(profile, tid, seed=draw_seed)
+    return stream_cursor(tid, SyntheticSource(profile, tid, seed=draw_seed))
 
 
 profile_params = st.tuples(
@@ -70,8 +71,8 @@ def test_pipeline_invariants_hold_for_random_workloads(p0, p1):
 @settings(max_examples=10, deadline=None)
 def test_sedated_thread_commits_stop_quickly(seed):
     sources = [
-        SyntheticSource(get_profile("gzip"), 0, seed=seed),
-        SyntheticSource(get_profile("eon"), 1, seed=seed + 1),
+        stream_cursor(0, SyntheticSource(get_profile("gzip"), 0, seed=seed)),
+        stream_cursor(1, SyntheticSource(get_profile("eon"), 1, seed=seed + 1)),
     ]
     core = SMTCore(MachineConfig(), sources)
     for source in sources:
@@ -88,8 +89,8 @@ def test_sedated_thread_commits_stop_quickly(seed):
 @settings(max_examples=10, deadline=None)
 def test_skip_cycles_preserves_all_in_flight_work(seed, skip):
     sources = [
-        SyntheticSource(get_profile("gcc"), 0, seed=seed),
-        SyntheticSource(get_profile("swim"), 1, seed=seed + 1),
+        stream_cursor(0, SyntheticSource(get_profile("gcc"), 0, seed=seed)),
+        stream_cursor(1, SyntheticSource(get_profile("swim"), 1, seed=seed + 1)),
     ]
     reference = SMTCore(MachineConfig(), sources)
     for source in sources:

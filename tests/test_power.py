@@ -7,6 +7,7 @@ from repro.config import MachineConfig
 from repro.errors import ConfigError, SimulationError
 from repro.isa import assemble
 from repro.pipeline import SMTCore
+from repro.pipeline.banks import stream_cursor
 from repro.power import EnergyModel, PowerAccountant
 from repro.workloads.program_source import ProgramSource
 
@@ -60,8 +61,8 @@ class TestEnergyModel:
 def _make_core():
     adds = "L:\n" + "addl $1, $25, $26\n" * 16 + "br L"
     sources = [
-        ProgramSource(assemble(adds, name="adds"), 0),
-        ProgramSource(assemble("halt", name="idle"), 1),
+        stream_cursor(0, ProgramSource(assemble(adds, name="adds"), 0)),
+        stream_cursor(1, ProgramSource(assemble("halt", name="idle"), 1)),
     ]
     core = SMTCore(MachineConfig(), sources)
     for source in sources:

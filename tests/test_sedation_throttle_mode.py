@@ -34,12 +34,13 @@ class TestThrottleMechanics:
         from repro.config import MachineConfig
         from repro.isa import assemble
         from repro.pipeline import SMTCore
+        from repro.pipeline.banks import stream_cursor
         from repro.workloads.program_source import ProgramSource
 
         adds = "L:\n" + "addl $1, $25, $26\n" * 16 + "br L"
         sources = [
-            ProgramSource(assemble(adds, name="a"), 0),
-            ProgramSource(assemble(adds, name="b"), 1),
+            stream_cursor(0, ProgramSource(assemble(adds, name="a"), 0)),
+            stream_cursor(1, ProgramSource(assemble(adds, name="b"), 1)),
         ]
         core = SMTCore(MachineConfig(), sources)
         for source in sources:
@@ -56,11 +57,12 @@ class TestThrottleMechanics:
         from repro.config import MachineConfig
         from repro.isa import assemble
         from repro.pipeline import SMTCore
+        from repro.pipeline.banks import stream_cursor
         from repro.workloads.program_source import ProgramSource
 
         core = SMTCore(
             MachineConfig(),
-            [ProgramSource(assemble("halt"), 0), ProgramSource(assemble("halt"), 1)],
+            [stream_cursor(i, ProgramSource(assemble("halt"), i)) for i in (0, 1)],
         )
         with pytest.raises(PipelineError):
             core.set_throttled(0, -1)

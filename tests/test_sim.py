@@ -1,13 +1,16 @@
 """Simulator and experiment-harness tests."""
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.blocks import INT_RF
 from repro.config import scaled_config
 from repro.errors import SimulationError
+from repro.pipeline import banks
 from repro.sim import ExperimentRunner, RunResult, Simulator, run_workloads
+from repro.sim.results import result_to_dict
 
 CFG = scaled_config(quantum_cycles=20_000)
 
@@ -89,6 +92,50 @@ class TestRunLoop:
         second = sim.run(quantum_cycles=3_000)
         assert second.cycles == 3_000
         assert sim.core.cycle == 6_000
+
+
+def canonical(result) -> str:
+    """RunResult as canonical JSON with the wall-clock field zeroed."""
+    payload = result_to_dict(result)
+    payload["perf"]["wall_seconds"] = 0.0
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestUopStreams:
+    """Every thread reads a stream cursor, as profilers and memory expect."""
+
+    def test_instance_hooks_see_every_uop(self):
+        # The benchmark's tracer wraps these two methods on each thread's
+        # source instance; the fetch loop must call the wrappers.
+        config = CFG.with_policy("sedation")
+        calls = {"peek_pc": 0, "next_uop": 0}
+
+        def counted(fn, name):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        sim = Simulator(config, workloads=["gzip", "variant2"])
+        for thread in sim.core.threads:
+            for name in calls:
+                setattr(thread.source, name, counted(getattr(thread.source, name), name))
+        hooked = sim.run()
+        fetched = sum(stats.fetched for stats in hooked.threads)
+        assert calls["next_uop"] >= fetched > 0
+        assert calls["peek_pc"] >= calls["next_uop"]
+        plain = Simulator(config, workloads=["gzip", "variant2"]).run()
+        assert canonical(hooked) == canonical(plain)
+
+    def test_scalar_stream_memory_is_bounded(self):
+        config = scaled_config(quantum_cycles=60_000)
+        sim = Simulator(config, workloads=["gzip", "mcf"])
+        sim.run()
+        for thread in sim.core.threads:
+            stream = thread.source.stream
+            assert stream.generated > banks._CHUNK + banks._TRIM_SLACK
+            assert len(stream.rows) <= banks._CHUNK + banks._TRIM_SLACK
 
 
 class TestRunResult:

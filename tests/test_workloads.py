@@ -1,6 +1,5 @@
 """Workload tests: profiles, synthetic generator, malicious kernels, registry."""
 
-import copy
 import dataclasses
 
 import pytest
@@ -9,6 +8,7 @@ from repro.blocks import INT_RF
 from repro.config import MachineConfig, ThermalConfig
 from repro.errors import WorkloadError
 from repro.memory import Cache
+from repro.pipeline.banks import stream_cursor
 from repro.pipeline.uop import OP_BRANCH, OP_LOAD, OP_STORE
 from repro.workloads import (
     CONFLICT_WAYS,
@@ -30,6 +30,11 @@ from repro.workloads.program_source import ProgramSource, THREAD_REGION_BYTES
 
 MACHINE = MachineConfig()
 THERMAL = ThermalConfig()
+
+
+def cursor(source):
+    """The pipeline's view of ``source``: µops built from its rows."""
+    return stream_cursor(source.thread_id, source)
 
 
 class TestProfiles:
@@ -69,14 +74,11 @@ class TestSyntheticSource:
         a = SyntheticSource(get_profile("gzip"), 0, seed=7)
         b = SyntheticSource(get_profile("gzip"), 0, seed=7)
         for _ in range(200):
-            ua, ub = a.next_uop(), b.next_uop()
-            assert (ua.opclass, ua.dest, ua.srcs, ua.address, ua.taken) == (
-                ub.opclass, ub.dest, ub.srcs, ub.address, ub.taken
-            )
+            assert a.next_row() == b.next_row()
 
     def test_different_seeds_differ(self):
-        a = SyntheticSource(get_profile("gzip"), 0, seed=7)
-        b = SyntheticSource(get_profile("gzip"), 0, seed=8)
+        a = cursor(SyntheticSource(get_profile("gzip"), 0, seed=7))
+        b = cursor(SyntheticSource(get_profile("gzip"), 0, seed=8))
         streams_equal = all(
             a.next_uop().opclass == b.next_uop().opclass for _ in range(100)
         )
@@ -84,7 +86,7 @@ class TestSyntheticSource:
 
     def test_mix_statistics_match_profile(self):
         profile = get_profile("gcc")
-        source = SyntheticSource(profile, 0, seed=1)
+        source = cursor(SyntheticSource(profile, 0, seed=1))
         counts = {OP_LOAD: 0, OP_STORE: 0, OP_BRANCH: 0}
         n = 20_000
         for _ in range(n):
@@ -96,7 +98,7 @@ class TestSyntheticSource:
         assert counts[OP_BRANCH] / n == pytest.approx(profile.branch, abs=0.02)
 
     def test_addresses_stay_in_thread_region(self):
-        source = SyntheticSource(get_profile("mcf"), thread_id=1, seed=3)
+        source = cursor(SyntheticSource(get_profile("mcf"), thread_id=1, seed=3))
         for _ in range(5000):
             uop = source.next_uop()
             if uop.address >= 0:
@@ -112,13 +114,13 @@ class TestSyntheticSource:
         limit = source._code_base + profile.code_kb * 1024
         for _ in range(5000):
             assert source._code_base <= source.peek_pc() <= limit + 4096
-            source.next_uop()
+            source.next_row()
 
     def test_taken_branches_mostly_jump_backward_to_loop_head(self):
         """Loop-structured control flow: the overwhelming majority of taken
         branches return to the loop head; rare far jumps (new code regions)
         are allowed by design."""
-        source = SyntheticSource(get_profile("gzip"), 0, seed=5)
+        source = cursor(SyntheticSource(get_profile("gzip"), 0, seed=5))
         backward = forward = 0
         for _ in range(4000):
             pc = source.peek_pc()
@@ -221,14 +223,14 @@ class TestProgramSource:
     def test_loop_branches_train_to_near_perfect_prediction(self):
         source = ProgramSource(build_variant1(MACHINE), 0)
         for _ in range(20_000):
-            source.next_uop()
+            source.next_row()
         assert source.mispredicts / source.branches < 0.05
 
     def test_thread_relocation_preserves_conflict_sets(self):
         """Relocating a kernel to thread 1's region must not change which L2
         set its conflict loads hit."""
         l2 = Cache(MACHINE.l2)
-        source = ProgramSource(build_variant2(MACHINE, THERMAL), thread_id=1)
+        source = cursor(ProgramSource(build_variant2(MACHINE, THERMAL), thread_id=1))
         load_sets = set()
         for _ in range(50_000):
             uop = source.next_uop()
@@ -240,42 +242,17 @@ class TestProgramSource:
         source = ProgramSource(build_variant1(MACHINE), 0)
         for _ in range(100):
             pc = source.peek_pc()
-            assert source.next_uop().pc == pc
-
-    def test_deepcopy_is_independent(self):
-        """A copied source owns its registers, memory and predictor: stepping
-        one copy must not move the other, and both replay the same stream."""
-
-        def fields(uop):
-            return (uop.pc, uop.opclass, uop.dest, uop.srcs, uop.address,
-                    uop.taken, uop.mispredict)
-
-        source = ProgramSource(build_variant2(MACHINE, THERMAL), thread_id=1)
-        for _ in range(1_000):
-            source.next_uop()
-        twin = copy.deepcopy(source)
-        state = copy.deepcopy((
-            twin.executor.pc, twin.executor.registers, twin.executor.memory,
-            vars(twin.predictor), twin.branches, twin.mispredicts,
-        ))
-        ahead = [fields(source.next_uop()) for _ in range(5_000)]
-        assert (
-            twin.executor.pc, twin.executor.registers, twin.executor.memory,
-            vars(twin.predictor), twin.branches, twin.mispredicts,
-        ) == state
-        assert source.executor.registers != state[1]
-        assert vars(source.predictor) != state[3]
-        assert [fields(twin.next_uop()) for _ in range(5_000)] == ahead
-        assert twin.executor.registers == source.executor.registers
-        assert vars(twin.predictor) == vars(source.predictor)
+            assert source.next_row()[0] == pc
 
     def test_halted_program_yields_none(self):
         from repro.isa import assemble
 
         source = ProgramSource(assemble("nop\nhalt"), 0)
-        assert source.next_uop() is not None
-        assert source.next_uop() is None
-        assert source.peek_pc() == -1
+        assert source.next_row() is not None
+        halt_pc = source.peek_pc()
+        assert source.next_row() is None
+        assert source.peek_pc() == halt_pc
+        assert source.next_row() is None
 
 
 class TestRegistry:
