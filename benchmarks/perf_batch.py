@@ -316,13 +316,13 @@ def _measure(
         sample = list(range(0, stride * scalar_sample, stride))
     scalar_specs = specs if sample is None else [specs[i] for i in sample]
     start = time.perf_counter()
-    scalar = run_many(scalar_specs, jobs=1, cache=False, batch=False)
+    scalar = run_many(scalar_specs, jobs=1, cache_dir=None, batch=False)
     scalar_wall = time.perf_counter() - start
     if sample is not None:
         scalar_wall *= len(specs) / len(scalar_specs)
     before = dict(RUNNER_METRICS.counters)
     start = time.perf_counter()
-    batched = run_many(specs, jobs=1, cache=False, batch=True)
+    batched = run_many(specs, jobs=1, cache_dir=None, batch=True)
     batch_wall = time.perf_counter() - start
 
     def delta(name: str) -> int:
@@ -422,7 +422,7 @@ def measure_sharded(lanes: int) -> dict:
         for jobs in SHARDED_JOBS:
             before = RUNNER_METRICS.counters.get("runner.batch_pool_shards", 0)
             start = time.perf_counter()
-            results = run_many(specs, jobs=jobs, cache=False, batch=True)
+            results = run_many(specs, jobs=jobs, cache_dir=None, batch=True)
             wall = time.perf_counter() - start
             walls[jobs] = min(wall, walls.get(jobs, wall))
             shards[jobs] = (

@@ -12,36 +12,68 @@ import dataclasses
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.sim import ExperimentRunner, run_workloads
+from repro.sim import pair_spec, run_workloads, solo_spec
+
+POLICIES = ("stop_and_go", "dvfs", "fetch_gating", "ttdfs", "sedation")
+VICTIMS = ("gzip", "swim")
+#: machine label -> MachineConfig fields it changes
+MACHINES = {
+    "baseline": {},
+    "round_robin fetch": {"fetch_policy": "round_robin"},
+    "partitioned RUU": {"ruu_partitioned": True},
+}
 
 
-def test_global_dtm_policies_vs_heat_stroke(runner, results_dir, benchmark):
+def specs(config, names):
+    out = {}
+    for name in VICTIMS:
+        out[name, "solo"] = solo_spec(config, name, policy="stop_and_go")
+        for policy in POLICIES:
+            out[name, policy] = pair_spec(config, name, "variant2", policy=policy)
+    for label, changes in MACHINES.items():
+        machine = dataclasses.replace(
+            config, machine=dataclasses.replace(config.machine, **changes)
+        )
+        out[label, "solo/ideal"] = solo_spec(
+            machine, "gzip", policy="ideal", ideal_sink=True
+        )
+        out[label, "v1/ideal"] = pair_spec(
+            machine, "gzip", "variant1", policy="ideal", ideal_sink=True
+        )
+        out[label, "solo/real"] = solo_spec(machine, "gzip", policy="stop_and_go")
+        out[label, "v2/real"] = pair_spec(
+            machine, "gzip", "variant2", policy="stop_and_go"
+        )
+    return out
+
+
+def test_global_dtm_policies_vs_heat_stroke(
+    results, bench_config, results_dir, benchmark
+):
     """Every *global* DTM baseline leaves the victim badly degraded; only
     per-thread sedation helps.  TTDFS additionally illustrates the paper's
     §4 criticism: it never stalls, so temperatures are free to keep rising.
     """
-    policies = ("stop_and_go", "dvfs", "fetch_gating", "ttdfs", "sedation")
     rows = []
-    victims = ("gzip", "swim")
     victim_ipc = {}
-    for name in victims:
-        solo = runner.solo(name, policy="stop_and_go")
+    for name in VICTIMS:
+        solo = results[name, "solo"]
         row = [name, solo.threads[0].ipc]
-        for policy in policies:
-            result = runner.pair(name, "variant2", policy=policy)
+        for policy in POLICIES:
+            result = results[name, policy]
             row.append(result.threads[0].ipc)
             victim_ipc[(name, policy)] = result.threads[0].ipc
         rows.append(row)
 
     table = format_table(
-        ["victim", "solo"] + list(policies),
+        ["victim", "solo"] + list(POLICIES),
         rows,
         title="Ablation: DTM policies under heat stroke (victim IPC; paper §4)",
     )
     emit(results_dir, "ablation_dtm_policy", table)
 
-    for name in victims:
-        solo_ipc = rows[victims.index(name)][1]
+    for name in VICTIMS:
+        solo_ipc = rows[VICTIMS.index(name)][1]
         # Global baselines all hurt...
         for policy in ("stop_and_go", "dvfs", "fetch_gating", "ttdfs"):
             assert victim_ipc[(name, policy)] < 0.92 * solo_ipc, (name, policy)
@@ -51,14 +83,14 @@ def test_global_dtm_policies_vs_heat_stroke(runner, results_dir, benchmark):
 
     benchmark.pedantic(
         lambda: run_workloads(
-            runner.base.with_policy("dvfs"), ["gzip", "variant2"], quantum_cycles=2_000
+            bench_config.with_policy("dvfs"), ["gzip", "variant2"], quantum_cycles=2_000
         ),
         rounds=1,
         iterations=1,
     )
 
 
-def test_monopolization_vs_heat_stroke(bench_config, bench_cache, results_dir, benchmark):
+def test_monopolization_vs_heat_stroke(results, bench_config, results_dir, benchmark):
     """Where does each attack's damage live?
 
     variant1's ideal-sink damage is shared-*bandwidth* monopolization: it
@@ -72,23 +104,11 @@ def test_monopolization_vs_heat_stroke(bench_config, bench_cache, results_dir, b
     """
     rows = []
     outcomes = {}
-    for label, machine in (
-        ("baseline", bench_config.machine),
-        (
-            "round_robin fetch",
-            dataclasses.replace(bench_config.machine, fetch_policy="round_robin"),
-        ),
-        (
-            "partitioned RUU",
-            dataclasses.replace(bench_config.machine, ruu_partitioned=True),
-        ),
-    ):
-        config = dataclasses.replace(bench_config, machine=machine)
-        runner = ExperimentRunner(config, cache_dir=bench_cache)
-        solo_ideal = runner.solo("gzip", policy="ideal", ideal_sink=True)
-        v1_ideal = runner.pair("gzip", "variant1", policy="ideal", ideal_sink=True)
-        solo_real = runner.solo("gzip", policy="stop_and_go")
-        v2_real = runner.pair("gzip", "variant2", policy="stop_and_go")
+    for label in MACHINES:
+        solo_ideal = results[label, "solo/ideal"]
+        v1_ideal = results[label, "v1/ideal"]
+        solo_real = results[label, "solo/real"]
+        v2_real = results[label, "v2/real"]
         v1_retained = v1_ideal.threads[0].ipc / solo_ideal.threads[0].ipc
         v2_retained = v2_real.threads[0].ipc / solo_real.threads[0].ipc
         outcomes[label] = (v1_retained, v2_retained, v2_real.emergencies)

@@ -18,6 +18,7 @@ from conftest import emit
 from repro.analysis import format_table
 from repro.blocks import INT_RF
 from repro.power import EnergyModel
+from repro.sim import pair_spec, solo_spec
 from repro.thermal import RCThermalModel
 
 
@@ -49,10 +50,17 @@ def measure_heat_cool(config):
     return heat, cool
 
 
-def test_calibration_duty_cycle(runner, bench_config, results_dir, benchmark):
+def specs(config, names):
+    return {
+        "solo": solo_spec(config, "gzip", policy="stop_and_go"),
+        "attacked": pair_spec(config, "gzip", "variant2", policy="stop_and_go"),
+    }
+
+
+def test_calibration_duty_cycle(results, bench_config, results_dir, benchmark):
     heat_s, cool_s = measure_heat_cool(bench_config)
-    solo = runner.solo("gzip", policy="stop_and_go")
-    attacked = runner.pair("gzip", "variant2", policy="stop_and_go")
+    solo = results["solo"]
+    attacked = results["attacked"]
     duty = attacked.threads[0].normal_fraction
     degradation = 1 - attacked.threads[0].ipc / solo.threads[0].ipc
 

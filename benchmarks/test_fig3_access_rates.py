@@ -18,16 +18,27 @@ from conftest import emit
 
 from repro.analysis import format_bar_chart, format_table
 from repro.blocks import INT_RF
+from repro.sim import solo_spec
 from repro.workloads import MALICIOUS_VARIANTS
 
 
-def test_fig3_access_rates(runner, benchmarks_list, results_dir, benchmark):
+def specs(config, names):
+    out = {}
+    for name in names + list(MALICIOUS_VARIANTS):
+        out[name, "ideal"] = solo_spec(config, name, policy="ideal", ideal_sink=True)
+        out[name, "realistic"] = solo_spec(config, name, policy="stop_and_go")
+    return out
+
+
+def test_fig3_access_rates(
+    results, bench_config, benchmarks_list, results_dir, benchmark
+):
     rows = []
     ideal_rates = {}
     realistic_rates = {}
     for name in benchmarks_list + list(MALICIOUS_VARIANTS):
-        ideal = runner.solo(name, policy="ideal", ideal_sink=True)
-        realistic = runner.solo(name, policy="stop_and_go")
+        ideal = results[name, "ideal"]
+        realistic = results[name, "realistic"]
         ideal_rates[name] = ideal.threads[0].access_rate(INT_RF)
         realistic_rates[name] = realistic.threads[0].access_rate(INT_RF)
         rows.append(
@@ -60,7 +71,7 @@ def test_fig3_access_rates(runner, benchmarks_list, results_dir, benchmark):
 
     from repro.sim import run_workloads
 
-    config = runner.base.with_policy("stop_and_go")
+    config = bench_config.with_policy("stop_and_go")
     benchmark.pedantic(
         lambda: run_workloads(config, ["gzip", "variant2"], quantum_cycles=2_000),
         rounds=1,

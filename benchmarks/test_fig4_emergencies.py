@@ -9,15 +9,27 @@ sedation restores roughly the solo counts.
 from conftest import emit
 
 from repro.analysis import format_table
+from repro.sim import pair_spec, solo_spec
 
 
-def test_fig4_emergencies(runner, benchmarks_list, results_dir, benchmark):
+def specs(config, names):
+    out = {}
+    for name in names:
+        out[name, "solo"] = solo_spec(config, name, policy="stop_and_go")
+        out[name, "attacked"] = pair_spec(config, name, "variant2", policy="stop_and_go")
+        out[name, "defended"] = pair_spec(config, name, "variant2", policy="sedation")
+    return out
+
+
+def test_fig4_emergencies(
+    results, bench_config, benchmarks_list, results_dir, benchmark
+):
     rows = []
     solo_total = attacked_total = defended_total = 0
     for name in benchmarks_list:
-        solo = runner.solo(name, policy="stop_and_go")
-        attacked = runner.pair(name, "variant2", policy="stop_and_go")
-        defended = runner.pair(name, "variant2", policy="sedation")
+        solo = results[name, "solo"]
+        attacked = results[name, "attacked"]
+        defended = results[name, "defended"]
         rows.append(
             [name, solo.emergencies, attacked.emergencies, defended.emergencies]
         )
@@ -43,7 +55,7 @@ def test_fig4_emergencies(runner, benchmarks_list, results_dir, benchmark):
 
     from repro.sim import run_workloads
 
-    config = runner.base.with_policy("sedation")
+    config = bench_config.with_policy("sedation")
     benchmark.pedantic(
         lambda: run_workloads(config, ["gzip", "variant2"], quantum_cycles=2_000),
         rounds=1,

@@ -21,9 +21,31 @@ from statistics import fmean
 from conftest import emit
 
 from repro.analysis import format_table
+from repro.sim import pair_spec, solo_spec
+
+VARIANTS = ("variant1", "variant2", "variant3")
 
 
-def test_fig5_ipc(runner, benchmarks_list, results_dir, benchmark):
+def specs(config, names):
+    out = {}
+    for name in names:
+        out[name, "solo/ideal"] = solo_spec(
+            config, name, policy="ideal", ideal_sink=True
+        )
+        out[name, "solo/real"] = solo_spec(config, name, policy="stop_and_go")
+        for variant in VARIANTS:
+            v = variant.replace("ariant", "")
+            out[name, f"{v}/ideal"] = pair_spec(
+                config, name, variant, policy="ideal", ideal_sink=True
+            )
+            out[name, f"{v}/sng"] = pair_spec(
+                config, name, variant, policy="stop_and_go"
+            )
+            out[name, f"{v}/sed"] = pair_spec(config, name, variant, policy="sedation")
+    return out
+
+
+def test_fig5_ipc(results, bench_config, benchmarks_list, results_dir, benchmark):
     headers = [
         "benchmark",
         "solo/ideal",
@@ -42,19 +64,8 @@ def test_fig5_ipc(runner, benchmarks_list, results_dir, benchmark):
     columns = {header: [] for header in headers[1:]}
     for name in benchmarks_list:
         row = [name]
-        values = {
-            "solo/ideal": runner.solo(name, policy="ideal", ideal_sink=True),
-            "solo/real": runner.solo(name, policy="stop_and_go"),
-        }
-        for variant in ("variant1", "variant2", "variant3"):
-            v = variant.replace("ariant", "")
-            values[f"{v}/ideal"] = runner.pair(
-                name, variant, policy="ideal", ideal_sink=True
-            )
-            values[f"{v}/sng"] = runner.pair(name, variant, policy="stop_and_go")
-            values[f"{v}/sed"] = runner.pair(name, variant, policy="sedation")
         for header in headers[1:]:
-            ipc = values[header].threads[0].ipc
+            ipc = results[name, header].threads[0].ipc
             row.append(ipc)
             columns[header].append(ipc)
         rows.append(row)
@@ -97,7 +108,7 @@ def test_fig5_ipc(runner, benchmarks_list, results_dir, benchmark):
 
     benchmark.pedantic(
         lambda: run_workloads(
-            runner.base.with_policy("stop_and_go"),
+            bench_config.with_policy("stop_and_go"),
             ["gzip", "variant3"],
             quantum_cycles=2_000,
         ),

@@ -13,15 +13,27 @@ from statistics import fmean
 from conftest import emit
 
 from repro.analysis import format_table
+from repro.sim import pair_spec, solo_spec
 
 
-def test_fig6_time_breakdown(runner, benchmarks_list, results_dir, benchmark):
+def specs(config, names):
+    out = {}
+    for name in names:
+        out[name, "solo"] = solo_spec(config, name, policy="stop_and_go")
+        out[name, "attacked"] = pair_spec(config, name, "variant2", policy="stop_and_go")
+        out[name, "defended"] = pair_spec(config, name, "variant2", policy="sedation")
+    return out
+
+
+def test_fig6_time_breakdown(
+    results, bench_config, benchmarks_list, results_dir, benchmark
+):
     rows = []
     solo_norm, attacked_cool, defended_norm, v2_sedated = [], [], [], []
     for name in benchmarks_list:
-        solo = runner.solo(name, policy="stop_and_go").threads[0]
-        attacked = runner.pair(name, "variant2", policy="stop_and_go").threads[0]
-        defended_run = runner.pair(name, "variant2", policy="sedation")
+        solo = results[name, "solo"].threads[0]
+        attacked = results[name, "attacked"].threads[0]
+        defended_run = results[name, "defended"]
         defended = defended_run.threads[0]
         attacker = defended_run.threads[1]
         rows.append(
@@ -62,7 +74,7 @@ def test_fig6_time_breakdown(runner, benchmarks_list, results_dir, benchmark):
 
     benchmark.pedantic(
         lambda: run_workloads(
-            runner.base.with_policy("sedation"),
+            bench_config.with_policy("sedation"),
             ["swim", "variant2"],
             quantum_cycles=2_000,
         ),

@@ -20,17 +20,18 @@ from conftest import emit
 
 from repro.analysis import format_table
 from repro.faults import FaultPlan, SensorFaultPlan
+from repro.sim import RunSpec
 from repro.workloads import intermittent_plan
 
 DROPOUT_RATES = (0.0, 0.1, 0.3)
 FAULT_SEED = 11
+VICTIM, ATTACKER = "gzip", "variant2"
 
 
-def test_robustness_faults(runner, results_dir, benchmark):
-    victim, attacker = "gzip", "variant2"
-    base = runner.base.with_policy("sedation")
-
-    grid = []
+def specs(config, names):
+    """One sedation run per (intermittent, dropout rate) cell."""
+    base = config.with_policy("sedation")
+    out = {}
     for intermittent in (False, True):
         for rate in DROPOUT_RATES:
             plan = FaultPlan(
@@ -40,21 +41,16 @@ def test_robustness_faults(runner, results_dir, benchmark):
                 ),
                 attacker=intermittent_plan(base.thermal) if intermittent else None,
             )
-            config = base.with_faults(plan) if plan.any_runtime_faults else base
-            label = (
-                f"robust|{victim}|{attacker}|drop{rate}|int{int(intermittent)}"
-            )
-            grid.append((intermittent, rate, label, config))
+            cell = base.with_faults(plan) if plan.any_runtime_faults else base
+            out[intermittent, rate] = RunSpec((VICTIM, ATTACKER), cell)
+    return out
 
-    results = runner.run_batch(
-        (label, [victim, attacker], config) for _, _, label, config in grid
-    )
+
+def test_robustness_faults(results, bench_config, results_dir, benchmark):
+    base = bench_config.with_policy("sedation")
 
     rows = []
-    cells = {}
-    for intermittent, rate, label, _ in grid:
-        result = results[label]
-        cells[(intermittent, rate)] = result
+    for (intermittent, rate), result in results.items():
         rows.append([
             "intermittent" if intermittent else "continuous",
             f"{rate:.0%}",
@@ -64,26 +60,26 @@ def test_robustness_faults(runner, results_dir, benchmark):
         ])
 
     table = format_table(
-        ["attacker", "sensor dropout", f"{victim} ipc", "attacker sedated",
+        ["attacker", "sensor dropout", f"{VICTIM} ipc", "attacker sedated",
          "emergencies"],
         rows,
         title="Robustness: sedation vs sensor dropout x attacker intermittency",
     )
     emit(results_dir, "robustness_faults", table)
 
-    clean = cells[(False, 0.0)]
+    clean = results[(False, 0.0)]
     # The healthy defended cell is the Figure-4 story: no emergencies.
     assert clean.emergencies <= 2
     # Graceful degradation: even the worst faulted cell keeps the victim at
     # half its healthy defended throughput (the safety net bounds the rest).
-    for result in cells.values():
+    for result in results.values():
         assert result.threads[0].ipc >= 0.5 * clean.threads[0].ipc
     # Evasion shape (iThermTroj premise): duty cycling lowers the attacker's
     # sedated fraction, and the stealth costs it attack time — the victim is
     # no worse off than under the continuous attack.
     for rate in DROPOUT_RATES:
-        continuous = cells[(False, rate)]
-        duty_cycled = cells[(True, rate)]
+        continuous = results[(False, rate)]
+        duty_cycled = results[(True, rate)]
         assert (
             duty_cycled.threads[1].sedated_fraction
             <= continuous.threads[1].sedated_fraction + 0.02
@@ -100,7 +96,7 @@ def test_robustness_faults(runner, results_dir, benchmark):
         )
     )
     benchmark.pedantic(
-        lambda: run_workloads(faulted, [victim, attacker], quantum_cycles=2_000),
+        lambda: run_workloads(faulted, [VICTIM, ATTACKER], quantum_cycles=2_000),
         rounds=1,
         iterations=1,
     )

@@ -11,22 +11,34 @@ attack's ability to overheat a small block.
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.sim import ExperimentRunner
+from repro.sim import pair_spec, solo_spec
 
 SWEEP = (0.7, 0.75, 0.8, 0.85)
 VICTIM = "gzip"
 
 
-def test_sec55_heatsink_sweep(bench_config, bench_cache, results_dir, benchmark):
+def specs(config, names):
+    out = {}
+    for r_conv in SWEEP:
+        package = config.with_convection_resistance(r_conv)
+        out[r_conv, "solo"] = solo_spec(package, VICTIM, policy="stop_and_go")
+        out[r_conv, "attacked"] = pair_spec(
+            package, VICTIM, "variant2", policy="stop_and_go"
+        )
+        out[r_conv, "defended"] = pair_spec(
+            package, VICTIM, "variant2", policy="sedation"
+        )
+    return out
+
+
+def test_sec55_heatsink_sweep(results, bench_config, results_dir, benchmark):
     rows = []
     degradations = {}
     restored = {}
     for r_conv in SWEEP:
-        config = bench_config.with_convection_resistance(r_conv)
-        runner = ExperimentRunner(config, cache_dir=bench_cache)
-        solo = runner.solo(VICTIM, policy="stop_and_go")
-        attacked = runner.pair(VICTIM, "variant2", policy="stop_and_go")
-        defended = runner.pair(VICTIM, "variant2", policy="sedation")
+        solo = results[r_conv, "solo"]
+        attacked = results[r_conv, "attacked"]
+        defended = results[r_conv, "defended"]
         degradation = 1 - attacked.threads[0].ipc / solo.threads[0].ipc
         degradations[r_conv] = degradation
         restored[r_conv] = defended.threads[0].ipc / solo.threads[0].ipc

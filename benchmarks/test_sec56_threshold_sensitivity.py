@@ -10,23 +10,33 @@ engaged.
 from conftest import emit
 
 from repro.analysis import format_table
-from repro.sim import ExperimentRunner
+from repro.sim import pair_spec, solo_spec
 
 THRESHOLD_PAIRS = ((356.0, 354.1), (356.5, 354.2), (357.0, 354.4), (357.4, 354.8))
 VICTIM = "gzip"
 
 
-def test_sec56_threshold_sensitivity(bench_config, bench_cache, results_dir, benchmark):
-    base_runner = ExperimentRunner(bench_config, cache_dir=bench_cache)
-    solo = base_runner.solo(VICTIM, policy="stop_and_go")
-    attacked = base_runner.pair(VICTIM, "variant2", policy="stop_and_go")
+def specs(config, names):
+    out = {
+        "solo": solo_spec(config, VICTIM, policy="stop_and_go"),
+        "attacked": pair_spec(config, VICTIM, "variant2", policy="stop_and_go"),
+    }
+    for upper, lower in THRESHOLD_PAIRS:
+        out[upper, lower] = pair_spec(
+            config.with_thresholds(upper, lower), VICTIM, "variant2",
+            policy="sedation",
+        )
+    return out
+
+
+def test_sec56_threshold_sensitivity(results, bench_config, results_dir, benchmark):
+    solo = results["solo"]
+    attacked = results["attacked"]
 
     rows = []
     restored = {}
     for upper, lower in THRESHOLD_PAIRS:
-        config = bench_config.with_thresholds(upper, lower)
-        runner = ExperimentRunner(config, cache_dir=bench_cache)
-        defended = runner.pair(VICTIM, "variant2", policy="sedation")
+        defended = results[upper, lower]
         ratio = defended.threads[0].ipc / solo.threads[0].ipc
         restored[(upper, lower)] = ratio
         rows.append(

@@ -10,6 +10,7 @@ from statistics import fmean
 from conftest import emit
 
 from repro.analysis import format_table
+from repro.sim import pair_spec
 
 PAIRS = (
     ("gcc", "swim"),
@@ -18,17 +19,23 @@ PAIRS = (
     ("crafty", "art"),
 )
 
+POLICIES = ("stop_and_go", "sedation")
 
-def test_sec57_spec_pairs(runner, results_dir, benchmark):
-    # One batch dispatch for the full pairs × policies cross product: with
-    # REPRO_BENCH_JOBS=N the eight simulations run N-wide (and reload from
-    # the on-disk cache on repeat runs).  The pair() calls below hit the memo.
-    runner.pair_many(PAIRS, policies=("stop_and_go", "sedation"))
+
+def specs(config, names):
+    return {
+        (a, b, policy): pair_spec(config, a, b, policy=policy)
+        for a, b in PAIRS
+        for policy in POLICIES
+    }
+
+
+def test_sec57_spec_pairs(results, bench_config, results_dir, benchmark):
     rows = []
     ratios = []
     for a, b in PAIRS:
-        base = runner.pair(a, b, policy="stop_and_go")
-        guarded = runner.pair(a, b, policy="sedation")
+        base = results[a, b, "stop_and_go"]
+        guarded = results[a, b, "sedation"]
         for tid, name in ((0, a), (1, b)):
             base_ipc = base.threads[tid].ipc
             guarded_ipc = guarded.threads[tid].ipc
@@ -61,7 +68,7 @@ def test_sec57_spec_pairs(runner, results_dir, benchmark):
 
     benchmark.pedantic(
         lambda: run_workloads(
-            runner.base.with_policy("sedation"), ["gcc", "swim"], quantum_cycles=2_000
+            bench_config.with_policy("sedation"), ["gcc", "swim"], quantum_cycles=2_000
         ),
         rounds=1,
         iterations=1,

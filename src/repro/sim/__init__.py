@@ -16,7 +16,7 @@ from .durable import (
     resume_campaign,
     run_durable,
 )
-from .experiment import ExperimentRunner
+from .experiment import ExperimentRunner, pair_spec, solo_spec
 from .parallel import (
     RUNNER_METRICS,
     CampaignSpec,
@@ -63,10 +63,12 @@ __all__ = [
     "rollup_key",
     "run_durable",
     "run_many",
+    "pair_spec",
     "run_workloads",
     "QuantumRecord",
     "run_campaign",
     "simulate_lockstep",
+    "solo_spec",
     "spec_fingerprint",
     "trajectory_key",
     "Simulator",

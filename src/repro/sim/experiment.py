@@ -7,12 +7,14 @@ Every figure in §5 is built from three run shapes:
   under stop-and-go, realistic sink under selective sedation);
 * a benchmark **paired with another benchmark** (the false-positive check).
 
-:class:`ExperimentRunner` provides those shapes plus a generic labeled sweep,
-with one shared base configuration so Table-1 parameters stay consistent
-across a whole experiment.  Given ``jobs`` and/or ``cache_dir`` it routes
-batches through :mod:`repro.sim.parallel` — independent runs execute in
-worker processes and finished runs reload from the on-disk cache; with
-neither, every call runs serially in-process exactly as before.
+:func:`solo_spec` and :func:`pair_spec` build those shapes as
+:class:`~repro.sim.parallel.RunSpec` objects from one base configuration, so
+Table-1 parameters stay consistent across a whole experiment; the figure
+benchmarks declare their runs with them and regenerate the paper as one
+campaign.  :class:`ExperimentRunner` runs the same shapes on demand through
+:func:`repro.sim.parallel.run_many` (``jobs`` worker processes, the on-disk
+cache under ``cache_dir``, the lock-step batch tier) and memoizes each
+result by its spec fingerprint.
 """
 
 from __future__ import annotations
@@ -21,12 +23,42 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from ..config import SimulationConfig, scaled_config
-from ..errors import ConfigError
+from .parallel import RunSpec, run_many, spec_fingerprint
 from .stats import RunResult
 
 
+def pair_spec(
+    base: SimulationConfig,
+    benchmark: str,
+    other: str,
+    policy: str = "stop_and_go",
+    ideal_sink: bool = False,
+) -> RunSpec:
+    """A benchmark co-scheduled with another workload (thread 0 = victim)."""
+    config = base.with_policy(policy)
+    if ideal_sink:
+        config = config.with_ideal_sink()
+    return RunSpec(workloads=(benchmark, other), config=config)
+
+
+def solo_spec(
+    base: SimulationConfig,
+    benchmark: str,
+    policy: str = "stop_and_go",
+    ideal_sink: bool = False,
+) -> RunSpec:
+    """A benchmark alone: the second context runs nothing.
+
+    SMT with a single active thread is modeled by pairing the benchmark
+    with the registry's immediately-halting ``"idle"`` context, so solo
+    runs are name-addressable and cache/worker-pool friendly like every
+    other shape.
+    """
+    return pair_spec(base, benchmark, "idle", policy, ideal_sink)
+
+
 class ExperimentRunner:
-    """Runs labeled simulations against one base configuration."""
+    """Runs the paper's run shapes against one base configuration."""
 
     def __init__(
         self,
@@ -37,9 +69,9 @@ class ExperimentRunner:
         telemetry=None,
     ) -> None:
         self.base = base_config or scaled_config()
-        self.results: dict[str, RunResult] = {}
-        #: label -> the (workloads, config) it was first run with
-        self._runs: dict[str, tuple[tuple[str, ...], SimulationConfig]] = {}
+        #: spec fingerprint -> result: two calls that describe the same run
+        #: share one result
+        self._memo: dict[str, RunResult] = {}
         #: worker processes per batch (None or 1 = serial, in-process)
         self.jobs = jobs
         #: on-disk result cache directory (None = no cache)
@@ -52,81 +84,38 @@ class ExperimentRunner:
         #: are unaffected — this observes the runner, not the runs)
         self.telemetry = telemetry
 
-    # -- run shapes ---------------------------------------------------------
+    def run_batch(self, specs: Iterable[RunSpec]) -> list[RunResult]:
+        """Run specs as one dispatch; results come back in input order.
 
-    def run(
-        self,
-        label: str,
-        workloads: list[str],
-        config: SimulationConfig | None = None,
-    ) -> RunResult:
-        """Run one labeled simulation (memoized by label)."""
-        return self.run_batch([(label, workloads, config)])[label]
-
-    def run_batch(
-        self,
-        labeled: Iterable[tuple[str, Sequence[str], SimulationConfig | None]],
-    ) -> dict[str, RunResult]:
-        """Run a batch of labeled simulations and return *those* results.
-
-        Two memo layers stack here.  The runner's in-memory memo
-        (``self.results``) is keyed by label, so a label must name one run:
-        reusing it with other workloads or another config raises
-        :class:`~repro.errors.ConfigError` (:meth:`pair` bakes policy and
-        sink into its labels for exactly this reason).  Labels not in the
-        memo go through :func:`repro.sim.parallel.run_many` in one dispatch
-        — a batch of N misses occupies up to N workers at once (``jobs``),
-        and each miss first consults the on-disk cache (``cache_dir``),
-        which is keyed by a fingerprint of the *full* configuration (see
-        DESIGN.md §9 for the invalidation rules).  Duplicate labels within
-        a batch run once.
+        Specs already in the memo are not re-run; the rest go through
+        :func:`~repro.sim.parallel.run_many` together, so a batch of N
+        misses occupies up to N workers at once (``jobs``) and each miss
+        first consults the on-disk cache (``cache_dir``; see DESIGN.md §9).
+        Duplicate specs run once.
         """
-        items: list[tuple[str, list[str], SimulationConfig]] = []
-        missing: dict[str, tuple[str, list[str], SimulationConfig]] = {}
-        for label, workloads, config in labeled:
-            run = (tuple(workloads), config or self.base)
-            known = self._runs.setdefault(label, run)
-            if known != run:
-                raise ConfigError(
-                    f"label {label!r} already names a run of "
-                    f"{'+'.join(known[0])}; another workload list or "
-                    "config needs its own label"
-                )
-            items.append((label, list(run[0]), run[1]))
-            if label not in self.results:
-                missing.setdefault(label, items[-1])
+        specs = list(specs)
+        keys = [spec_fingerprint(spec) for spec in specs]
+        missing = {
+            key: spec
+            for key, spec in zip(keys, specs, strict=True)
+            if key not in self._memo
+        }
         if missing:
-            from .parallel import RunSpec, run_many
-
-            specs = [
-                RunSpec(workloads=tuple(workloads), config=config)
-                for _, workloads, config in missing.values()
-            ]
             fresh = run_many(
-                specs,
+                list(missing.values()),
                 jobs=self.jobs or 1,
                 cache_dir=self.cache_dir,
-                cache=self.cache_dir is not None,
                 batch=self.batch,
                 telemetry=self.telemetry,
             )
-            for label, result in zip(missing, fresh, strict=True):
-                self.results[label] = result
-        return {label: self.results[label] for label, _, _ in items}
+            self._memo.update(zip(missing, fresh, strict=True))
+        return [self._memo[key] for key in keys]
 
     def solo(
         self, benchmark: str, policy: str = "stop_and_go", ideal_sink: bool = False
     ) -> RunResult:
-        """A benchmark alone: the second context runs nothing.
-
-        SMT with a single active thread is modeled by pairing the benchmark
-        with the registry's immediately-halting ``"idle"`` context, so solo
-        runs are name-addressable and cache/worker-pool friendly like every
-        other shape.
-        """
-        config = self._configure(policy, ideal_sink)
-        label = f"{benchmark}|solo|{config.dtm_policy}|{int(ideal_sink)}"
-        return self.run(label, [benchmark, "idle"], config)
+        """Run :func:`solo_spec` against the base configuration."""
+        return self.run_batch([solo_spec(self.base, benchmark, policy, ideal_sink)])[0]
 
     def pair(
         self,
@@ -135,11 +124,9 @@ class ExperimentRunner:
         policy: str = "stop_and_go",
         ideal_sink: bool = False,
     ) -> RunResult:
-        """A benchmark co-scheduled with another workload (thread 0 = victim)."""
-        label, workloads, config = self._pair_item(
-            benchmark, other, policy, ideal_sink
-        )
-        return self.run(label, workloads, config)
+        """Run :func:`pair_spec` against the base configuration."""
+        spec = pair_spec(self.base, benchmark, other, policy, ideal_sink)
+        return self.run_batch([spec])[0]
 
     def pair_many(
         self,
@@ -153,41 +140,10 @@ class ExperimentRunner:
         product runs N-wide instead of one simulation at a time.  Keys of
         the returned dict are ``(benchmark, other, policy)``.
         """
-        keyed: list[tuple[tuple[str, str, str], str]] = []
-        labeled = []
-        for benchmark, other in pairs:
-            for policy in policies:
-                item = self._pair_item(benchmark, other, policy, ideal_sink)
-                keyed.append(((benchmark, other, policy), item[0]))
-                labeled.append(item)
-        results = self.run_batch(labeled)
-        return {key: results[label] for key, label in keyed}
-
-    def sweep(
-        self, labeled: Iterable[tuple[str, list[str], SimulationConfig]]
-    ) -> dict[str, RunResult]:
-        """Run (label, workloads, config) simulations as one batch.
-
-        Despite the name this is not a serial loop: the whole iterable is
-        dispatched through :meth:`run_batch`, so with ``jobs`` the sweep
-        fans out across worker processes and with ``cache_dir`` previously
-        finished points reload from disk instead of re-simulating.  Returns
-        exactly the requested labels (the runner's whole memo is a
-        superset, available as ``self.results``).
-        """
-        return self.run_batch(labeled)
-
-    # -- internals ----------------------------------------------------------
-
-    def _pair_item(
-        self, benchmark: str, other: str, policy: str, ideal_sink: bool
-    ) -> tuple[str, list[str], SimulationConfig]:
-        config = self._configure(policy, ideal_sink)
-        label = f"{benchmark}+{other}|{config.dtm_policy}|{int(ideal_sink)}"
-        return label, [benchmark, other], config
-
-    def _configure(self, policy: str, ideal_sink: bool) -> SimulationConfig:
-        config = self.base.with_policy(policy)
-        if ideal_sink:
-            config = config.with_ideal_sink()
-        return config
+        keys = [(benchmark, other, policy) for benchmark, other in pairs
+                for policy in policies]
+        results = self.run_batch(
+            pair_spec(self.base, benchmark, other, policy, ideal_sink)
+            for benchmark, other, policy in keys
+        )
+        return dict(zip(keys, results, strict=True))

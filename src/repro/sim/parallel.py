@@ -1093,7 +1093,6 @@ def run_many(
     specs: Iterable[RunSpec | CampaignSpec],
     jobs: int | None = None,
     cache_dir: str | Path | None = DEFAULT_CACHE_DIR,
-    cache: bool = True,
     timeout: float | None = None,
     retries: int = 0,
     raise_on_error: bool = True,
@@ -1108,9 +1107,9 @@ def run_many(
     the process pool or the serial path — and each result is stored in
     the cache as it lands.  ``batch=False`` disables the lock-step tier
     (results are byte-identical either way; the knob exists for
-    benchmarking and for isolating the tier in tests).  ``cache=False``
-    (or ``cache_dir=None``) disables the disk cache entirely.  ``jobs``
-    bounds the worker processes (``None`` reads ``REPRO_BENCH_JOBS``, see
+    benchmarking and for isolating the tier in tests).  ``cache_dir=None``
+    disables the disk cache entirely.  ``jobs`` bounds the worker
+    processes (``None`` reads ``REPRO_BENCH_JOBS``, see
     :func:`default_jobs`); byte-identity holds at any ``jobs``.
 
     Robustness knobs (docs/robustness.md):
@@ -1156,7 +1155,7 @@ def run_many(
 
     return drive_campaign(
         list(specs),
-        directory=Path(cache_dir) if (cache and cache_dir is not None) else None,
+        directory=None if cache_dir is None else Path(cache_dir),
         jobs=jobs,
         timeout=timeout,
         retries=retries,

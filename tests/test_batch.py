@@ -55,8 +55,8 @@ def canonical(result) -> str:
 
 def assert_equivalent(specs) -> None:
     """The gate: batch-tier results byte-equal the scalar path's."""
-    scalar = run_many(specs, jobs=1, cache=False, batch=False)
-    batched = run_many(specs, jobs=1, cache=False, batch=True)
+    scalar = run_many(specs, jobs=1, cache_dir=None, batch=False)
+    batched = run_many(specs, jobs=1, cache_dir=None, batch=True)
     for spec, fast, slow in zip(specs, batched, scalar, strict=True):
         assert canonical(fast) == canonical(slow), spec
 
@@ -215,7 +215,7 @@ class TestEquivalenceGate:
     def test_single_lane_group(self):
         spec = RunSpec(("gcc", "swim"), tiny_config())
         lane_results = simulate_lockstep([spec])
-        scalar = run_many([spec], jobs=1, cache=False, batch=False)[0]
+        scalar = run_many([spec], jobs=1, cache_dir=None, batch=False)[0]
         assert canonical(lane_results[0]) == canonical(scalar)
 
     def test_mixed_fingerprints_rejected(self):
@@ -236,7 +236,7 @@ class TestEquivalenceGate:
     def test_duplicate_specs_still_share_one_result(self):
         spec = RunSpec(("gcc", "swim"), tiny_config())
         other = RunSpec(("gcc", "swim"), tiny_config("stop_and_go"))
-        results = run_many([spec, other, spec], jobs=1, cache=False, batch=True)
+        results = run_many([spec, other, spec], jobs=1, cache_dir=None, batch=True)
         assert results[0] is results[2]
 
 
@@ -407,7 +407,7 @@ class TestPerfCounters:
             for p in ("ideal", "stop_and_go", "dvfs")
         ]
         lane_results = simulate_lockstep(specs)
-        scalar = run_many(specs, jobs=1, cache=False, batch=False)
+        scalar = run_many(specs, jobs=1, cache_dir=None, batch=False)
         for lane, fast in lane_results.items():
             slow = scalar[lane].perf
             assert fast.perf.cycles == slow.cycles
@@ -707,7 +707,7 @@ class TestHeterogeneousLanes:
         assert metrics["lanes"] == 4
         assert metrics["trajectories"] == 2
         assert metrics["streams"] == 3
-        scalar = run_many(specs, jobs=1, cache=False, batch=False)
+        scalar = run_many(specs, jobs=1, cache_dir=None, batch=False)
         for lane, spec in enumerate(specs):
             assert canonical(lane_results[lane]) == canonical(scalar[lane]), spec
 
@@ -857,7 +857,7 @@ class TestTierRouting:
         run_many(
             [RunSpec(("gcc", "swim"), tiny_config())],
             jobs=1,
-            cache=False,
+            cache_dir=None,
             batch=True,
         )
         lanes_after, _ = self._counters()
@@ -872,10 +872,10 @@ class TestTierRouting:
             RunSpec(("gcc", "mcf"), tiny_config()),
             RunSpec(("gcc", "swim"), tiny_config(seed=99)),
         ]
-        results = run_many(specs, jobs=1, cache=False, batch=True)
+        results = run_many(specs, jobs=1, cache_dir=None, batch=True)
         lanes_after, _ = self._counters()
         assert lanes_after == lanes_before
-        scalar = run_many(specs, jobs=1, cache=False, batch=False)
+        scalar = run_many(specs, jobs=1, cache_dir=None, batch=False)
         for fast, slow in zip(results, scalar, strict=True):
             assert canonical(fast) == canonical(slow)
 
@@ -889,7 +889,7 @@ class TestTierRouting:
             RunSpec(("gcc", "gzip"), base),  # unique: stays scalar
         ]
         lanes_before, trajectories_before = self._counters()
-        run_many(specs, jobs=1, cache=False, batch=True)
+        run_many(specs, jobs=1, cache_dir=None, batch=True)
         lanes_after, trajectories_after = self._counters()
         assert lanes_after - lanes_before == 4
         assert trajectories_after - trajectories_before == 2
@@ -935,9 +935,9 @@ class TestShardedKernel:
 
         specs = sharded_grid()
         runs = [
-            run_many(specs, jobs=2, cache=False),
-            run_many(specs, jobs=1, cache=False),
-            run_many(specs, jobs=1, cache=False, batch=False),
+            run_many(specs, jobs=2, cache_dir=None),
+            run_many(specs, jobs=1, cache_dir=None),
+            run_many(specs, jobs=1, cache_dir=None, batch=False),
         ]
         texts = {results_to_canonical_json(results) for results in runs}
         assert len(texts) == 1
@@ -986,7 +986,7 @@ class TestShardedKernel:
 
         specs = sharded_grid()
         session = TelemetrySession()
-        run_many(specs, jobs=2, cache=False, telemetry=session)
+        run_many(specs, jobs=2, cache_dir=None, telemetry=session)
         lanes = [
             event.data
             for event in session.events()

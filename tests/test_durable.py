@@ -402,7 +402,7 @@ class TestCheckpoint:
         assert RUNNER_METRICS.counters["runner.campaign_verified"] == (
             verified + 2
         )
-        clean = run_many(specs, jobs=1, cache=False)
+        clean = run_many(specs, jobs=1, cache_dir=None)
         assert results_to_canonical_json(resumed) == (
             results_to_canonical_json(clean)
         )
@@ -477,7 +477,7 @@ class TestCacheWriteFailure:
     ]
 
     def clean_run(self):
-        return results_to_canonical_json(run_many(self.specs, jobs=1, cache=False))
+        return results_to_canonical_json(run_many(self.specs, jobs=1, cache_dir=None))
 
     def test_run_many_returns_results_and_leaves_no_tmp(
         self, tmp_path, monkeypatch
@@ -578,8 +578,8 @@ class TestCacheInspection:
 class TestCanonicalJson:
     def test_wall_seconds_is_normalized_out(self, tmp_path):
         spec = plain_spec(("gcc", "swim"))
-        first = run_many([spec], jobs=1, cache=False)
-        second = run_many([spec], jobs=1, cache=False)
+        first = run_many([spec], jobs=1, cache_dir=None)
+        second = run_many([spec], jobs=1, cache_dir=None)
         assert isinstance(first[0], RunResult)
         assert first[0].perf.wall_seconds != second[0].perf.wall_seconds
         assert results_to_canonical_json(first) == (

@@ -18,7 +18,6 @@ import pytest
 
 from repro.blocks import INT_RF, NUM_BLOCKS
 from repro.config import scaled_config
-from repro.errors import ConfigError
 from repro.pipeline.banks import stream_cursor
 from repro.sim import ExperimentRunner, RunSpec, run_many, spec_fingerprint
 from repro.sim.results import load_result, save_result
@@ -212,7 +211,7 @@ class TestParallelCachedRunner:
         serial = run_many(specs, jobs=1, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 2
         cached = run_many(specs, jobs=1, cache_dir=tmp_path)
-        parallel = run_many(specs, jobs=2, cache=False)
+        parallel = run_many(specs, jobs=2, cache_dir=None)
         for a, b, c in zip(serial, cached, parallel, strict=True):
             assert a == b == c
         # Cached results carry the original run's perf counters.
@@ -233,7 +232,7 @@ class TestParallelCachedRunner:
 
     def test_result_perf_serialization_round_trip(self, tmp_path):
         result = run_many([RunSpec(("gcc", "swim"), tiny_config())], jobs=1,
-                          cache=False)[0]
+                          cache_dir=None)[0]
         path = tmp_path / "result.json"
         save_result(result, path)
         loaded = load_result(path)
@@ -242,13 +241,6 @@ class TestParallelCachedRunner:
 
 
 class TestExperimentRunnerBatching:
-    def test_sweep_returns_only_requested_labels(self):
-        runner = ExperimentRunner(tiny_config())
-        runner.run("extra", ["gcc", "swim"])
-        out = runner.sweep([("wanted", ["gzip", "mcf"], runner.base)])
-        assert set(out) == {"wanted"}
-        assert set(runner.results) == {"extra", "wanted"}
-
     def test_batch_matches_individual_runs(self, tmp_path):
         batched = ExperimentRunner(tiny_config(), jobs=2, cache_dir=tmp_path)
         one_by_one = ExperimentRunner(tiny_config())
@@ -257,27 +249,20 @@ class TestExperimentRunnerBatching:
         for a, b in pairs:
             assert out[(a, b, "stop_and_go")] == one_by_one.pair(a, b)
 
+    def test_run_batch_keys_results_by_spec(self):
+        runner = ExperimentRunner(tiny_config())
+        a = RunSpec(("gcc", "swim"), runner.base)
+        b = RunSpec(("gzip", "mcf"), runner.base)
+        first, second, again = runner.run_batch([a, b, a])
+        assert first is again and first is not second
+        assert runner.run_batch([RunSpec(("gzip", "mcf"), tiny_config())])[0] is second
+
     def test_solo_runs_via_registry_idle(self):
         runner = ExperimentRunner(tiny_config())
         result = runner.solo("gcc")
         assert result.workloads == ("gcc", "idle")
         assert result.threads[1].committed == 0
         assert result.threads[0].committed > 0
-
-    def test_label_reused_for_another_run_raises(self):
-        runner = ExperimentRunner(tiny_config())
-        first = runner.run("victim", ["gcc", "swim"])
-        # The same label and run again is a memo hit, not a collision.
-        assert runner.run("victim", ["gcc", "swim"], tiny_config()) is first
-        with pytest.raises(ConfigError, match="'victim'"):
-            runner.run("victim", ["gzip", "swim"])
-        with pytest.raises(ConfigError, match="'victim'"):
-            runner.run("victim", ["gcc", "swim"], runner.base.with_policy("sedation"))
-        with pytest.raises(ConfigError, match="'twice'"):
-            runner.sweep([
-                ("twice", ["gcc", "swim"], runner.base),
-                ("twice", ["gcc", "mcf"], runner.base),
-            ])
 
 
 @pytest.mark.parametrize("name", ["idle"])

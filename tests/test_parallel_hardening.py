@@ -44,9 +44,9 @@ class TestValidation:
     def test_bad_knobs_rejected(self):
         spec = RunSpec(("gcc", "swim"), tiny_config())
         with pytest.raises(SimulationError):
-            run_many([spec], retries=-1, cache=False)
+            run_many([spec], retries=-1, cache_dir=None)
         with pytest.raises(SimulationError):
-            run_many([spec], timeout=0.0, cache=False)
+            run_many([spec], timeout=0.0, cache_dir=None)
 
     def test_backoff_is_deterministic_and_grows(self):
         assert _backoff_seconds("abc", 1) == _backoff_seconds("abc", 1)
@@ -58,19 +58,19 @@ class TestRetryAndTimeout:
     def test_transient_failure_retries_then_succeeds(self):
         spec = chaos_spec(("gcc", "swim"), fail_attempts=1)
         before = RUNNER_METRICS.counters.get("runner.retries", 0)
-        result = run_many([spec], jobs=1, cache=False, retries=1)[0]
+        result = run_many([spec], jobs=1, cache_dir=None, retries=1)[0]
         assert isinstance(result, RunResult) and result.cycles > 0
         assert RUNNER_METRICS.counters["runner.retries"] == before + 1
 
     def test_retries_exhausted_raises_by_default(self):
         spec = chaos_spec(("gcc", "swim"), fail_attempts=5)
         with pytest.raises(SimulationError, match="failed"):
-            run_many([spec], jobs=1, cache=False, retries=1)
+            run_many([spec], jobs=1, cache_dir=None, retries=1)
 
     def test_hung_spec_times_out_serially(self):
         spec = chaos_spec(("gcc", "swim"), hang_attempts=5, hang_seconds=5.0)
         failure = run_many(
-            [spec], jobs=1, cache=False, timeout=0.2, raise_on_error=False
+            [spec], jobs=1, cache_dir=None, timeout=0.2, raise_on_error=False
         )[0]
         assert isinstance(failure, RunFailure)
         assert failure.kind == "timeout"
@@ -81,7 +81,7 @@ class TestRetryAndTimeout:
         hang = chaos_spec(("gcc", "swim"), hang_attempts=5, hang_seconds=30.0)
         good = RunSpec(("gzip", "mcf"), tiny_config())
         results = run_many(
-            [hang, good], jobs=2, cache=False, timeout=2.0,
+            [hang, good], jobs=2, cache_dir=None, timeout=2.0,
             raise_on_error=False,
         )
         assert isinstance(results[0], RunFailure)
@@ -95,18 +95,18 @@ class TestCrashRecovery:
         good = RunSpec(("gzip", "mcf"), tiny_config())
         before = RUNNER_METRICS.counters.get("runner.pool_breaks", 0)
         results = run_many(
-            [crash, good], jobs=2, cache=False, raise_on_error=False
+            [crash, good], jobs=2, cache_dir=None, raise_on_error=False
         )
         assert RUNNER_METRICS.counters["runner.pool_breaks"] > before
         # The poisoned spec fails (in-process the crash raises FaultError);
         # every other spec still gets its result.
         assert isinstance(results[0], RunFailure)
-        assert results[1] == run_many([good], jobs=1, cache=False)[0]
+        assert results[1] == run_many([good], jobs=1, cache_dir=None)[0]
 
     def test_crash_then_recover_on_retry(self):
         crash_once = chaos_spec(("gcc", "swim"), crash_attempts=1)
         good = RunSpec(("gzip", "mcf"), tiny_config())
-        results = run_many([crash_once, good], jobs=2, cache=False, retries=1)
+        results = run_many([crash_once, good], jobs=2, cache_dir=None, retries=1)
         assert all(isinstance(r, RunResult) for r in results)
 
 
@@ -121,7 +121,7 @@ config = scaled_config(time_scale=20_000.0, quantum_cycles=3_000)
 mixes = (("gcc", "swim"), ("gzip", "mcf"), ("vpr", "art"))
 specs = [RunSpec(mix, config) for mix in mixes]
 for _ in range(3):
-    run_many(specs, jobs=2, cache=False)
+    run_many(specs, jobs=2, cache_dir=None)
     print(multiprocessing.active_children())
 """
 
@@ -144,7 +144,7 @@ class TestPartialResults:
         bad = chaos_spec(("gzip", "mcf"), fail_attempts=5)
         good_b = RunSpec(("vpr", "art"), tiny_config())
         results = run_many(
-            [good_a, bad, good_b], jobs=1, cache=False, raise_on_error=False
+            [good_a, bad, good_b], jobs=1, cache_dir=None, raise_on_error=False
         )
         assert isinstance(results[0], RunResult)
         assert isinstance(results[1], RunFailure)
@@ -155,7 +155,7 @@ class TestPartialResults:
     def test_raise_names_the_failed_specs(self):
         bad = chaos_spec(("gzip", "mcf"), fail_attempts=5)
         with pytest.raises(SimulationError, match=r"gzip\+mcf.*error"):
-            run_many([bad], jobs=1, cache=False)
+            run_many([bad], jobs=1, cache_dir=None)
 
     def test_failures_are_never_cached(self, tmp_path):
         bad = chaos_spec(("gzip", "mcf"), fail_attempts=5)
@@ -227,7 +227,7 @@ class TestFaultedRunsThroughTheRunner:
         spec = self.faulted_spec()
         cold = run_many([spec], jobs=1, cache_dir=tmp_path)[0]
         warm = run_many([spec], jobs=1, cache_dir=tmp_path)[0]
-        parallel = run_many([spec, spec], jobs=2, cache=False)
+        parallel = run_many([spec, spec], jobs=2, cache_dir=None)
         assert cold == warm == parallel[0] == parallel[1]
 
     def test_fault_plan_separates_cache_entries(self, tmp_path):
@@ -282,7 +282,7 @@ class TestGracefulInterrupt:
         ]
         before = RUNNER_METRICS.counters.get("runner.interrupts", 0)
         results = run_many(
-            specs, jobs=2, cache=False, batch=False, raise_on_error=False
+            specs, jobs=2, cache_dir=None, batch=False, raise_on_error=False
         )
         assert len(results) == len(specs)
         failures = [r for r in results if isinstance(r, RunFailure)]
@@ -332,7 +332,7 @@ class TestShardedBatchTier:
 
         local, remote = self.specs()
         specs = local + remote
-        reference = run_many(specs, jobs=1, cache=False, batch=False)
+        reference = run_many(specs, jobs=1, cache_dir=None, batch=False)
         real_build_root = batch._build_root
 
         def build_root(*args, **kwargs):
@@ -345,7 +345,7 @@ class TestShardedBatchTier:
         from repro.telemetry import EventType, TelemetrySession
 
         session = TelemetrySession()
-        results = run_many(specs, jobs=2, cache=False, telemetry=session)
+        results = run_many(specs, jobs=2, cache_dir=None, telemetry=session)
         assert self.canonical(results) == self.canonical(reference)
         assert self.delta(session_before, "runner.batch_errors") == 1
         assert self.delta(session_before, "runner.batch_completed") == len(local)
@@ -365,12 +365,12 @@ class TestShardedBatchTier:
         crash = chaos_spec(("ammp", "lucas"), crash_attempts=1)
         specs = local + remote + [crash]
         before = self.counters()
-        results = run_many(specs, jobs=2, cache=False, retries=1)
+        results = run_many(specs, jobs=2, cache_dir=None, retries=1)
         assert self.delta(before, "runner.pool_breaks") >= 1
         # A lost shard re-runs; it is never booked as a batch error.
         assert self.delta(before, "runner.batch_errors") == 0
         assert self.delta(before, "runner.batch_completed") == len(local + remote)
-        reference = run_many(specs, jobs=1, cache=False, batch=False, retries=1)
+        reference = run_many(specs, jobs=1, cache_dir=None, batch=False, retries=1)
         assert self.canonical(results) == self.canonical(reference)
 
     def test_interrupt_in_local_shard_drains_and_books(

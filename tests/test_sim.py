@@ -169,11 +169,15 @@ class TestExperimentRunner:
         assert result.threads[1].committed == 0
         assert result.threads[0].committed > 0
 
-    def test_results_memoized_by_label(self):
+    def test_results_memoized_by_spec(self):
         runner = ExperimentRunner(CFG)
         first = runner.solo("gzip")
         second = runner.solo("gzip")
         assert first is second
+
+    def test_pair_with_idle_is_the_solo_run(self):
+        runner = ExperimentRunner(CFG)
+        assert runner.pair("gzip", "idle", policy="stop_and_go") is runner.solo("gzip")
 
     def test_pair_places_victim_on_thread_zero(self):
         runner = ExperimentRunner(CFG)
@@ -185,10 +189,3 @@ class TestExperimentRunner:
         a = runner.pair("gzip", "variant2", policy="stop_and_go")
         b = runner.pair("gzip", "variant2", policy="sedation")
         assert a is not b
-
-    def test_sweep(self):
-        runner = ExperimentRunner(CFG)
-        results = runner.sweep(
-            [("one", ["gzip", "eon"], CFG), ("two", ["gzip", "mcf"], CFG)]
-        )
-        assert set(results) >= {"one", "two"}

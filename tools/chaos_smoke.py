@@ -319,7 +319,7 @@ def cache_failure_checks() -> list[tuple[str, bool]]:
             )
         finally:
             Path.write_text = real_write_text
-        clean = run_many(specs, jobs=1, cache=False)
+        clean = run_many(specs, jobs=1, cache_dir=None)
         checks.append(
             ("ENOSPC cache writes: every result returned, byte-identical",
              results_to_canonical_json(results)
@@ -397,8 +397,8 @@ def main() -> int:
              not isinstance(results[0], RunFailure)
              and not isinstance(results[4], RunFailure)),
             ("healthy results byte-identical to a clean serial run",
-             results[0] == run_many([healthy_a], jobs=1, cache=False)[0]
-             and results[4] == run_many([healthy_b], jobs=1, cache=False)[0]),
+             results[0] == run_many([healthy_a], jobs=1, cache_dir=None)[0]
+             and results[4] == run_many([healthy_b], jobs=1, cache_dir=None)[0]),
             ("corrupt entry quarantined, evidence preserved",
              (cache / "quarantine" / f"{corrupt_key}.json").read_text()
              == "{not json"),
