@@ -39,7 +39,8 @@ of the widest quiet and heterogeneous rows also lands in
 ``BENCH_throughput.json`` so the throughput history tracks the batch tier.
 
 ``REPRO_BATCH_BENCH_TINY=1`` shrinks the grid (short horizon, B=4 quiet,
-B=64 heterogeneous acting) for the CI perf-smoke step.  The quiet bars
+B=64 heterogeneous acting) for the CI perf-smoke step and writes no
+result file (the committed rows are the full preset's).  The quiet bars
 (≥5× homogeneous at B≥32, ≥100× heterogeneous at B≥256) apply only to the
 full run; both acting bars (≥3× at B≥32) are asserted on the tiny path
 too.  The width-1 row must never lose to scalar (``speedup >= 1.0``):
@@ -485,17 +486,17 @@ def run() -> dict:
         ],
         "sharded_rows": [measure_sharded(SHARDED_SIZE)],
     }
-    results = Path(__file__).parent / "results"
-    results.mkdir(exist_ok=True)
-    (results / "BENCH_batch.json").write_text(json.dumps(payload, indent=1))
-    _record_in_throughput(results, payload)
+    if not TINY:
+        # The committed rows are the full preset's; tiny numbers only gate.
+        results = Path(__file__).parent / "results"
+        results.mkdir(exist_ok=True)
+        (results / "BENCH_batch.json").write_text(json.dumps(payload, indent=1))
+        _record_in_throughput(results, payload)
     return payload
 
 
 def _record_in_throughput(results: Path, payload: dict) -> None:
     """Fold the widest rows' speedups into the throughput history file."""
-    if payload["tiny"]:
-        return  # CI smoke numbers would pollute the history
     path = results / "BENCH_throughput.json"
     try:
         history = json.loads(path.read_text())

@@ -356,12 +356,14 @@ def cmd_campaign_summary(args) -> int:
                 payload["runs"],
                 payload["failures"],
                 " ".join(sorted(payload["policies"])),
-                ", ".join(payload["workloads"]),
+                # A figure campaign holds dozens of mixes; the detail view
+                # (``campaign-summary KEY``) lists them.
+                len(payload["workloads"]),
             ]
             for payload in rollups
         ]
         print(format_table(
-            ["rollup", "runs", "failures", "policies", "workloads"], rows,
+            ["rollup", "runs", "failures", "policies", "mixes"], rows,
             title=f"campaign rollups in {args.cache_dir}",
         ))
         return 0

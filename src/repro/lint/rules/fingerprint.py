@@ -2,7 +2,7 @@
 
 ``repro.sim.parallel`` memoizes whole simulation runs on disk, keyed by
 :func:`spec_fingerprint`.  The cache is sound only if *every* field of
-``RunSpec``/``CampaignSpec`` participates in the key: a field that changes
+``RunSpec`` participates in the key: a field that changes
 behavior but not the fingerprint returns a stale result for a fresh
 configuration — the worst kind of wrong, because it looks exactly like a
 fast correct run.
@@ -23,7 +23,7 @@ from ..project import ProjectContext
 from ..registry import Module, Rule, register
 
 #: Class names treated as cache-keyed specs.
-SPEC_CLASSES = frozenset({"RunSpec", "CampaignSpec"})
+SPEC_CLASSES = frozenset({"RunSpec"})
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -66,7 +66,7 @@ class FingerprintRule(Rule):
     code = "RPR002"
     name = "fingerprint-completeness"
     summary = (
-        "every RunSpec/CampaignSpec field must be read by spec_fingerprint "
+        "every RunSpec field must be read by spec_fingerprint "
         "(unkeyed fields serve stale cache entries)"
     )
 

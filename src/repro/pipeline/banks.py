@@ -8,7 +8,9 @@ stream; the lock-step batch engine exploits the purity twice over — lanes
 sharing a trajectory share one pipeline, and *pipelines* sharing a
 trajectory (the root cohort and every cohort split off it, or sibling
 trajectory groups that reuse a workload/seed pair) share one **generated
-stream** (:class:`repro.sim.soa.StreamBank`).
+stream** (:class:`StreamBank`: one stream per distinct
+``(workload, thread, seed)`` triple, so a workload appearing in many mixes
+is generated once per seed, not once per mix).
 
 :class:`SharedStream` wraps a :class:`~repro.pipeline.source.RowSource` and
 keeps its rows (static-field tuples in :class:`~repro.pipeline.uop.Uop`
@@ -32,6 +34,7 @@ dropping it would skew access counts).
 
 from __future__ import annotations
 
+from ..workloads.registry import make_source
 from .uop import Uop
 
 #: Rows generated per refill; amortizes the ensure() call overhead without
@@ -199,3 +202,50 @@ class StreamCursor:
 def stream_cursor(thread_id: int, source) -> StreamCursor:
     """Thread ``thread_id``'s cursor at the start of a new stream over ``source``."""
     return StreamCursor(SharedStream(source), thread_id)
+
+
+class StreamBank:
+    """Shared µop streams for one lock-step batch call.
+
+    Keyed by ``(workload, thread id, seed)`` — the full set of inputs that
+    (for a fixed machine and thermal time base, both batch-fingerprinted)
+    determine a source's output.  Sources are built through
+    :func:`~repro.workloads.registry.make_source`, as a scalar run builds
+    them, so generation replays the exact crc32-salted RNG streams and
+    executor steps of a scalar run.
+    """
+
+    def __init__(self, machine, thermal) -> None:
+        self.machine = machine
+        self.thermal = thermal
+        self._streams: dict[tuple[str, int, int], SharedStream] = {}
+
+    def cursor(self, name: str, tid: int, seed: int) -> StreamCursor:
+        """A fresh cursor at position 0 of the ``(name, tid, seed)`` stream."""
+        key = (name, tid, seed)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = SharedStream(
+                make_source(name, tid, self.machine, self.thermal, seed=seed)
+            )
+            self._streams[key] = stream
+        return StreamCursor(stream, tid)
+
+    def trim(self) -> None:
+        """Compact every stream behind its slowest live cursor."""
+        for stream in self._streams.values():
+            stream.trim()
+
+    @property
+    def stream_count(self) -> int:
+        return len(self._streams)
+
+    @property
+    def rows_generated(self) -> int:
+        return sum(stream.generated for stream in self._streams.values())
+
+
+def release_cursors(core) -> None:
+    """Unregister a finished pipeline's cursors so its streams can trim."""
+    for thread in core.threads:
+        thread.source.release()

@@ -19,7 +19,6 @@ from .durable import (
 from .experiment import ExperimentRunner, pair_spec, solo_spec
 from .parallel import (
     RUNNER_METRICS,
-    CampaignSpec,
     RunFailure,
     RunSpec,
     run_many,
@@ -39,7 +38,6 @@ from .stats import RunResult, ThreadStats
 __all__ = [
     "CampaignJournal",
     "CampaignResult",
-    "CampaignSpec",
     "CampaignState",
     "ExperimentRunner",
     "JOURNAL_DIR",

@@ -15,8 +15,7 @@ lanes with equal ``ewma_shift`` one usage monitor.  Heterogeneous lanes
 (mixed workload pairs × mixed seeds) therefore batch in a single kernel
 call: one cohort tree per trajectory, one shared worklist, and one
 generated uop stream per distinct ``(workload, thread, seed)`` triple
-across all of them
-(:mod:`repro.sim.soa`).
+across all of them (:class:`~repro.pipeline.banks.StreamBank`).
 
 The contract is the fast path's: results **byte-identical** to the scalar
 :class:`~repro.sim.simulator.Simulator` (same RunResult JSON, same cache
@@ -57,10 +56,12 @@ same engage/release cycles) never separate at all.
 :func:`~repro.sim.parallel.run_many` uses this as its middle execution
 tier: cache hit → lock-step batch groups (grouped by
 :func:`batch_fingerprint`) → process pool / serial scalar fallback.
-Because trajectory groups never interact, a call can also be **sharded**
-by trajectory across a process pool (``executor``/``shards``): each shard
-is an ordinary call over fewer trajectories, so its lanes' results are
-the same bytes.
+Because trajectory groups never interact, the runner can **shard** a group
+by trajectory (:func:`_shard_lanes`) and run each shard as an ordinary
+call over fewer trajectories, in this process or a pool worker; its lanes'
+results are the same bytes.  This module is the kernel only: where a
+shard runs, and what happens when it fails, is
+:func:`~repro.sim.parallel.dispatch`'s business.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -77,10 +77,10 @@ from ..config import SimulationConfig, ThermalConfig
 from ..core.usage import UsageMonitor
 from ..dtm import build_policy
 from ..errors import SimulationError
+from ..pipeline.banks import StreamBank, release_cursors
 from ..power import EnergyModel, PowerAccountant
 from ..thermal import RCThermalModel, SensorBank
 from .cohort import Cohort, LanePort
-from .soa import StreamBank, release_cursors
 from .simulator import build_core, build_result, run_loop, tally
 from .stats import RunResult
 
@@ -105,14 +105,11 @@ def batch_fingerprint(spec) -> str | None:
     thresholds, thermal network constants, sensor noise — may vary per lane
     and is handled by the engine's per-lane state.
 
-    Not batchable at all: campaign specs (state persists across quanta),
-    trace/telemetry runs (they observe per-cycle state the batch engine
-    does not replay), and any spec with a fault plan (runtime injectors
-    perturb the pipeline; worker chaos hooks must fire in the scalar
-    attempt path).
+    Not batchable at all: trace/telemetry runs (they observe per-cycle
+    state the batch engine does not replay), and any spec with a fault
+    plan (runtime injectors perturb the pipeline; worker chaos hooks must
+    fire in the scalar attempt path).
     """
-    if getattr(spec, "quanta", None) is not None:
-        return None
     if getattr(spec, "trace", False) or getattr(spec, "telemetry", False):
         return None
     config = getattr(spec, "config", None)
@@ -154,45 +151,21 @@ def trajectory_key(spec) -> str:
     )
 
 
-def simulate_lockstep(
-    specs,
-    metrics: dict | None = None,
-    executor=None,
-    *,
-    shards: int = 1,
-    timeout: float | None = None,
-    drain_grace: float = 0.0,
-    after_submit=None,
-) -> dict[int, RunResult]:
+def simulate_lockstep(specs, metrics: dict | None = None) -> dict[int, RunResult]:
     """Advance every spec in lock step, splitting cohorts as policies act.
 
     ``specs`` must all share one :func:`batch_fingerprint`; their workloads
-    and seeds may differ (heterogeneous lanes).  Returns input index →
+    and seeds may differ (heterogeneous lanes).  Every trajectory group
+    runs on one worklist in this process.  Returns input index →
     RunResult, byte-identical to the scalar simulator, for **every** lane:
     acting lanes are carried by cohort splitting.
 
     ``metrics``, when given, receives batch-shape diagnostics: ``lanes``
     (input width), ``trajectories`` (distinct workload/seed groups, i.e.
     root cohorts), ``cohorts`` (lock-step groups at completion), ``splits``
-    (divergence events where a cohort partitioned), ``lane_cohorts``, and
+    (divergence events where a cohort partitioned), ``lane_cohorts`` (each
+    lane's cohort ordinal, in completion order), ``streams`` and
     ``stream_rows`` (uops generated across all shared streams).
-
-    With an ``executor`` (a ``ProcessPoolExecutor``) and ``shards >= 2``,
-    trajectory groups — which never interact — are split into up to
-    ``shards`` shards (:func:`_shard_lanes`).  This process runs the first
-    shard; the executor runs the others.  A remote shard that raises, or
-    outlives ``timeout`` × its lanes, is dropped: its lanes are missing
-    from the result and ``metrics["failed_shards"]`` counts it.  A shard
-    lost to a broken pool is re-run here instead.  An interrupt cancels
-    remote shards that have not started, gives running ones
-    ``drain_grace`` seconds, and raises :class:`LockstepInterrupted`
-    carrying every finished lane.  Merged ``metrics`` sum the shards'
-    counts (a stream read in two shards is generated, and counted, twice)
-    and offset ``lane_cohorts`` so ordinals stay unique.
-
-    ``after_submit()``, when given, runs once the remote shards are queued
-    and before this process starts simulating: a caller queues its own
-    pool work there, behind the shards (the longest jobs start first).
     """
     spec_list = list(specs)
     if not spec_list:
@@ -204,34 +177,84 @@ def simulate_lockstep(
         raise SimulationError(
             "simulate_lockstep needs specs sharing one batch fingerprint"
         )
-    if _quantum(spec_list[0]) <= 0:
+    quantum = _quantum(spec_list[0])
+    if quantum <= 0:
         raise SimulationError("quantum must be positive")
+    # Wall time feeds PerfCounters only (compare=False diagnostics).
+    wall_start = time.perf_counter()  # repro: noqa(RPR001) perf diagnostics only
+
+    lanes = len(spec_list)
+    config0 = spec_list[0].config
+
+    # -- trajectory groups: one root cohort per distinct workloads/seed ----
     by_trajectory = _trajectory_groups(spec_list)
-    plan = _shard_lanes(by_trajectory, shards) if executor is not None else []
-    if len(plan) < 2:
-        if after_submit is not None:
-            after_submit()
-        results, shape = _run_shard(spec_list)
-        if metrics is not None:
-            metrics.update(shape)
-        return results
-    return _run_sharded(
-        spec_list, plan, len(by_trajectory), metrics, executor, timeout,
-        drain_grace, after_submit,
-    )
 
+    energy = EnergyModel.default()
+    streams = StreamBank(config0.machine, config0.thermal)
+    sample_interval = config0.sedation.sample_interval
+    sensor_interval = config0.thermal.sensor_interval
 
-class LockstepInterrupted(KeyboardInterrupt):
-    """An operator interrupt during a sharded :func:`simulate_lockstep`.
+    # -- the worklist: advance cohorts, splitting at visible divergence ----
+    splits = 0
+    finished: list[Cohort] = []
+    worklist: list[Cohort] = [
+        _build_root(
+            spec_list, members, streams, energy,
+            sample_interval, sensor_interval,
+        )
+        for members in by_trajectory.values()
+    ]
+    while worklist:
+        cohort = worklist.pop()
+        children = run_loop(cohort, quantum, sample_interval, sensor_interval)
+        if children is None:
+            finished.append(cohort)
+            # A finished pipeline stops reading its streams; trimming then
+            # reclaims every row behind the slowest still-live cursor.
+            release_cursors(cohort.core)
+            streams.trim()
+        else:
+            splits += 1
+            worklist.extend(children)
 
-    ``results`` maps input index → RunResult for every lane whose shard
-    finished before the drain ended, so the caller keeps work already
-    paid for.
-    """
+    wall_seconds = time.perf_counter() - wall_start  # repro: noqa(RPR001) perf diagnostics only
+    if metrics is not None:
+        # Which cohort each lane ended the quantum in, for lane-tagged
+        # campaign telemetry (cohort ordinals follow completion order).
+        lane_cohorts = [0] * lanes
+        for ordinal, cohort in enumerate(finished):
+            for lane in cohort.lanes:
+                lane_cohorts[int(lane)] = ordinal
+        metrics.update(
+            lanes=lanes,
+            trajectories=len(by_trajectory),
+            cohorts=len(finished),
+            splits=splits,
+            stream_rows=streams.rows_generated,
+            streams=streams.stream_count,
+            lane_cohorts=lane_cohorts,
+        )
 
-    def __init__(self, results: dict[int, RunResult]) -> None:
-        super().__init__("interrupted during a sharded lock-step batch")
-        self.results = results
+    # Wall time is amortized evenly over the lanes: the honest per-run cost
+    # of the batch (PerfCounters are compare=False diagnostics; every
+    # simulated counter below is per-run exact, not a batch total).
+    results: dict[int, RunResult] = {}
+    wall_share = wall_seconds / lanes
+    for cohort in finished:
+        core = cohort.core
+        for lane, policy, bank in zip(
+            cohort.lanes.tolist(), cohort.policies, cohort.sensors, strict=True
+        ):
+            results[lane] = build_result(
+                cohort.workloads,
+                policy.name,
+                core.cycle,
+                tally(core, policy, bank),
+                None,
+                bank.peak_k,
+                wall_share,
+            )
+    return results
 
 
 def _quantum(spec) -> int:
@@ -268,193 +291,6 @@ def _shard_lanes(
         trajectories, lanes = loads[target]
         loads[target] = (trajectories + 1, lanes + len(members))
     return [sorted(lanes) for lanes in shards]
-
-
-def _run_sharded(
-    spec_list: list,
-    plan: list[list[int]],
-    trajectories: int,
-    metrics: dict | None,
-    executor,
-    timeout: float | None,
-    drain_grace: float,
-    after_submit,
-) -> dict[int, RunResult]:
-    """Run ``plan[0]`` here and the other shards on ``executor``; merge."""
-
-    def shard_specs(index: int) -> list:
-        return [spec_list[lane] for lane in plan[index]]
-
-    # Deadlines bound the wait on remote shards, never a simulated value.
-    start = time.perf_counter()  # repro: noqa(RPR001) shard deadline, not sim state
-    local = [0]
-    pending: list = []  # (shard index, future, deadline), in shard order
-    for index in range(1, len(plan)):
-        try:
-            future = executor.submit(_run_shard, shard_specs(index))
-        except BrokenProcessPool:
-            local.append(index)  # the pool is already gone: run it here
-            continue
-        deadline = None if timeout is None else start + timeout * len(plan[index])
-        pending.append((index, future, deadline))
-    done: dict[int, tuple[dict[int, RunResult], dict]] = {}
-    failed = 0
-    try:
-        if after_submit is not None:
-            after_submit()
-        for index in local:
-            done[index] = _run_shard(shard_specs(index))
-        while pending:
-            index, future, deadline = pending[0]
-            wait = None
-            if deadline is not None:
-                wait = max(0.0, deadline - time.perf_counter())  # repro: noqa(RPR001) shard deadline, not sim state
-            try:
-                done[index] = future.result(timeout=wait)
-            except BrokenProcessPool:
-                # A worker died under this shard (or beside it); the shard
-                # itself did nothing wrong, so it re-runs here.
-                done[index] = _run_shard(shard_specs(index))
-            except Exception:
-                future.cancel()
-                failed += 1
-            pending.pop(0)
-    except KeyboardInterrupt as interrupt:
-        # Bounded drain: never-started shards are cancelled, running ones
-        # get the grace, and the first to overstay it ends the waiting.
-        for index, future, _ in pending:
-            if future.cancel():
-                continue
-            try:
-                done[index] = future.result(timeout=drain_grace)
-            except KeyboardInterrupt:
-                break  # a second interrupt ends the drain
-            except Exception:  # timeout, crash or shard error: stop waiting
-                drain_grace = 0.0
-        results = _merge_shards(plan, done, trajectories, failed, metrics)
-        raise LockstepInterrupted(results) from interrupt
-    return _merge_shards(plan, done, trajectories, failed, metrics)
-
-
-def _merge_shards(
-    plan: list[list[int]],
-    done: dict[int, tuple[dict[int, RunResult], dict]],
-    trajectories: int,
-    failed: int,
-    metrics: dict | None,
-) -> dict[int, RunResult]:
-    """Input-indexed results and summed shape metrics of finished shards.
-
-    Cohort ordinals are offset shard by shard, in shard order, so they stay
-    unique across the call; lanes of unfinished shards read ``-1``.
-    """
-    lanes = sum(len(members) for members in plan)
-    results: dict[int, RunResult] = {}
-    lane_cohorts = [-1] * lanes
-    totals = dict.fromkeys(("cohorts", "splits", "stream_rows", "streams"), 0)
-    for index in sorted(done):
-        shard_results, shape = done[index]
-        members = plan[index]
-        for lane, result in shard_results.items():
-            results[members[lane]] = result
-        for lane, ordinal in enumerate(shape["lane_cohorts"]):
-            lane_cohorts[members[lane]] = totals["cohorts"] + ordinal
-        for key in totals:
-            totals[key] += shape[key]
-    if metrics is not None:
-        metrics.update(
-            totals,
-            lanes=lanes,
-            trajectories=trajectories,
-            lane_cohorts=lane_cohorts,
-            shards=len(plan),
-            failed_shards=failed,
-        )
-    return results
-
-
-def _run_shard(spec_list: list) -> tuple[dict[int, RunResult], dict]:
-    """Run every trajectory group of ``spec_list`` on one worklist.
-
-    Module-level so a process pool can run it: returns (index into
-    ``spec_list`` → RunResult, shape metrics) — the whole of an unsharded
-    :func:`simulate_lockstep` call.
-    """
-    # Wall time feeds PerfCounters only (compare=False diagnostics).
-    wall_start = time.perf_counter()  # repro: noqa(RPR001) perf diagnostics only
-
-    lanes = len(spec_list)
-    config0 = spec_list[0].config
-    quantum = _quantum(spec_list[0])
-
-    # -- trajectory groups: one root cohort per distinct workloads/seed ----
-    by_trajectory = _trajectory_groups(spec_list)
-
-    energy = EnergyModel.default()
-    streams = StreamBank(config0.machine, config0.thermal)
-    sample_interval = config0.sedation.sample_interval
-    sensor_interval = config0.thermal.sensor_interval
-
-    # -- the worklist: advance cohorts, splitting at visible divergence ----
-    splits = 0
-    finished: list[Cohort] = []
-    worklist: list[Cohort] = [
-        _build_root(
-            spec_list, members, streams, energy,
-            sample_interval, sensor_interval,
-        )
-        for members in by_trajectory.values()
-    ]
-    while worklist:
-        cohort = worklist.pop()
-        children = run_loop(cohort, quantum, sample_interval, sensor_interval)
-        if children is None:
-            finished.append(cohort)
-            # A finished pipeline stops reading its streams; trimming then
-            # reclaims every row behind the slowest still-live cursor.
-            release_cursors(cohort.core)
-            streams.trim()
-        else:
-            splits += 1
-            worklist.extend(children)
-
-    wall_seconds = time.perf_counter() - wall_start  # repro: noqa(RPR001) perf diagnostics only
-    # Which cohort each lane ended the quantum in, for lane-tagged campaign
-    # telemetry (cohort ordinals follow completion order).
-    lane_cohorts = [0] * lanes
-    for ordinal, cohort in enumerate(finished):
-        for lane in cohort.lanes:
-            lane_cohorts[int(lane)] = ordinal
-    shape = {
-        "lanes": lanes,
-        "trajectories": len(by_trajectory),
-        "cohorts": len(finished),
-        "splits": splits,
-        "stream_rows": streams.rows_generated,
-        "streams": streams.stream_count,
-        "lane_cohorts": lane_cohorts,
-    }
-
-    # Wall time is amortized evenly over the lanes: the honest per-run cost
-    # of the batch (PerfCounters are compare=False diagnostics; every
-    # simulated counter below is per-run exact, not a batch total).
-    results: dict[int, RunResult] = {}
-    wall_share = wall_seconds / lanes
-    for cohort in finished:
-        core = cohort.core
-        for lane, policy, bank in zip(
-            cohort.lanes.tolist(), cohort.policies, cohort.sensors, strict=True
-        ):
-            results[lane] = build_result(
-                cohort.workloads,
-                policy.name,
-                core.cycle,
-                tally(core, policy, bank),
-                None,
-                bank.peak_k,
-                wall_share,
-            )
-    return results, shape
 
 
 def _build_root(

@@ -74,27 +74,14 @@ def run_campaign(
     workloads: list[str],
     quanta: int,
     quantum_cycles: int | None = None,
-    cache_dir: str | None = None,
 ) -> CampaignResult:
     """Run ``quanta`` consecutive quanta on one persistent simulator.
 
     Quanta are inherently sequential (thermal and microarchitectural state
-    carry over), so a campaign never fans out internally — but the whole
-    campaign is a deterministic function of its inputs, so with
-    ``cache_dir`` it is memoized on disk like any single run.
+    carry over), so a campaign runs in this process, uncached.
     """
     if quanta < 1:
         raise SimulationError("need at least one quantum")
-    if cache_dir is not None:
-        from .parallel import CampaignSpec, run_many
-
-        spec = CampaignSpec(
-            workloads=tuple(workloads),
-            config=config,
-            quanta=quanta,
-            quantum_cycles=quantum_cycles,
-        )
-        return run_many([spec], jobs=1, cache_dir=cache_dir)[0]
     simulator = Simulator(config, workloads=workloads)
     cycles = quantum_cycles or config.quantum_cycles
     records: list[QuantumRecord] = []

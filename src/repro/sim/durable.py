@@ -55,15 +55,12 @@ from pathlib import Path
 
 from ..errors import SimulationError
 from ..telemetry.events import EventType
-from .campaign import CampaignResult
 from .parallel import (
     DEFAULT_CACHE_DIR,
     RUNNER_METRICS,
-    CampaignSpec,
     RunFailure,
     RunSpec,
     _cache_load,
-    _campaign_to_dict,
     _Ledger,
     _sweep_stale_tmp,
     dispatch,
@@ -120,7 +117,7 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def breaker_family(spec: RunSpec | CampaignSpec) -> str:
+def breaker_family(spec: RunSpec) -> str:
     """The circuit-breaker grouping key: workload mix + DTM policy.
 
     Coarser than the spec fingerprint on purpose — a poison workload/policy
@@ -130,16 +127,16 @@ def breaker_family(spec: RunSpec | CampaignSpec) -> str:
     return f"{'+'.join(spec.workloads)}@{spec.config.dtm_policy}"
 
 
-def _encode_spec(spec: RunSpec | CampaignSpec) -> str:
+def _encode_spec(spec: RunSpec) -> str:
     return base64.b64encode(pickle.dumps(spec)).decode("ascii")
 
 
-def _decode_spec(blob: str) -> RunSpec | CampaignSpec:
+def _decode_spec(blob: str) -> RunSpec:
     spec = pickle.loads(base64.b64decode(blob.encode("ascii")))
-    if not isinstance(spec, (RunSpec, CampaignSpec)):
+    if not isinstance(spec, RunSpec):
         raise SimulationError(
             f"journal spec blob decoded to {type(spec).__name__}, "
-            "not a RunSpec/CampaignSpec"
+            "not a RunSpec"
         )
     return spec
 
@@ -259,7 +256,7 @@ class CampaignState:
 
     campaign_id: str
     manifest: list[str] = field(default_factory=list)
-    specs: dict[str, RunSpec | CampaignSpec] = field(default_factory=dict)
+    specs: dict[str, RunSpec] = field(default_factory=dict)
     options: dict = field(default_factory=dict)
     completed: set[str] = field(default_factory=set)
     failed: dict[str, dict] = field(default_factory=dict)
@@ -437,7 +434,7 @@ def _failure_from_record(record: dict) -> RunFailure:
 
 
 def _breaker_open(
-    spec: RunSpec | CampaignSpec, key: str, family: str, breaker: dict
+    spec: RunSpec, key: str, family: str, breaker: dict
 ) -> RunFailure:
     return RunFailure(
         workloads=spec.workloads,
@@ -487,7 +484,7 @@ class _Campaign:
         ``force`` (which clears them from the state first).
         """
         state = self.state
-        outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+        outcomes: dict[str, RunResult | RunFailure] = {}
         sources: dict[str, str] = {}
         for key, record in state.failed.items():
             outcomes[key] = _failure_from_record(record)
@@ -569,7 +566,7 @@ class _Campaign:
             leased += 1
 
     def landed(
-        self, key: str, outcome: RunResult | CampaignResult | RunFailure
+        self, key: str, outcome: RunResult | RunFailure
     ) -> None:
         """Journal one terminal outcome; a failure trips its family open.
 
@@ -645,7 +642,7 @@ class _Campaign:
 
 def _emit_lane_events(
     telemetry,
-    spec_list: list[RunSpec | CampaignSpec],
+    spec_list: list[RunSpec],
     keys: list[str],
     results: list,
     sources: dict[str, str],
@@ -673,9 +670,8 @@ def _emit_lane_events(
         if isinstance(result, RunFailure):
             data["error"] = result.kind
         else:
-            final = result.final if isinstance(result, CampaignResult) else result
-            data["cycles"] = final.cycles
-            data["ipc"] = final.threads[0].ipc
+            data["cycles"] = result.cycles
+            data["ipc"] = result.threads[0].ipc
         telemetry.emit(
             # repro: noqa(RPR008) success and failure lanes intentionally
             # carry different keys (cycles/ipc vs error), and cohort tags
@@ -685,7 +681,7 @@ def _emit_lane_events(
 
 
 def drive_campaign(
-    spec_list: list[RunSpec | CampaignSpec],
+    spec_list: list[RunSpec],
     *,
     directory: Path | None,
     jobs: int | None,
@@ -695,7 +691,7 @@ def drive_campaign(
     batch: bool,
     telemetry,
     campaign: _Campaign | None = None,
-) -> list[RunResult | CampaignResult | RunFailure]:
+) -> list[RunResult | RunFailure]:
     """The one campaign driver: specs in, index-aligned results out.
 
     Fingerprints and dedupes the slots, serves hits from the cache and
@@ -717,7 +713,7 @@ def drive_campaign(
         raise SimulationError("timeout must be positive")
     if campaign is None:
         keys = [spec_fingerprint(spec) for spec in spec_list]
-        outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+        outcomes: dict[str, RunResult | RunFailure] = {}
         sources: dict[str, str] = {}
     else:
         keys = campaign.state.manifest
@@ -725,7 +721,7 @@ def drive_campaign(
     if directory is not None and directory.is_dir():
         _sweep_stale_tmp(directory)
 
-    pending: dict[str, RunSpec | CampaignSpec] = {}
+    pending: dict[str, RunSpec] = {}
     for key, spec in zip(keys, spec_list, strict=True):
         if key in outcomes or key in pending:
             continue
@@ -813,7 +809,7 @@ def run_durable(
     raise_on_error: bool = True,
     batch: bool = True,
     telemetry=None,
-) -> list[RunResult | CampaignResult | RunFailure]:
+) -> list[RunResult | RunFailure]:
     """Run a campaign under the crash-safe journal.
 
     Semantics match :func:`~repro.sim.parallel.run_many` (input-order
@@ -902,7 +898,7 @@ def resume_campaign(
     telemetry=None,
     lease_stale_s: float = DEFAULT_LEASE_STALE_S,
     retries: int | None = None,
-) -> list[RunResult | CampaignResult | RunFailure]:
+) -> list[RunResult | RunFailure]:
     """Replay a campaign's journal and finish its unfinished tail.
 
     Recovery steps, in order:
@@ -1051,13 +1047,9 @@ def _classify_quarantined(path: Path) -> str:
     if payload.get("fingerprint") != path.stem:
         return "fingerprint_mismatch"
     try:
-        from .parallel import _campaign_from_dict
         from .results import result_from_dict
 
-        if payload.get("kind") == "campaign":
-            _campaign_from_dict(payload["result"])
-        else:
-            result_from_dict(payload["result"])
+        result_from_dict(payload["result"])
     except Exception:
         return "bad_shape"
     return "recovered"  # would load cleanly now (e.g. a racing writer won)
@@ -1168,8 +1160,6 @@ def results_to_canonical_json(results) -> str:
                     "kind": result.kind,
                 }}
             )
-        elif isinstance(result, CampaignResult):
-            payload.append({"campaign": _campaign_to_dict(result)})
         else:
             payload.append({"run": result_to_dict(result)})
     _zero_wall_seconds(payload)

@@ -14,20 +14,23 @@ makes two things safe that are normally hazardous for simulators:
   interpreter invocations.
 
 This module is the execution half of a campaign: specs, fingerprints,
-cache I/O, the worker entry point, and :func:`dispatch`'s tiers, which
-store each result in the cache as they book it.  The slot-level driver —
-dedupe, cache lookup, result slots, events, rollup, errors — is
-:func:`repro.sim.durable.drive_campaign`; :func:`run_many` is that
-driver without a journal.  The experiment harness
-(:class:`~repro.sim.experiment.ExperimentRunner`) and
-:func:`~repro.sim.campaign.run_campaign` route through :func:`run_many`
-when given a cache directory and/or a job count.
+cache I/O, the worker entry points, and :func:`dispatch`'s tiers, which
+store each result in the cache as they book it.  Where the lock-step
+kernel (:mod:`repro.sim.batch`) runs is decided here too: a batch
+group's shards are ordinary pool work items beside the scalar chunks,
+waited on, drained and recovered by one round loop (:func:`_run_pool`).
+The slot-level driver — dedupe, cache lookup, result slots, events,
+rollup, errors — is :func:`repro.sim.durable.drive_campaign`;
+:func:`run_many` is that driver without a journal.  The experiment
+harness (:class:`~repro.sim.experiment.ExperimentRunner`) routes through
+:func:`run_many`.
 
 The runner is hardened against the three ways a big campaign dies
 (docs/robustness.md):
 
-* a **crashed worker** (``BrokenProcessPool``) — the surviving specs are
-  re-executed serially instead of aborting the whole batch;
+* a **crashed worker** (``BrokenProcessPool``) — lost kernel shards
+  re-run in-process and the surviving specs serially, instead of
+  aborting the whole batch;
 * a **hung spec** — ``timeout`` bounds every attempt, in the pool (via
   ``future.result(timeout)``) and serially (via a watchdog thread);
 * a **flaky spec** — ``retries`` bounds re-attempts, with exponential
@@ -62,12 +65,12 @@ from ..config import SimulationConfig
 from ..errors import FaultError
 from ..telemetry.metrics import MetricsRegistry
 from .batch import (
-    LockstepInterrupted,
+    _shard_lanes,
+    _trajectory_groups,
     batch_fingerprint,
     simulate_lockstep,
     trajectory_key,
 )
-from .campaign import CampaignResult, QuantumRecord, run_campaign
 from .results import FORMAT_VERSION, result_from_dict, result_to_dict
 from .simulator import run_workloads
 from .stats import RunResult
@@ -113,17 +116,6 @@ class RunSpec:
     quantum_cycles: int | None = None
     trace: bool = False
     telemetry: bool = False
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One independent multi-quantum campaign (state persists across quanta
-    *within* the campaign; campaigns are independent of each other)."""
-
-    workloads: tuple[str, ...]
-    config: SimulationConfig
-    quanta: int
-    quantum_cycles: int | None = None
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ def _plain(node):
     return node
 
 
-def spec_fingerprint(spec: RunSpec | CampaignSpec) -> str:
+def spec_fingerprint(spec: RunSpec) -> str:
     """Deterministic SHA-256 key for one spec.
 
     Hashes the *entire* configuration tree (every dataclass field), so any
@@ -199,15 +191,12 @@ def spec_fingerprint(spec: RunSpec | CampaignSpec) -> str:
         "config": _plain(spec.config),
         "workloads": list(spec.workloads),
         "quantum_cycles": spec.quantum_cycles,
+        "trace": spec.trace,
     }
-    if isinstance(spec, RunSpec):
-        payload["trace"] = spec.trace
-        # Only keyed when on: every telemetry-off fingerprint is byte-stable
-        # with the pre-telemetry schema, so existing caches stay warm.
-        if spec.telemetry:
-            payload["telemetry"] = True
-    else:
-        payload["quanta"] = spec.quanta
+    # Only keyed when on: every telemetry-off fingerprint is byte-stable
+    # with the pre-telemetry schema, so existing caches stay warm.
+    if spec.telemetry:
+        payload["telemetry"] = True
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -226,15 +215,8 @@ def _mark_worker() -> None:
     _IN_WORKER = True
 
 
-def _execute(spec: RunSpec | CampaignSpec) -> RunResult | CampaignResult:
+def _execute(spec: RunSpec) -> RunResult:
     """Run one spec.  Module-level so ProcessPoolExecutor can pickle it."""
-    if isinstance(spec, CampaignSpec):
-        return run_campaign(
-            spec.config,
-            list(spec.workloads),
-            spec.quanta,
-            quantum_cycles=spec.quantum_cycles,
-        )
     session = None
     if spec.telemetry:
         from ..telemetry import TelemetrySession
@@ -256,9 +238,7 @@ def _execute(spec: RunSpec | CampaignSpec) -> RunResult | CampaignResult:
 _INTERRUPTED_ONCE: set[str] = set()
 
 
-def _execute_attempt(
-    spec: RunSpec | CampaignSpec, attempt: int
-) -> RunResult | CampaignResult:
+def _execute_attempt(spec: RunSpec, attempt: int) -> RunResult:
     """Run one spec's attempt number ``attempt``, honoring worker chaos.
 
     The :class:`~repro.faults.plan.WorkerFaultPlan` hooks fire on attempt
@@ -317,8 +297,8 @@ def _call_with_watchdog(call, budget: float, overrun: str):
 
 
 def _execute_with_watchdog(
-    spec: RunSpec | CampaignSpec, attempt: int, timeout: float
-) -> RunResult | CampaignResult:
+    spec: RunSpec, attempt: int, timeout: float
+) -> RunResult:
     """One attempt under a per-spec wall-clock timeout.
 
     Used serially (so the BrokenProcessPool fallback cannot hang forever on
@@ -333,7 +313,7 @@ def _execute_with_watchdog(
 
 
 def _execute_chunk(
-    items: list[tuple[RunSpec | CampaignSpec, int]], timeout: float | None
+    items: list[tuple[RunSpec, int]], timeout: float | None
 ) -> list[tuple[str, object]]:
     """Pool worker entry point: run one chunk of (spec, attempt) pairs.
 
@@ -375,42 +355,6 @@ def _backoff_seconds(key: str, attempt: int) -> float:
 # -- on-disk cache -----------------------------------------------------------
 
 
-def _campaign_to_dict(campaign: CampaignResult) -> dict:
-    return {
-        "workloads": list(campaign.workloads),
-        "policy": campaign.policy,
-        "quanta": [
-            {
-                "index": record.index,
-                "committed": list(record.committed),
-                "ipc": list(record.ipc),
-                "emergencies": record.emergencies,
-                "sedations": record.sedations,
-            }
-            for record in campaign.quanta
-        ],
-        "final": result_to_dict(campaign.final),
-    }
-
-
-def _campaign_from_dict(payload: dict) -> CampaignResult:
-    return CampaignResult(
-        workloads=tuple(payload["workloads"]),
-        policy=payload["policy"],
-        quanta=tuple(
-            QuantumRecord(
-                index=record["index"],
-                committed=tuple(record["committed"]),
-                ipc=tuple(record["ipc"]),
-                emergencies=record["emergencies"],
-                sedations=record["sedations"],
-            )
-            for record in payload["quanta"]
-        ),
-        final=result_from_dict(payload["final"]),
-    )
-
-
 def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.json"
 
@@ -439,7 +383,7 @@ def _quarantine(cache_dir: Path, path: Path, reason: str) -> None:
 
 def _cache_load(
     cache_dir: Path | None, key: str
-) -> RunResult | CampaignResult | None:
+) -> RunResult | None:
     if cache_dir is None:
         return None
     path = _cache_path(cache_dir, key)
@@ -456,8 +400,6 @@ def _cache_load(
         if payload.get("fingerprint") != key:
             _quarantine(cache_dir, path, "fingerprint_mismatch")
             return None
-        if payload["kind"] == "campaign":
-            return _campaign_from_dict(payload["result"])
         return result_from_dict(payload["result"])
     except Exception:
         # Parsed JSON whose shape no longer matches the result format —
@@ -505,17 +447,17 @@ def _sweep_stale_tmp(cache_dir: Path) -> int:
 def _cache_store(
     cache_dir: Path | None,
     key: str,
-    spec: RunSpec | CampaignSpec,
-    result: RunResult | CampaignResult,
+    spec: RunSpec,
+    result: RunResult,
 ) -> None:
     if cache_dir is None:
         return
-    if isinstance(result, CampaignResult):
-        body: dict = {"kind": "campaign", "result": _campaign_to_dict(result)}
-    else:
-        body = {"kind": "run", "result": result_to_dict(result)}
-    body["fingerprint"] = key
-    body["workloads"] = list(spec.workloads)
+    body = {
+        "kind": "run",
+        "result": result_to_dict(result),
+        "fingerprint": key,
+        "workloads": list(spec.workloads),
+    }
     path = _cache_path(cache_dir, key)
     # Atomic publish: concurrent writers (parallel pytest sessions) race
     # benignly — both write identical bytes and os.replace is atomic.  The
@@ -577,7 +519,7 @@ class _Ledger:
 
     def __init__(
         self,
-        work: list[tuple[str, RunSpec | CampaignSpec]],
+        work: list[tuple[str, RunSpec]],
         directory: Path | None,
         timeout: float | None,
         retries: int,
@@ -586,7 +528,7 @@ class _Ledger:
         self.work = work
         self.specs = dict(work)
         self.attempts = dict.fromkeys(self.specs, 0)
-        self.outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+        self.outcomes: dict[str, RunResult | RunFailure] = {}
         self.sources: dict[str, str] = {}
         self.lane_info: dict[str, dict] = {}
         self.directory = directory
@@ -595,7 +537,7 @@ class _Ledger:
         self._landed = landed
 
     def book(
-        self, key: str, outcome: RunResult | CampaignResult | RunFailure,
+        self, key: str, outcome: RunResult | RunFailure,
         source: str,
     ) -> None:
         self.outcomes[key] = outcome
@@ -605,7 +547,7 @@ class _Ledger:
         if self._landed is not None:
             self._landed(key, outcome)
 
-    def unresolved(self) -> list[tuple[str, RunSpec | CampaignSpec]]:
+    def unresolved(self) -> list[tuple[str, RunSpec]]:
         return [(key, spec) for key, spec in self.work if key not in self.outcomes]
 
     @property
@@ -617,7 +559,7 @@ class _Ledger:
 
     def fail(
         self, key: str, kind: str, message: str, source: str,
-        retry_list: list[tuple[str, RunSpec | CampaignSpec]],
+        retry_list: list[tuple[str, RunSpec]],
     ) -> None:
         """Book one failed attempt: queue a retry or book the RunFailure."""
         self.attempts[key] += 1
@@ -657,7 +599,7 @@ class _Ledger:
 
 
 def _run_serial(
-    work: list[tuple[str, RunSpec | CampaignSpec]],
+    work: list[tuple[str, RunSpec]],
     ledger: _Ledger,
     source: str = "serial",
 ) -> None:
@@ -666,7 +608,7 @@ def _run_serial(
     for key, spec in work:
         while key not in ledger.outcomes:
             attempt = ledger.attempts[key]
-            retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
+            retry_list: list[tuple[str, RunSpec]] = []
             try:
                 if timeout is not None:
                     result = _execute_with_watchdog(spec, attempt, timeout)
@@ -701,44 +643,261 @@ def _chunk_size(pending: int, workers: int) -> int:
     return max(1, pending // (4 * workers))
 
 
-#: Wall seconds an already-running chunk is granted to finish after an
-#: operator interrupt (the graceful-drain budget).  Never-started futures
-#: are cancelled outright; once one running chunk overstays this grace the
-#: remaining ones are abandoned without further waiting.
+#: Wall seconds an already-running pool future (a chunk or a kernel shard)
+#: is granted to finish after an operator interrupt (the graceful-drain
+#: budget).  Never-started futures are cancelled outright; once one running
+#: future overstays this grace the remaining ones are abandoned without
+#: further waiting.
 DRAIN_GRACE_S = 5.0
+
+
+class _Group:
+    """The cohort tags of one batch group's booked lanes.
+
+    Each kernel call numbers its cohorts from 0 in completion order.  The
+    group's shards land one by one, so a landing shard's ordinals are
+    offset past the cohorts already booked, keeping them unique across
+    the group, and every tag's ``cohorts`` is the group's count so far.
+    """
+
+    def __init__(self) -> None:
+        self.cohorts = 0
+        self.tags: list[dict] = []
+
+    def tag(self, shape: dict) -> list[dict]:
+        """One tag per lane of a finished shard, from its shape metrics."""
+        offset = self.cohorts
+        self.cohorts += shape["cohorts"]
+        tags = [
+            {"cohorts": 0, "cohort": offset + ordinal}
+            for ordinal in shape["lane_cohorts"]
+        ]
+        self.tags += tags
+        for tag in self.tags:
+            tag["cohorts"] = self.cohorts
+        return tags
+
+
+@dataclass(eq=False)
+class _Shard:
+    """Lanes of one batch group that run as one kernel call.
+
+    A group's first shard is ``local``: this process runs it.  The others
+    are pool work items.  ``settled`` turns true once the shard's lanes are
+    booked or sent to the scalar tiers.
+    """
+
+    members: list[tuple[str, RunSpec]]
+    group: _Group
+    local: bool
+    settled: bool = False
+
+    @property
+    def specs(self) -> list[RunSpec]:
+        return [spec for _, spec in self.members]
+
+
+def _lockstep_groups(
+    work: list[tuple[str, RunSpec]],
+) -> list[list[tuple[str, RunSpec]]]:
+    """The batch tier's groups: one member list per batch fingerprint.
+
+    Groups the pending specs by :func:`~repro.sim.batch.batch_fingerprint`.
+    Lanes whose trajectory is *unique* within their group amortize nothing
+    — the kernel would run them one pipeline each, pure overhead over a
+    scalar run — so they stay with the scalar tiers; this also covers the
+    width-1 case (a singleton group is optimal scalar work).
+    """
+    groups: dict[str, list[tuple[str, RunSpec]]] = {}
+    for key, spec in work:
+        group_key = batch_fingerprint(spec)
+        if group_key is not None:
+            groups.setdefault(group_key, []).append((key, spec))
+    calls = []
+    for candidates in groups.values():
+        lane_counts: dict[str, int] = {}
+        for _, spec in candidates:
+            t_key = trajectory_key(spec)
+            lane_counts[t_key] = lane_counts.get(t_key, 0) + 1
+        members = [
+            (key, spec)
+            for key, spec in candidates
+            if lane_counts[trajectory_key(spec)] >= 2
+        ]
+        if len(members) >= 2:
+            calls.append(members)
+    return calls
+
+
+def _plan_shards(work: list[tuple[str, RunSpec]], workers: int) -> list[_Shard]:
+    """Every batch group's kernel shards, planned before anything runs.
+
+    Each of :func:`_lockstep_groups`' groups splits by trajectory into up
+    to ``workers`` shards (:func:`~repro.sim.batch._shard_lanes`); trajectory
+    groups never interact, so each shard's lanes are the same bytes as in
+    one whole call.
+    """
+    shards = []
+    for members in _lockstep_groups(work):
+        by_trajectory = _trajectory_groups([spec for _, spec in members])
+        RUNNER_METRICS.inc("runner.batch_groups")
+        RUNNER_METRICS.inc("runner.batch_lanes", len(members))
+        RUNNER_METRICS.inc("runner.batch_trajectories", len(by_trajectory))
+        group = _Group()
+        for index, lanes in enumerate(_shard_lanes(by_trajectory, workers)):
+            shards.append(
+                _Shard([members[lane] for lane in lanes], group, index == 0)
+            )
+    return shards
+
+
+def _execute_shard(specs: list[RunSpec]) -> tuple[dict[int, RunResult], dict]:
+    """Pool worker entry point: one kernel call and its shape metrics."""
+    shape: dict = {}
+    return simulate_lockstep(specs, shape), shape
+
+
+def _run_shard_here(
+    shard: _Shard, ledger: _Ledger, fallback: list[tuple[str, RunSpec]]
+) -> None:
+    """Run one shard in this process, as a kernel call.
+
+    Under ``timeout`` the call gets ``timeout`` × its lanes, since it does
+    at most their scalar work.  A call that raises or overruns sends its
+    lanes to ``fallback`` (:func:`_shard_failed`).
+    """
+    specs = shard.specs
+    shape: dict = {}
+    try:
+        if ledger.timeout is None:
+            lane_results = simulate_lockstep(specs, shape)
+        else:
+            lane_results = _call_with_watchdog(
+                lambda: simulate_lockstep(specs, shape),
+                ledger.timeout * len(specs),
+                "kernel shard exceeded its time budget",
+            )
+    except Exception:
+        _shard_failed(shard, fallback)
+    else:
+        _book_shard(shard, lane_results, shape, ledger)
+
+
+def _shard_failed(shard: _Shard, fallback: list[tuple[str, RunSpec]]) -> None:
+    """A failed shard, remote or local, sends only its lanes scalar.
+
+    The kernel is an accelerator, not an attempt: the failure counts once
+    in ``runner.batch_errors`` and books no attempt, so retry budgets are
+    untouched.
+    """
+    shard.settled = True
+    RUNNER_METRICS.inc("runner.batch_errors")
+    fallback.extend(shard.members)
+
+
+def _book_shard(
+    shard: _Shard, lane_results: dict[int, RunResult], shape: dict,
+    ledger: _Ledger,
+) -> None:
+    """Book one finished shard's lanes, tagged with their cohorts."""
+    shard.settled = True
+    tags = shard.group.tag(shape)
+    for lane, (key, _) in enumerate(shard.members):
+        ledger.lane_info[key] = tags[lane]
+        ledger.book(key, lane_results[lane], "batch")
+    RUNNER_METRICS.inc("runner.batch_completed", len(shard.members))
+    RUNNER_METRICS.inc("runner.batch_cohorts", shape["cohorts"])
+    RUNNER_METRICS.inc("runner.batch_splits", shape["splits"])
+
+
+def _land(item, value, ledger: _Ledger, fallback: list | None) -> None:
+    """Book what one pool future returned: a shard's lanes or a chunk's slots.
+
+    A chunk's failed slots are failed attempts queued on ``fallback``; a
+    drain passes ``None`` and keeps only successes.  Anything already
+    booked is skipped.
+    """
+    if isinstance(item, _Shard):
+        if not item.settled:
+            _book_shard(item, *value, ledger)
+        return
+    for (key, _), (status, slot) in zip(item, value, strict=True):
+        if key in ledger.outcomes:
+            continue
+        if status == "ok":
+            ledger.book(key, slot, "pool")
+        elif fallback is not None:
+            ledger.fail(key, status, str(slot), "pool", fallback)
+
+
+def _settle(future, item, ledger: _Ledger, fallback: list) -> None:
+    """Wait for one pool future and book its outcome.
+
+    A chunk's specs each run under their own watchdog in the worker, so
+    its wait is a backstop: their budgets plus
+    :data:`CHUNK_TIMEOUT_GRACE_S`.  A chunk that fails or overstays books
+    one failed attempt per spec.  A shard is waited on for ``timeout`` ×
+    its lanes; one that fails or overstays goes to the scalar tiers
+    (:func:`_shard_failed`).  ``BrokenProcessPool`` propagates.
+    """
+    shard = isinstance(item, _Shard)
+    budget = None
+    if ledger.timeout is not None:
+        lanes = len(item.members) if shard else len(item)
+        budget = ledger.timeout * lanes
+        if not shard:
+            budget += CHUNK_TIMEOUT_GRACE_S
+    try:
+        value = future.result(timeout=budget)
+    except BrokenProcessPool:
+        raise
+    except Exception as error:
+        future.cancel()
+        if shard:
+            _shard_failed(item, fallback)
+            return
+        if isinstance(error, TimeoutError):
+            kind = "timeout"
+            message = str(error) or f"chunk exceeded {budget:.3f}s in worker"
+        else:
+            kind, message = "error", f"{type(error).__name__}: {error}"
+        for key, _ in item:
+            if key not in ledger.outcomes:
+                ledger.fail(key, kind, message, "pool", fallback)
+    else:
+        _land(item, value, ledger, fallback)
 
 
 def _drain_interrupted_pool(futures: list, ledger: _Ledger) -> None:
     """Bounded drain of a pool round after an operator interrupt.
 
-    Futures that never started are cancelled; chunks already running in a
-    worker get :data:`DRAIN_GRACE_S` to finish, and their completed slots
-    are booked normally (work already paid for is kept).  The first chunk
-    to overstay its grace forfeits the remaining chunks' wait — a drain
-    must terminate even when a worker is hung.  No retries are queued
-    during a drain; everything unresolved becomes an ``interrupted`` slot.
+    Futures that never started are cancelled; chunks and shards already
+    running in a worker get :data:`DRAIN_GRACE_S` to finish, and what they
+    return is booked normally (work already paid for is kept).  The first
+    future to overstay its grace forfeits the remaining ones' wait — a
+    drain must terminate even when a worker is hung.  No retries are
+    queued during a drain; everything unresolved becomes an
+    ``interrupted`` slot.
     """
     grace = DRAIN_GRACE_S
-    for future, chunk in futures:
+    for future, item in futures:
         if future.cancel():
             continue
         try:
-            slots = future.result(timeout=grace)
+            value = future.result(timeout=grace)
         except KeyboardInterrupt:
             # A second interrupt aborts the drain: book and get out.
             break
         except BaseException:  # noqa: BLE001 - timeout/crash: stop waiting
             grace = 0.0
             continue
-        for (key, _spec), (status, value) in zip(chunk, slots, strict=True):
-            if status == "ok" and key not in ledger.outcomes:
-                ledger.book(key, value, "pool")
+        _land(item, value, ledger, None)
     ledger.interrupt_rest()
 
 
 def _submit_round(
     pool: ProcessPoolExecutor,
-    work: list[tuple[str, RunSpec | CampaignSpec]],
+    work: list[tuple[str, RunSpec]],
     ledger: _Ledger,
     workers: int,
     futures: list,
@@ -762,246 +921,84 @@ def _submit_round(
 
 
 def _run_pool(
-    work: list[tuple[str, RunSpec | CampaignSpec]],
+    work: list[tuple[str, RunSpec]],
     ledger: _Ledger,
     workers: int,
-    pool: _Pool | None = None,
-    submitted: list | tuple = (),
+    shards: list[_Shard] | tuple = (),
 ) -> None:
-    """Execute specs in a worker pool; degrade to serial if the pool breaks.
+    """Execute specs and kernel shards in a worker pool, in rounds.
 
-    One pool round groups the remaining specs into adaptive chunks (see
-    :func:`_chunk_size`) and submits one future per chunk; each spec inside
-    a chunk still gets its own per-attempt ``timeout`` via the in-worker
-    watchdog, and failed attempts requeue (with backoff) into the next
-    round's pool.  A ``BrokenProcessPool`` — some worker hard-died, taking
-    every in-flight future's outcome with it — falls back to
-    :func:`_run_serial` for all still-unresolved specs: graceful
-    degradation, not abort.  In-process, an injected crash raises
+    The first round submits every remote shard, then the specs in adaptive
+    chunks (see :func:`_chunk_size`), so the longest jobs start first.
+    This process runs the local shards meanwhile, then waits on every
+    future in submission order (:func:`_settle`).  Each spec inside a
+    chunk gets its own per-attempt ``timeout`` via the in-worker watchdog.
+    Failed attempts requeue, with backoff, and the lanes of failed shards
+    join them: the next round runs them on a fresh pool, clear of hung
+    workers.
+
+    A ``BrokenProcessPool`` — some worker hard-died, taking every
+    in-flight future's outcome with it — is graceful degradation, not
+    abort: every shard not yet booked re-runs here as a kernel call, then
+    every spec still unresolved runs through :func:`_run_serial`.
+    In-process, an injected crash raises
     :class:`~repro.errors.FaultError` instead of killing the caller, so
     the normal retry bookkeeping applies.
 
     A ``KeyboardInterrupt`` (operator Ctrl-C, supervisor SIGTERM translated
     by :mod:`repro.sim.durable`) triggers a *graceful drain* instead of a
-    stack unwind: pending futures are cancelled, in-flight chunks get a
-    bounded grace to finish (:func:`_drain_interrupted_pool`), and every
-    spec without a result is booked as an ``interrupted``
-    :class:`RunFailure`.
-
-    ``pool`` is the run's own pool (owned and closed by the caller): the
-    first round runs on it, alongside ``submitted`` — chunks of ``work``
-    already submitted there, so they could overlap the batch tier.  Retry
-    rounds always start a fresh pool, clear of hung workers.
+    stack unwind: the futures not yet waited on — shards and chunks alike
+    — are drained (:func:`_drain_interrupted_pool`), and every spec
+    without a result is booked as an ``interrupted`` :class:`RunFailure`.
     """
-    timeout = ledger.timeout
     remaining = work
-    while remaining:
-        shared = pool is not None
-        round_pool = pool if shared else _Pool(min(workers, len(remaining)))
-        futures: list = list(submitted)
-        pool, submitted = None, ()
-        retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
+    while remaining or shards:
+        remote = [shard for shard in shards if not shard.local]
+        pool = _Pool(min(workers, len(remaining) + len(remote)))
+        futures: list = []  # (future, _Shard or chunk), not yet waited on
+        next_round: list[tuple[str, RunSpec]] = []
         try:
-            covered = {key for _, chunk in futures for key, _ in chunk}
-            _submit_round(
-                round_pool,
-                [item for item in remaining if item[0] not in covered],
-                ledger,
-                workers,
-                futures,
-            )
-            for future, chunk in futures:
-                # The in-worker watchdogs bound each spec; the future-level
-                # timeout is a backstop for a worker that never reports.
-                outer = (
-                    timeout * len(chunk) + CHUNK_TIMEOUT_GRACE_S
-                    if timeout is not None
-                    else None
-                )
-                try:
-                    slots = future.result(timeout=outer)
-                except BrokenProcessPool:
-                    raise  # handled by the outer except: serial fallback
-                except TimeoutError as error:
-                    future.cancel()
-                    message = str(error) or (
-                        f"chunk exceeded {outer:.3f}s in worker"
-                    )
-                    for key, _ in chunk:
-                        if key not in ledger.outcomes:
-                            ledger.fail(key, "timeout", message, "pool",
-                                        retry_list)
-                except Exception as error:
-                    for key, _ in chunk:
-                        if key not in ledger.outcomes:
-                            ledger.fail(
-                                key, "error",
-                                f"{type(error).__name__}: {error}", "pool",
-                                retry_list,
-                            )
-                else:
-                    for (key, _), (status, value) in zip(
-                        chunk, slots, strict=True
-                    ):
-                        if status == "ok":
-                            ledger.book(key, value, "pool")
-                        else:
-                            ledger.fail(key, status, str(value), "pool",
-                                        retry_list)
+            for shard in remote:
+                futures.append((pool.submit(_execute_shard, shard.specs), shard))
+                RUNNER_METRICS.inc("runner.batch_pool_shards")
+            _submit_round(pool, remaining, ledger, workers, futures)
+            for shard in shards:
+                if shard.local:
+                    _run_shard_here(shard, ledger, next_round)
+            while futures:
+                _settle(*futures[0], ledger, next_round)
+                del futures[0]
         except KeyboardInterrupt:
             RUNNER_METRICS.inc("runner.interrupts")
             _drain_interrupted_pool(futures, ledger)
             return
         except BrokenProcessPool:
             RUNNER_METRICS.inc("runner.pool_breaks")
-            survivors = [
-                (key, spec)
-                for key, spec in remaining
-                if key not in ledger.outcomes
-            ]
-            _run_serial(survivors, ledger, "pool")
+            for shard in shards:
+                if not shard.settled:
+                    _run_shard_here(shard, ledger, next_round)
+            _run_serial(ledger.unresolved(), ledger, "pool")
             return
         finally:
-            if not shared:
-                round_pool.close()
-        remaining = retry_list
-        if remaining:
-            try:
-                time.sleep(
-                    max(
+            pool.close()
+        shards = ()
+        remaining = next_round
+        try:
+            # Lanes of a failed shard made no attempt: they need no backoff.
+            time.sleep(
+                max(
+                    (
                         _backoff_seconds(key, ledger.attempts[key])
                         for key, _ in remaining
-                    )
+                        if ledger.attempts[key]
+                    ),
+                    default=0.0,
                 )
-            except KeyboardInterrupt:
-                RUNNER_METRICS.inc("runner.interrupts")
-                ledger.interrupt_rest()
-                return
-
-
-def _lockstep_groups(
-    work: list[tuple[str, RunSpec | CampaignSpec]],
-) -> list[list[tuple[str, RunSpec | CampaignSpec]]]:
-    """The batch tier's kernel calls: one member list per call.
-
-    Groups the pending specs by :func:`~repro.sim.batch.batch_fingerprint`.
-    Lanes whose trajectory is *unique* within their group amortize nothing
-    — the kernel would run them one pipeline each, pure overhead over a
-    scalar run — so they stay with the scalar tiers; this also covers the
-    width-1 case (a singleton group is optimal scalar work).
-    """
-    groups: dict[str, list[tuple[str, RunSpec | CampaignSpec]]] = {}
-    for key, spec in work:
-        group_key = batch_fingerprint(spec)
-        if group_key is not None:
-            groups.setdefault(group_key, []).append((key, spec))
-    calls = []
-    for candidates in groups.values():
-        lane_counts: dict[str, int] = {}
-        for _, spec in candidates:
-            t_key = trajectory_key(spec)
-            lane_counts[t_key] = lane_counts.get(t_key, 0) + 1
-        members = [
-            (key, spec)
-            for key, spec in candidates
-            if lane_counts[trajectory_key(spec)] >= 2
-        ]
-        if len(members) >= 2:
-            calls.append(members)
-    return calls
-
-
-def _trajectory_count(members: list[tuple[str, RunSpec | CampaignSpec]]) -> int:
-    return len({trajectory_key(spec) for _, spec in members})
-
-
-def _run_lockstep_groups(
-    groups: list[list[tuple[str, RunSpec | CampaignSpec]]],
-    ledger: _Ledger,
-    executor: ProcessPoolExecutor | None = None,
-    workers: int = 1,
-    after_submit=None,
-) -> None:
-    """The lock-step batch tier: amortize compatible specs on one pipeline.
-
-    Runs each of :func:`_lockstep_groups`' member lists through
-    :func:`~repro.sim.batch.simulate_lockstep`, which batches heterogeneous
-    lanes (mixed workloads × mixed seeds) as one cohort tree per
-    :func:`~repro.sim.batch.trajectory_key`.  With an ``executor`` and
-    ``workers >= 2`` the call shards its trajectory groups: this process
-    runs one shard, the executor the others.  Every batched lane is booked
-    into the ledger as its call returns (byte-identical to the scalar
-    path, so caching and dedup behave as if the scalar simulator had run);
-    acting lanes are retained in-batch by cohort splitting
-    (:mod:`repro.sim.cohort`), so only an engine failure or time-budget
-    overrun — of the whole call, or of one remote shard — sends lanes back
-    to the scalar pool/serial path, each failure counted once in
-    ``runner.batch_errors``.  No attempt is ever booked here: the batch
-    tier is an accelerator, not an attempt, so retry budgets are untouched.
-    An interrupt books the lanes that finished, then propagates.
-    ``after_submit`` is handed to every call (see
-    :func:`~repro.sim.batch.simulate_lockstep`).
-    """
-    timeout = ledger.timeout
-    for members in groups:
-        specs = [spec for _, spec in members]
-        RUNNER_METRICS.inc("runner.batch_groups")
-        RUNNER_METRICS.inc("runner.batch_lanes", len(members))
-        RUNNER_METRICS.inc("runner.batch_trajectories", _trajectory_count(members))
-        batch_metrics: dict = {}
-
-        def _call(batch_specs: list = specs, shape: dict = batch_metrics):
-            return simulate_lockstep(
-                batch_specs, shape, executor, shards=workers,
-                timeout=timeout, drain_grace=DRAIN_GRACE_S,
-                after_submit=after_submit,
             )
-
-        try:
-            if timeout is None:
-                lane_results = _call()
-            else:
-                # One shared budget: the batch does at most the work of
-                # len(members) scalar runs.
-                lane_results = _call_with_watchdog(
-                    _call,
-                    timeout * len(members),
-                    "batch group exceeded its time budget",
-                )
-        except LockstepInterrupted as interrupt:
-            _book_batch(members, interrupt.results, batch_metrics, ledger)
-            raise
-        except Exception:
-            RUNNER_METRICS.inc("runner.batch_errors")
-            continue  # every lane falls back to the scalar path
-        # Lanes of a failed remote shard are absent: they go scalar.
-        RUNNER_METRICS.inc(
-            "runner.batch_errors", batch_metrics.get("failed_shards", 0)
-        )
-        RUNNER_METRICS.inc(
-            "runner.batch_pool_shards", batch_metrics.get("shards", 1) - 1
-        )
-        _book_batch(members, lane_results, batch_metrics, ledger)
-
-
-def _book_batch(
-    members: list[tuple[str, RunSpec | CampaignSpec]],
-    lane_results: dict[int, RunResult],
-    batch_metrics: dict,
-    ledger: _Ledger,
-) -> None:
-    """Book one kernel call's finished lanes, tagged with their cohorts."""
-    lane_cohorts = batch_metrics.get("lane_cohorts") or []
-    for lane, result in lane_results.items():
-        key = members[lane][0]
-        info = {"cohorts": batch_metrics.get("cohorts", 0)}
-        if lane < len(lane_cohorts):
-            info["cohort"] = lane_cohorts[lane]
-        ledger.lane_info[key] = info
-        ledger.book(key, result, "batch")
-    RUNNER_METRICS.inc("runner.batch_completed", len(lane_results))
-    RUNNER_METRICS.inc("runner.batch_cohorts", batch_metrics.get("cohorts", 0))
-    RUNNER_METRICS.inc("runner.batch_splits", batch_metrics.get("splits", 0))
+        except KeyboardInterrupt:
+            RUNNER_METRICS.inc("runner.interrupts")
+            ledger.interrupt_rest()
+            return
 
 
 def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
@@ -1015,73 +1012,44 @@ def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
 
     ``jobs`` bounds the run's worker processes (``None`` uses
     :func:`default_jobs`).  ``jobs<=1`` runs everything in-process.  With
-    ``jobs>=2`` the run makes one pool of at most ``jobs`` workers, and
-    only when a worker has work: two or more scalar specs, or a kernel
-    call spanning two or more trajectories.  Such a call is split into up
-    to ``jobs`` shards by trajectory; this process runs one and pool
-    workers the others, and the scalar specs' first round is queued
-    behind those shards, so it runs beside the kernel rather than after
-    it (while this process runs its shard, up to ``jobs + 1`` processes
-    simulate).
+    ``jobs>=2`` every batch group is split up front into up to ``jobs``
+    shards by trajectory; this process runs each group's first shard, and
+    the others are ordinary pool work items.  The run makes one pool of at
+    most ``jobs`` workers, and only when a worker has work: two or more
+    scalar specs, or a remote shard.  Remote shards are submitted first
+    and the scalar specs behind them, so the scalar tier runs beside the
+    kernel rather than after it (while this process runs its shards, up
+    to ``jobs + 1`` processes simulate).
 
-    An operator interrupt drains: in-flight pool chunks get a bounded
-    grace to finish, and every spec still unresolved is booked
-    ``interrupted``.
+    A shard that fails — raises, or overruns ``timeout`` × its lanes —
+    sends only its own lanes to the scalar tiers.  An operator interrupt
+    drains: in-flight pool futures get a bounded grace to finish, and
+    every spec still unresolved is booked ``interrupted``.
     """
     work = ledger.unresolved()
     workers = default_jobs() if jobs is None else max(1, jobs)
-    groups = _lockstep_groups(work) if batch else []
-    batched = {key for members in groups for key, _ in members}
+    shards = _plan_shards(work, workers) if batch else []
+    batched = {key for shard in shards for key, _ in shard.members}
     scalar = [(key, spec) for key, spec in work if key not in batched]
-    # One pool per run, created only when two processes can both work:
-    # scalar specs to spread, or kernel shards beyond the one this
-    # process runs.  Its first scalar round is queued behind the first
-    # kernel call's remote shards, before this process simulates, so
-    # those specs overlap the batch tier.
-    remote_shards = max(
-        (min(workers, _trajectory_count(members)) - 1 for members in groups),
-        default=0,
-    )
-    pool = None
-    if workers >= 2 and (len(scalar) >= 2 or remote_shards):
-        pool = _Pool(min(workers, len(scalar) + remote_shards))
-    first_round: list = []
-    unsubmitted = [scalar] if pool is not None else []
-    submit_lock = threading.Lock()
-
-    def submit_first_round() -> None:
-        # Once, by whichever comes first: the first kernel call, right
-        # after queueing its remote shards, or the line after the batch
-        # tier.  The lock covers a kernel call still running in an
-        # abandoned watchdog thread.
-        with submit_lock:
-            if unsubmitted:
-                try:
-                    _submit_round(
-                        pool, unsubmitted.pop(), ledger, workers, first_round
-                    )
-                except BrokenProcessPool:
-                    pass  # _run_pool meets it and falls back to serial
-
     try:
-        _run_lockstep_groups(
-            groups, ledger, pool, workers, submit_first_round
-        )
-        submit_first_round()
-        unresolved = ledger.unresolved()
-        if first_round or (workers >= 2 and len(unresolved) >= 2):
-            _run_pool(unresolved, ledger, workers, pool, first_round)
-        elif unresolved:
-            _run_serial(unresolved, ledger)
+        if workers >= 2 and (
+            len(scalar) >= 2 or any(not shard.local for shard in shards)
+        ):
+            _run_pool(scalar, ledger, workers, shards)
+        else:
+            for shard in shards:
+                # A failed shard's lanes stay unresolved: they run below.
+                _run_shard_here(shard, ledger, [])
+            unresolved = ledger.unresolved()
+            if workers >= 2 and len(unresolved) >= 2:
+                _run_pool(unresolved, ledger, workers)
+            elif unresolved:
+                _run_serial(unresolved, ledger)
     except KeyboardInterrupt:
-        # The serial and batch tiers unwind to here on Ctrl-C/SIGTERM; the
-        # pool tier drains internally and returns normally.  A scalar
-        # round still in flight drains first.
+        # The serial and in-process kernel tiers unwind to here on
+        # Ctrl-C/SIGTERM; the pool tier drains internally and returns.
         RUNNER_METRICS.inc("runner.interrupts")
-        _drain_interrupted_pool(first_round, ledger)
-    finally:
-        if pool is not None:
-            pool.close()
+        ledger.interrupt_rest()
     directory = ledger.directory
     if ledger.interrupted and directory is not None and directory.is_dir():
         # A drain may have abandoned workers mid-write; their tmp files
@@ -1090,7 +1058,7 @@ def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
 
 
 def run_many(
-    specs: Iterable[RunSpec | CampaignSpec],
+    specs: Iterable[RunSpec],
     jobs: int | None = None,
     cache_dir: str | Path | None = DEFAULT_CACHE_DIR,
     timeout: float | None = None,
@@ -1098,7 +1066,7 @@ def run_many(
     raise_on_error: bool = True,
     batch: bool = True,
     telemetry=None,
-) -> list[RunResult | CampaignResult | RunFailure]:
+) -> list[RunResult | RunFailure]:
     """Run a batch of specs, in parallel, through the on-disk cache.
 
     Results come back in input order.  Cache hits never touch a worker;

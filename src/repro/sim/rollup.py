@@ -30,7 +30,6 @@ from pathlib import Path
 
 from ..errors import SimulationError
 from ..telemetry.metrics import merge_metric_snapshots
-from .campaign import CampaignResult
 from .stats import RunResult
 
 #: Rollup payload schema.  Bump on incompatible payload-shape changes;
@@ -58,8 +57,7 @@ def build_rollup(entries: list[tuple]) -> dict:
     """Aggregate one campaign into a rollup payload.
 
     ``entries`` is ``[(spec, fingerprint, outcome), ...]`` in input order,
-    where ``outcome`` is a :class:`~repro.sim.stats.RunResult`,
-    :class:`~repro.sim.campaign.CampaignResult`, or a
+    where ``outcome`` is a :class:`~repro.sim.stats.RunResult` or a
     :class:`~repro.sim.parallel.RunFailure`.  Duplicate fingerprints
     collapse to one member (they are one simulation).
     """
@@ -73,18 +71,11 @@ def build_rollup(entries: list[tuple]) -> dict:
 
     policies: dict[str, dict] = {}
     snapshots: list[dict] = []
-    kinds = {"run": 0, "campaign": 0}
     failures = 0
     workload_mixes: set[str] = set()
-    for spec, _fingerprint, outcome in members:
+    for spec, _fingerprint, result in members:
         workload_mixes.add("+".join(spec.workloads))
-        result = outcome
-        if isinstance(result, CampaignResult):
-            kinds["campaign"] += 1
-            result = result.final
-        elif isinstance(result, RunResult):
-            kinds["run"] += 1
-        else:
+        if not isinstance(result, RunResult):
             failures += 1
             continue
         bucket = policies.setdefault(
@@ -124,7 +115,6 @@ def build_rollup(entries: list[tuple]) -> dict:
         "key": rollup_key([fingerprint for _, fingerprint, _ in members]),
         "runs": len(members),
         "failures": failures,
-        "kinds": kinds,
         "workloads": sorted(workload_mixes),
         "policies": {name: policies[name] for name in sorted(policies)},
         "telemetry": merge_metric_snapshots(snapshots),

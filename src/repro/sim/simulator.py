@@ -42,7 +42,7 @@ def build_core(machine, names: list, make) -> SMTCore:
 
     Every pipeline is built here: the scalar simulator's (a new stream per
     thread over a workload name's or caller-supplied source) and each
-    batch trajectory's (shared streams, :class:`repro.sim.soa.StreamBank`).
+    batch trajectory's (shared streams, :class:`repro.pipeline.banks.StreamBank`).
     ``make(tid, name)`` turns entry ``tid`` of ``names`` into its cursor.
     """
     if len(names) != machine.num_threads:

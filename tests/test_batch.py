@@ -24,6 +24,7 @@ from repro.blocks import INT_RF
 from repro.config import scaled_config
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, SensorFaultPlan
+from repro.pipeline.banks import StreamBank
 from repro.power import EnergyModel
 from repro.sim import RunSpec, run_many
 from repro.sim.batch import (
@@ -32,10 +33,9 @@ from repro.sim.batch import (
     simulate_lockstep,
     trajectory_key,
 )
-from repro.sim.parallel import CampaignSpec, spec_fingerprint
+from repro.sim.parallel import spec_fingerprint
 from repro.sim.results import result_to_dict
 from repro.sim.simulator import Simulator, run_loop
-from repro.sim.soa import StreamBank
 
 POLICIES = ("ideal", "stop_and_go", "dvfs", "ttdfs", "fetch_gating", "sedation")
 
@@ -97,10 +97,6 @@ class TestFingerprint:
         assert batch_fingerprint(RunSpec(("gcc", "swim"), config, trace=True)) is None
         assert (
             batch_fingerprint(RunSpec(("gcc", "swim"), config, telemetry=True))
-            is None
-        )
-        assert (
-            batch_fingerprint(CampaignSpec(("gcc", "swim"), config, quanta=2))
             is None
         )
         faulty = config.with_faults(
@@ -943,35 +939,53 @@ class TestShardedKernel:
         assert len(texts) == 1
 
     def test_merged_shape_matches_one_unsharded_call(self):
-        from concurrent.futures import ProcessPoolExecutor
+        from repro.sim.parallel import RUNNER_METRICS
+        from repro.telemetry import EventType, TelemetrySession
 
-        specs = [spec for spec in sharded_grid() if spec.config.faults is None]
-        whole: dict = {}
-        expected = simulate_lockstep(specs, whole)
-        sharded: dict = {}
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            results = simulate_lockstep(specs, sharded, pool, shards=2)
-        assert sharded["shards"] == 2 and sharded["failed_shards"] == 0
-        for key in ("lanes", "trajectories", "cohorts", "splits"):
-            assert sharded[key] == whole[key], key
-        assert whole["trajectories"] == 3 and whole["splits"] >= 1
-        assert sorted(results) == sorted(expected)
-        for lane, result in expected.items():
-            assert canonical(results[lane]) == canonical(result)
+        specs = sharded_grid()
 
-        def partition(lane_cohorts):
+        def run(jobs):
+            before = dict(RUNNER_METRICS.counters)
+            session = TelemetrySession()
+            results = run_many(specs, jobs=jobs, cache_dir=None,
+                               telemetry=session)
+            tags = {
+                event.data["lane"]: (event.data["cohort"], event.data["cohorts"])
+                for event in session.events()
+                if event.type is EventType.LANE_COMPLETE
+                and event.data["source"] == "batch"
+            }
+            deltas = {
+                name: RUNNER_METRICS.counters.get(name, 0) - before.get(name, 0)
+                for name in ("runner.batch_cohorts", "runner.batch_splits",
+                             "runner.batch_pool_shards")
+            }
+            return results, tags, deltas
+
+        def partition(tags):
             groups: dict = {}
-            for lane, ordinal in enumerate(lane_cohorts):
+            for lane, (ordinal, _) in tags.items():
                 groups.setdefault(ordinal, set()).add(lane)
-            return groups
+            return sorted(map(sorted, groups.values()))
 
-        # Ordinals are unique across shards: each names one cohort, and
-        # the cohorts are the unsharded call's, lane for lane.
-        ordinals = partition(sharded["lane_cohorts"])
-        assert set(ordinals) == set(range(sharded["cohorts"]))
-        assert sorted(map(sorted, ordinals.values())) == sorted(
-            map(sorted, partition(whole["lane_cohorts"]).values())
-        )
+        whole_results, whole, whole_deltas = run(1)
+        results, sharded, sharded_deltas = run(2)
+        assert sharded_deltas["runner.batch_pool_shards"] == 1
+        assert whole_deltas["runner.batch_pool_shards"] == 0
+        for name in ("runner.batch_cohorts", "runner.batch_splits"):
+            assert sharded_deltas[name] == whole_deltas[name], name
+        assert whole_deltas["runner.batch_splits"] >= 1
+        assert sorted(sharded) == sorted(whole) == list(range(len(specs) - 1))
+        # Ordinals are unique across the shards: each names one cohort,
+        # every tag carries the group's total, and the cohorts are the
+        # unsharded call's, lane for lane.
+        total = whole_deltas["runner.batch_cohorts"]
+        for tags in (whole, sharded):
+            assert {ordinal for ordinal, _ in tags.values()} == set(range(total))
+            assert {cohorts for _, cohorts in tags.values()} == {total}
+        assert partition(sharded) == partition(whole)
+        for fast, slow in zip(results, whole_results, strict=True):
+            assert canonical(fast) == canonical(slow)
 
     def test_shards_balance_trajectories_then_lanes(self):
         from repro.sim.batch import _shard_lanes

@@ -570,6 +570,28 @@ class TestCli:
                      "--cache-dir", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["key"] == key
 
+    def test_campaign_summary_list_counts_mixes(self, capsys, tmp_path):
+        from repro.sim import RunFailure, build_rollup, write_rollup
+
+        config = scaled_config(time_scale=8_000.0, quantum_cycles=2_000)
+        entries = []
+        for index in range(60):
+            spec = RunSpec((f"mix{index:02d}a", f"mix{index:02d}b"), config)
+            key = spec_fingerprint(spec)
+            failure = RunFailure(spec.workloads, key, "error", "never run", 1)
+            entries.append((spec, key, failure))
+        payload = build_rollup(entries)
+        write_rollup(tmp_path, payload)
+        assert main(["campaign-summary", "--cache-dir", str(tmp_path)]) == 0
+        listing = capsys.readouterr().out
+        (row,) = [line for line in listing.splitlines()
+                  if line.startswith(payload["key"][:12])]
+        assert len(row) < 80 and row.split()[-1] == "60"
+        assert "mixes" in listing
+        assert main(["campaign-summary", payload["key"],
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert "mix59a+mix59b" in capsys.readouterr().out
+
     def test_campaign_summary_errors(self, capsys, tmp_path):
         assert main(["campaign-summary", "--cache-dir",
                      str(tmp_path)]) == 0  # empty listing, not an error

@@ -86,14 +86,13 @@ PINNED = {
     "trace": "09fa9ba154eca33d456aef2df729f2f45440e0e868026cd5f75df95c8bd4ae2c",
     "quantum": "1a241433cc96da88ea7e2d2168f7250c74b569d1f52c8d1b43320d5d37f3412c",
     "faults": "2a339fc4b3f84d5501b23bb9340acd9e22bb6b3c1923834723a95649330fcea3",
-    "campaign": "0105322d6169f7003c872992abce15d632a8f3e63dddc9856f8154c38adb5462",
 }
 
 
 def pinned_specs() -> dict:
     from repro.config import scaled_config
     from repro.faults import FaultPlan, SensorFaultPlan, WorkerFaultPlan
-    from repro.sim import CampaignSpec, RunSpec
+    from repro.sim import RunSpec
 
     base = scaled_config(time_scale=20_000.0, quantum_cycles=3_000)
     sedation = base.with_policy("sedation")
@@ -110,9 +109,6 @@ def pinned_specs() -> dict:
             ("mcf", "idle"), base.with_ideal_sink(), quantum_cycles=2_000
         ),
         "faults": RunSpec(("gcc", "swim"), base.with_faults(faults)),
-        "campaign": CampaignSpec(
-            ("gzip", "variant2"), base.with_policy("stop_and_go"), quanta=3
-        ),
     }
 
 

@@ -196,8 +196,8 @@ class TestFingerprintRule:
             "parallel.py": """\
                 from dataclasses import dataclass
                 @dataclass(frozen=True)
-                class CampaignSpec:
-                    quanta: int
+                class RunSpec:
+                    workloads: tuple
                 """,
         }, select=("RPR002",))
         assert codes(result) == ["RPR002"]

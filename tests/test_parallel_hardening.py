@@ -360,6 +360,107 @@ class TestShardedBatchTier:
         assert sources[: len(local)] == ["batch"] * len(local)
         assert "batch" not in sources[len(local):]
 
+    def test_local_shard_error_sends_only_its_lanes_scalar(self, monkeypatch):
+        from repro.sim import batch, parallel
+        from repro.telemetry import EventType, TelemetrySession
+
+        local, remote = self.specs()
+        specs = local + remote
+        reference = run_many(specs, jobs=1, cache_dir=None, batch=False)
+        real_build_root = batch._build_root
+
+        def build_root(*args, **kwargs):
+            if not parallel._IN_WORKER:
+                raise RuntimeError("injected local shard failure")
+            return real_build_root(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "_build_root", build_root)
+        before = self.counters()
+        session = TelemetrySession()
+        results = run_many(specs, jobs=2, cache_dir=None, telemetry=session)
+        assert self.canonical(results) == self.canonical(reference)
+        assert self.delta(before, "runner.batch_errors") == 1
+        assert self.delta(before, "runner.batch_completed") == len(remote)
+        for name in ("runner.attempt_error", "runner.attempt_timeout",
+                     "runner.retries", "runner.failures"):
+            assert self.delta(before, name) == 0, name
+        sources = [
+            event.data["source"]
+            for event in session.events()
+            if event.type is EventType.LANE_COMPLETE
+        ]
+        assert "batch" not in sources[: len(local)]
+        assert sources[len(local):] == ["batch"] * len(remote)
+
+    def test_remote_shard_overrun_sends_only_its_lanes_scalar(
+        self, monkeypatch
+    ):
+        import time
+
+        from repro.sim import batch, parallel
+
+        local, remote = self.specs()
+        specs = local + remote
+        timeout = 1.5
+        reference = run_many(specs, jobs=1, cache_dir=None, batch=False)
+        real_build_root = batch._build_root
+
+        def build_root(*args, **kwargs):
+            if parallel._IN_WORKER:
+                # Past the shard's timeout × lanes, measured from when the
+                # caller starts waiting, so it cannot finish in time.
+                time.sleep(timeout * len(remote) + 2.0)
+            return real_build_root(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "_build_root", build_root)
+        before = self.counters()
+        results = run_many(specs, jobs=2, cache_dir=None, timeout=timeout)
+        assert self.canonical(results) == self.canonical(reference)
+        assert self.delta(before, "runner.batch_errors") == 1
+        assert self.delta(before, "runner.batch_completed") == len(local)
+        for name in ("runner.attempt_error", "runner.attempt_timeout",
+                     "runner.retries", "runner.failures"):
+            assert self.delta(before, name) == 0, name
+
+    def test_every_remote_shard_is_submitted_before_the_kernel_runs(
+        self, monkeypatch
+    ):
+        from repro.sim import parallel
+
+        local, remote = self.specs()
+        short = tiny_config("ideal", quantum_cycles=2_000)
+        # A second batch fingerprint (another quantum): a second group.
+        second = [
+            RunSpec(spec.workloads, short.with_policy(spec.config.dtm_policy))
+            for spec in local + remote
+        ]
+        specs = local + remote + second
+        log: list[str] = []
+        real_submit = parallel._Pool.submit
+        real_lockstep = parallel.simulate_lockstep
+
+        def submit(pool, fn, *args, **kwargs):
+            log.append("chunk" if fn is parallel._execute_chunk else "shard")
+            return real_submit(pool, fn, *args, **kwargs)
+
+        def lockstep(*args, **kwargs):
+            if not parallel._IN_WORKER:
+                log.append("kernel")
+            return real_lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(parallel._Pool, "submit", submit)
+        monkeypatch.setattr(parallel, "simulate_lockstep", lockstep)
+        before = self.counters()
+        results = run_many(specs, jobs=2, cache_dir=None)
+        assert self.delta(before, "runner.batch_groups") == 2
+        assert self.delta(before, "runner.batch_completed") == len(specs)
+        assert log.count("kernel") == 2
+        first_kernel = log.index("kernel")
+        assert log[:first_kernel].count("shard") == 2
+        assert "shard" not in log[first_kernel:]
+        reference = run_many(specs, jobs=1, cache_dir=None, batch=False)
+        assert self.canonical(results) == self.canonical(reference)
+
     def test_pool_break_beside_a_batch_group_keeps_batch_lanes(self):
         local, remote = self.specs()
         crash = chaos_spec(("ammp", "lucas"), crash_attempts=1)
