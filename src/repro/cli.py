@@ -413,15 +413,12 @@ def cmd_cache(args) -> int:
         payload = dict(stats, quarantine=quarantine_entries(args.cache_dir))
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
-    kinds = " ".join(
-        f"{kind}={count}" for kind, count in sorted(stats["kinds"].items())
-    )
     versions = " ".join(
         f"v{version}={count}"
         for version, count in sorted(stats["format_versions"].items())
     )
     rows = [
-        ["entries", stats["entries"], kinds or "-"],
+        ["entries", stats["entries"], ""],
         ["bytes", stats["bytes"], ""],
         ["result formats", len(stats["format_versions"]), versions or "-"],
         ["rollups", stats["rollups"], ""],
@@ -458,7 +455,6 @@ def cmd_campaign(args) -> int:
                 row.get("slots", "?"),
                 row.get("completed", "?"),
                 row.get("failed", "?"),
-                row.get("skipped", "?"),
                 row.get("sealed", row.get("error", "?")),
             ]
             for row in list_campaigns(args.cache_dir)
@@ -467,7 +463,7 @@ def cmd_campaign(args) -> int:
             print(f"no campaign journals under {args.cache_dir}/journal")
             return 0
         print(format_table(
-            ["campaign", "slots", "done", "failed", "skipped", "state"],
+            ["campaign", "slots", "done", "failed", "state"],
             rows,
             title=f"durable campaigns in {args.cache_dir}",
         ))
@@ -486,9 +482,6 @@ def cmd_campaign(args) -> int:
             "specs": len(state.order),
             "completed": sorted(state.completed),
             "failed": sorted(state.failed),
-            "skipped": sorted(state.skipped),
-            "leases": state.leases,
-            "breakers": sorted(state.breakers),
             "sealed": state.sealed or "open",
             "options": state.options,
         }
@@ -694,8 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     durable.add_argument("--jobs", type=int, default=None,
                          help="worker processes for the resumed tail")
     durable.add_argument("--force", action="store_true",
-                         help="re-close open circuit breakers and re-run "
-                              "failed/skipped specs")
+                         help="re-run failed specs")
     durable.add_argument("--retries", type=int, default=None,
                          help="override the journaled retry budget for "
                               "the resumed tail")

@@ -49,7 +49,8 @@ class FaultError(ReproError):
     """An injected fault fired (worker chaos) or a fault plan misbehaved.
 
     Raised by :class:`repro.faults.plan.WorkerFaultPlan` chaos hooks when a
-    "crash" or transient failure is injected in-process; the batch runner
-    treats it like any other worker exception (retry, then
-    :class:`repro.sim.parallel.RunFailure`).
+    crash or transient failure is injected in-process (a crash hard-kills
+    a pool worker instead, and its specs re-run in-process); the batch
+    runner treats it like any other worker exception: retry, then a
+    :class:`repro.sim.parallel.RunFailure` of kind ``"error"``.
     """

@@ -6,7 +6,6 @@ from .durable import (
     JOURNAL_DIR,
     CampaignJournal,
     CampaignState,
-    breaker_family,
     cache_stats,
     derive_campaign_id,
     list_campaigns,
@@ -47,7 +46,6 @@ __all__ = [
     "RunSpec",
     "ROLLUP_DIR",
     "batch_fingerprint",
-    "breaker_family",
     "build_rollup",
     "cache_stats",
     "derive_campaign_id",

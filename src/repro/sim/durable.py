@@ -12,43 +12,43 @@ were in flight, which had failed, which campaign the runs belonged to.
 This module adds the missing process-death axis (docs/robustness.md):
 
 * **write-ahead journal** — every campaign lifecycle transition (submit,
-  lease, failure, completion, breaker trip, seal) is an append-only
-  record under ``<cache_dir>/journal/<campaign_id>/``, published with the
-  same tmp + ``os.replace`` + fsync discipline as the run cache, keyed by
-  the existing :func:`~repro.sim.parallel.spec_fingerprint`.  Each
-  outcome is journaled as it lands, after its cache entry is stored, so a
-  killed campaign keeps every spec that had finished;
-* **checkpoint/resume** — :func:`resume_campaign` replays the journal,
-  reclaims leases orphaned by dead or stale pids, and drives the
-  campaign again: the driver's cache lookup verifies every completed
-  entry (divergences are quarantined and re-run) and only the unfinished
-  tail is dispatched.  The merged result list is byte-identical to what
-  the uninterrupted campaign would have returned;
+  failure, completion, resume, seal) is an append-only record under
+  ``<cache_dir>/journal/<campaign_id>/``, published with the same tmp +
+  ``os.replace`` + fsync discipline as the run cache, keyed by the
+  existing :func:`~repro.sim.parallel.spec_fingerprint`.  Each outcome is
+  journaled as it lands, after its cache entry is stored, so a killed
+  campaign keeps every spec that had finished;
+* **the campaign lock** — the driver holds a POSIX record lock on
+  ``journal/<campaign_id>/lock`` from before the journal is read or
+  started until the seal.  The kernel drops it when the driver dies,
+  however it dies, so a lock that cannot be taken means a live driver:
+  a second driver refuses instead of double-running;
+* **checkpoint/resume** — :func:`resume_campaign` takes the lock,
+  replays the journal and drives the campaign again: the driver's cache
+  lookup verifies every completed entry (divergences are quarantined and
+  re-run), failed specs stay settled, and everything else is dispatched.
+  The merged result list is byte-identical to what the uninterrupted
+  campaign would have returned;
 * **supervised graceful shutdown** — :func:`run_durable` installs
   SIGTERM/SIGINT handlers that translate the signal into the runner's
   graceful drain (stop dispatching, let in-flight chunks finish inside a
   bounded grace, book ``interrupted`` slots), seals the journal
-  ``resumable``, and returns partial, index-aligned results;
-* **circuit breaker** — a spec that burns its retry budget trips its
-  *fingerprint family* (workload mix + policy) open in the journal, so a
-  resume skips known-poison specs fast instead of re-burning their
-  retries; ``force=True`` re-closes breakers and re-dispatches.
+  ``resumable``, and returns partial, index-aligned results.
 
 Everything here is bookkeeping *around* simulation, never inside it: no
-journal state feeds a fingerprint, and the only wall-clock reads are the
-lease heartbeats (explicitly exempted from the determinism lint, with the
-reasoning inline).
+journal state feeds a fingerprint, and nothing here reads the clock.
 """
 
 from __future__ import annotations
 
 import base64
+import errno
+import fcntl
 import json
 import os
 import pickle
 import signal
 import threading
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,8 +63,8 @@ from .parallel import (
     _cache_load,
     _Ledger,
     _sweep_stale_tmp,
+    _read_entry,
     dispatch,
-    pid_alive,
     spec_fingerprint,
 )
 from .results import result_to_dict
@@ -78,12 +78,8 @@ JOURNAL_DIR = "journal"
 #: journals are then refused loudly rather than misread.
 JOURNAL_SCHEMA = 1
 
-#: Seconds between lease heartbeats while a campaign is executing.
-HEARTBEAT_INTERVAL_S = 5.0
-
-#: A foreign lease whose heartbeat is older than this is an orphan even if
-#: its pid number is (re)used by some live process.
-DEFAULT_LEASE_STALE_S = 60.0
+#: The campaign lock's file name inside a journal directory.
+LOCK_FILE = "lock"
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
@@ -115,16 +111,6 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
             os.close(dir_fd)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def breaker_family(spec: RunSpec) -> str:
-    """The circuit-breaker grouping key: workload mix + DTM policy.
-
-    Coarser than the spec fingerprint on purpose — a poison workload/policy
-    combination usually poisons its whole parameter sweep, and the breaker
-    exists to stop a resume from re-burning retries across that sweep.
-    """
-    return f"{'+'.join(spec.workloads)}@{spec.config.dtm_policy}"
 
 
 def _encode_spec(spec: RunSpec) -> str:
@@ -170,7 +156,8 @@ class CampaignJournal:
 
     def __init__(self, cache_dir: str | Path, campaign_id: str) -> None:
         self.campaign_id = campaign_id
-        self.root = Path(cache_dir) / JOURNAL_DIR / campaign_id
+        self.cache_dir = Path(cache_dir)
+        self.root = self.cache_dir / JOURNAL_DIR / campaign_id
         self._next_seq: int | None = None
 
     def exists(self) -> bool:
@@ -217,37 +204,30 @@ class CampaignJournal:
                 continue
         return records
 
-    # -- lease heartbeats --------------------------------------------------
+    def lock(self):
+        """Take the campaign lock; returns the open file that holds it.
 
-    def heartbeat_path(self, pid: int) -> Path:
-        return self.root / "heartbeats" / f"{pid}.json"
-
-    def heartbeat(self, pid: int, beats: int) -> None:
-        """Refresh this pid's lease heartbeat (mutable, atomically rewritten).
-
-        The wall stamp below is the one place durable campaigns read the
-        clock: it decides only whether a *dead driver's* leases may be
-        reclaimed, and can never reach a spec fingerprint or a result.
+        A POSIX record lock (``lockf``) on ``<root>/lock``: it belongs to
+        this process alone, so forked pool workers do not inherit it, and
+        the kernel drops it when the process dies or closes any descriptor
+        of the file.  Close the returned file to release it.  A lock held
+        by another process raises :class:`SimulationError`; any other
+        ``OSError`` (an unwritable cache dir) propagates.
         """
-        stamp = time.time()  # repro: noqa(RPR001) lease-liveness wall stamp, never feeds a fingerprint
-        _atomic_write_json(
-            self.heartbeat_path(pid),
-            {"pid": pid, "beats": beats, "wall_time": stamp},
-        )
-
-    def read_heartbeat(self, pid: int) -> dict | None:
+        self.root.mkdir(parents=True, exist_ok=True)
+        handle = open(self.root / LOCK_FILE, "ab")
         try:
-            return json.loads(self.heartbeat_path(pid).read_text())
-        except (OSError, ValueError):
-            return None
-
-    def heartbeat_fresh(self, pid: int, stale_s: float) -> bool:
-        """True when this pid's heartbeat exists and is recent."""
-        beat = self.read_heartbeat(pid)
-        if beat is None:
-            return False
-        now = time.time()  # repro: noqa(RPR001) lease-liveness wall read, never feeds a fingerprint
-        return (now - float(beat.get("wall_time", 0.0))) <= stale_s
+            fcntl.lockf(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as error:
+            handle.close()
+            if error.errno not in (errno.EACCES, errno.EAGAIN):
+                raise
+            raise SimulationError(
+                f"campaign {self.campaign_id} is still being driven by "
+                "another process (it holds the campaign lock); refusing "
+                "to double-run.  Wait for it, or stop it and resume"
+            ) from None
+        return handle
 
 
 @dataclass
@@ -260,11 +240,7 @@ class CampaignState:
     options: dict = field(default_factory=dict)
     completed: set[str] = field(default_factory=set)
     failed: dict[str, dict] = field(default_factory=dict)
-    leases: dict[str, int] = field(default_factory=dict)
-    breakers: dict[str, dict] = field(default_factory=dict)
-    skipped: dict[str, str] = field(default_factory=dict)
     sealed: str | None = None
-    reclaimed: int = 0
 
     @property
     def order(self) -> list[str]:
@@ -282,8 +258,10 @@ def replay(journal: CampaignJournal) -> CampaignState:
     """Fold the journal into a :class:`CampaignState`.
 
     Later records win: a ``completed`` record clears any earlier
-    ``failed``/``skipped`` state for its spec (a forced resume re-ran it),
-    and any activity after a seal reopens the campaign.
+    ``failed`` state for its spec (a forced resume re-ran it), and a
+    ``resume`` after a seal reopens the campaign.  Any other record kind
+    is ignored: older builds wrote four more, and their journals resume
+    with every slot neither completed nor failed pending.
     """
     state = CampaignState(campaign_id=journal.campaign_id)
     for record in journal.records():
@@ -302,30 +280,11 @@ def replay(journal: CampaignJournal) -> CampaignState:
                 fp: _decode_spec(blob)
                 for fp, blob in record.get("specs", {}).items()
             }
-        elif kind == "lease":
-            state.leases[key] = int(record.get("pid", 0))
-            state.sealed = None
         elif kind == "completed":
-            state.leases.pop(key, None)
             state.failed.pop(key, None)
-            state.skipped.pop(key, None)
             state.completed.add(key)
         elif kind == "failed":
-            state.leases.pop(key, None)
             state.failed[key] = record
-        elif kind == "skipped":
-            state.skipped[key] = record.get("family", "")
-        elif kind == "reclaim":
-            state.leases.pop(key, None)
-        elif kind == "breaker":
-            family = record.get("family", "")
-            if record.get("state") == "open":
-                state.breakers[family] = record
-            else:
-                state.breakers.pop(family, None)
-                for fp, fam in list(state.skipped.items()):
-                    if fam == family:
-                        del state.skipped[fp]
         elif kind == "resume":
             state.sealed = None
         elif kind == "seal":
@@ -355,11 +314,9 @@ class _DrainSupervisor:
     """
 
     def __init__(self) -> None:
-        self.drain = threading.Event()
         self._previous: dict[int, object] = {}
 
     def _handle(self, signum: int, frame: object) -> None:
-        self.drain.set()
         previous = self._previous.get(signum)
         try:
             signal.signal(signum, previous)  # second signal aborts hard
@@ -385,40 +342,6 @@ class _DrainSupervisor:
                 continue
         self._previous.clear()
 
-    @property
-    def draining(self) -> bool:
-        return self.drain.is_set()
-
-
-class _HeartbeatThread(threading.Thread):
-    """Background lease heartbeat while this process drives a campaign."""
-
-    def __init__(
-        self, journal: CampaignJournal,
-        interval: float = HEARTBEAT_INTERVAL_S,
-    ) -> None:
-        super().__init__(daemon=True, name="repro-campaign-heartbeat")
-        self._journal = journal
-        self._interval = interval
-        self._halt = threading.Event()
-        self.beats = 0
-
-    def run(self) -> None:
-        pid = os.getpid()
-        while True:
-            try:
-                self._journal.heartbeat(pid, self.beats)
-            except OSError:
-                pass  # a full disk must not kill the campaign
-            self.beats += 1
-            if self._halt.wait(self._interval):
-                return
-
-    def stop(self) -> None:
-        self._halt.set()
-        if self.is_alive():
-            self.join(timeout=2.0)
-
 
 # -- the campaign driver -----------------------------------------------------
 
@@ -433,31 +356,15 @@ def _failure_from_record(record: dict) -> RunFailure:
     )
 
 
-def _breaker_open(
-    spec: RunSpec, key: str, family: str, breaker: dict
-) -> RunFailure:
-    return RunFailure(
-        workloads=spec.workloads,
-        fingerprint=key,
-        kind="breaker_open",
-        error=(
-            f"family {family!r} breaker is open "
-            f"(tripped by {str(breaker.get('fingerprint'))[:12]}; "
-            "resume with force=True to re-close)"
-        ),
-        attempts=0,
-    )
-
-
 class _Campaign:
     """A journaled campaign, as :func:`drive_campaign` sees it.
 
-    The driver tells it which specs are about to be dispatched
-    (:meth:`lease`), each terminal outcome as it lands (:meth:`landed`,
+    The driver tells it how many specs are about to be dispatched
+    (:meth:`begin`), each terminal outcome as it lands (:meth:`landed`,
     after the result's cache entry is stored) and the end (:meth:`seal`);
-    :meth:`supervised` wraps the dispatch in the drain supervisor and the
-    lease heartbeat.  ``resumed`` campaigns journal a ``resume`` record
-    before their first lease.
+    :meth:`supervised` wraps the dispatch in the drain supervisor.
+    ``resumed`` campaigns journal a ``resume`` record at :meth:`begin`.
+    Whoever builds one holds the campaign lock until the seal.
     """
 
     def __init__(
@@ -475,26 +382,18 @@ class _Campaign:
         self.telemetry = telemetry if enabled else None
         self.resumed = resumed
         self.force = force
-        self.pid = os.getpid()
 
     def settled(self) -> tuple[dict, dict]:
         """Outcomes and sources of the slots the journal already settled.
 
-        Failed and breaker-skipped specs stay settled on a resume without
-        ``force`` (which clears them from the state first).
+        Failed specs stay settled on a resume without ``force`` (which
+        clears them from the state first).
         """
-        state = self.state
-        outcomes: dict[str, RunResult | RunFailure] = {}
-        sources: dict[str, str] = {}
-        for key, record in state.failed.items():
-            outcomes[key] = _failure_from_record(record)
-            sources[key] = "journal"
-        for key, family in state.skipped.items():
-            outcomes[key] = _breaker_open(
-                state.specs[key], key, family, state.breakers.get(family, {})
-            )
-            sources[key] = "breaker"
-        return outcomes, sources
+        outcomes = {
+            key: _failure_from_record(record)
+            for key, record in self.state.failed.items()
+        }
+        return outcomes, dict.fromkeys(outcomes, "journal")
 
     def looked_up(self, key: str, hit) -> str | None:
         """Account one cache lookup; returns the slot's source on a hit.
@@ -517,106 +416,53 @@ class _Campaign:
         completed.add(key)
         return "cache"
 
-    def lease(self, ledger: _Ledger) -> None:
-        """Journal the dispatch: a lease per spec, a skip per open family.
-
-        A spec whose family's breaker is already open is booked
-        ``breaker_open`` instead of dispatched.
-        """
+    def begin(self, pending: int) -> None:
+        """Journal a resume, with ``pending`` specs about to be dispatched."""
+        if not self.resumed:
+            return
         state = self.state
-        if self.resumed:
-            completed, pending = len(state.completed), len(ledger.work)
-            self.journal.append(
-                {"type": "resume", "campaign": state.campaign_id,
-                 "pid": self.pid, "completed": completed,
-                 "pending": pending, "reclaimed": state.reclaimed,
-                 "force": self.force}
+        completed = len(state.completed)
+        self.journal.append(
+            {"type": "resume", "campaign": state.campaign_id,
+             "pid": os.getpid(), "completed": completed,
+             "pending": pending, "force": self.force}
+        )
+        if self.telemetry is not None:
+            self.telemetry.emit(
+                EventType.CAMPAIGN_RESUME,
+                cycle=0,
+                data={"campaign": state.campaign_id,
+                      "completed": completed, "pending": pending},
             )
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    EventType.CAMPAIGN_RESUME,
-                    cycle=0,
-                    data={"campaign": state.campaign_id,
-                          "completed": completed, "pending": pending,
-                          "reclaimed": state.reclaimed},
-                )
-        leased = 0
-        for key, spec in ledger.work:
-            family = breaker_family(spec)
-            breaker = state.breakers.get(family)
-            if breaker is not None:
-                RUNNER_METRICS.inc("runner.breaker_skipped")
-                self.journal.append(
-                    {"type": "skipped", "fingerprint": key, "family": family}
-                )
-                state.skipped[key] = family
-                ledger.book(key, _breaker_open(spec, key, family, breaker),
-                            "breaker")
-                continue
-            self.journal.append(
-                {"type": "lease", "fingerprint": key, "pid": self.pid}
-            )
-            state.leases[key] = self.pid
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    EventType.CAMPAIGN_LEASE,
-                    cycle=leased,
-                    data={"fingerprint": key, "pid": self.pid},
-                )
-            leased += 1
 
     def landed(
         self, key: str, outcome: RunResult | RunFailure
     ) -> None:
-        """Journal one terminal outcome; a failure trips its family open.
+        """Journal one terminal outcome.
 
-        An ``interrupted`` slot keeps its lease: this pid reclaims it on
-        an in-process resume, a successor once the heartbeat goes stale.
-        A ``breaker_open`` slot was journaled ``skipped`` at lease time.
+        An ``interrupted`` slot is not journaled: a resume dispatches
+        every slot that is neither completed nor failed.
         """
-        state = self.state
         if not isinstance(outcome, RunFailure):
             self.journal.append({"type": "completed", "fingerprint": key})
-            state.completed.add(key)
-        elif outcome.kind in ("interrupted", "breaker_open"):
-            return
-        else:
+            self.state.completed.add(key)
+        elif outcome.kind != "interrupted":
             record = {
                 "type": "failed", "fingerprint": key, "kind": outcome.kind,
                 "error": outcome.error, "attempts": outcome.attempts,
                 "workloads": list(outcome.workloads),
             }
             self.journal.append(record)
-            state.failed[key] = record
-            family = breaker_family(state.specs[key])
-            if family not in state.breakers:
-                RUNNER_METRICS.inc("runner.breaker_trips")
-                breaker = {
-                    "type": "breaker", "family": family, "state": "open",
-                    "fingerprint": key, "attempts": outcome.attempts,
-                }
-                self.journal.append(breaker)
-                state.breakers[family] = breaker
-                if self.telemetry is not None:
-                    self.telemetry.emit(
-                        EventType.BREAKER_OPEN,
-                        cycle=state.manifest.index(key),
-                        data={"family": family, "fingerprint": key,
-                              "attempts": outcome.attempts},
-                    )
-        state.leases.pop(key, None)
+            self.state.failed[key] = record
 
     @contextmanager
     def supervised(self):
-        """Drain on SIGTERM/SIGINT and beat the lease heartbeat meanwhile."""
+        """Drain on SIGTERM/SIGINT while the campaign dispatches."""
         supervisor = _DrainSupervisor()
         supervisor.install()
-        heartbeat = _HeartbeatThread(self.journal)
-        heartbeat.start()
         try:
             yield
         finally:
-            heartbeat.stop()
             supervisor.uninstall()
 
     def seal(self, results: list, interrupted: bool) -> None:
@@ -628,7 +474,6 @@ class _Campaign:
                 "status": status,
                 "completed": len(state.completed),
                 "failed": len(state.failed),
-                "skipped": len(state.skipped),
                 "interrupted": sum(
                     1 for r in results
                     if isinstance(r, RunFailure) and r.kind == "interrupted"
@@ -652,8 +497,8 @@ def _emit_lane_events(
 
     The event's ``cycle`` is the lane index (campaign sessions count lanes,
     not simulated cycles); ``data`` names the tier that produced the slot
-    (``cache``/``batch``/``pool``/``serial``, ``journal`` or ``breaker``
-    on a resume, ``drained`` when interrupted) and, for batch lanes, which
+    (``cache``/``batch``/``pool``/``serial``, ``journal`` on a resume,
+    ``drained`` when interrupted) and, for batch lanes, which
     cohort the lane ended its quantum in.
     """
     for index, (spec, key) in enumerate(zip(spec_list, keys, strict=True)):
@@ -703,9 +548,9 @@ def drive_campaign(
     ``interrupted`` :class:`~repro.sim.parallel.RunFailure`.
 
     :func:`~repro.sim.parallel.run_many` is this driver without a
-    ``campaign``.  With one, the journal is told what is about to be
-    dispatched, each terminal outcome as it lands, and the seal, so a
-    driver killed midway loses no finished spec.
+    ``campaign``.  With one, the journal is told how much is about to be
+    dispatched (a resume record), each terminal outcome as it lands, and
+    the seal, so a driver killed midway loses no finished spec.
     """
     if retries < 0:
         raise SimulationError("retries must be >= 0")
@@ -740,7 +585,7 @@ def drive_campaign(
     try:
         with nullcontext() if campaign is None else campaign.supervised():
             if campaign is not None:
-                campaign.lease(ledger)
+                campaign.begin(len(ledger.work))
             dispatch(ledger, jobs, batch)
     except KeyboardInterrupt:
         # Landed outside the tiers' own drain (they book and return).
@@ -814,13 +659,14 @@ def run_durable(
 
     Semantics match :func:`~repro.sim.parallel.run_many` (input-order
     results, cache/batch/pool tiers, partial results with
-    ``raise_on_error=False``) plus the durable contract: the submit and
-    every lease are journaled before dispatch, each spec's outcome is
-    journaled as it lands (its cache entry first), SIGTERM/SIGINT drain
-    gracefully into a ``resumable`` seal, and a later
-    :func:`resume_campaign` (or ``repro campaign resume``) completes the
-    tail with results byte-identical to an uninterrupted run.  A driver
-    killed outright keeps every spec that had finished.
+    ``raise_on_error=False``) plus the durable contract: the campaign lock
+    is held from before the journal is read to the seal, the submit is
+    journaled before dispatch, each spec's outcome is journaled as it
+    lands (its cache entry first), SIGTERM/SIGINT drain gracefully into a
+    ``resumable`` seal, and a later :func:`resume_campaign` (or ``repro
+    campaign resume``) completes the tail with results byte-identical to
+    an uninterrupted run.  A driver killed outright keeps every spec that
+    had finished.
 
     Calling :func:`run_durable` again with the same spec list and an
     existing journal is an implicit resume — the restarted driver finds
@@ -837,55 +683,59 @@ def run_durable(
     manifest = [spec_fingerprint(spec) for spec in spec_list]
     campaign_id = campaign_id or derive_campaign_id(manifest)
     journal = CampaignJournal(directory, campaign_id)
-
-    if journal.exists():
-        existing = replay(journal)
-        if existing.manifest != manifest:
-            raise SimulationError(
-                f"campaign {campaign_id} already has a journal with a "
-                f"different manifest ({len(existing.manifest)} slot(s) vs "
-                f"{len(manifest)}); pick another campaign_id or resume it"
-            )
-        return resume_campaign(
-            campaign_id,
-            cache_dir=directory,
-            jobs=jobs,
-            raise_on_error=raise_on_error,
-            telemetry=telemetry,
-        )
-
-    state = CampaignState(
-        campaign_id=campaign_id,
-        manifest=manifest,
-        specs=dict(zip(manifest, spec_list, strict=True)),
-        options={"timeout": timeout, "retries": retries, "batch": batch},
-    )
-    campaign: _Campaign | None = _Campaign(journal, state, telemetry)
     try:
-        journal.append(
-            {
-                "type": "submit",
-                "campaign": campaign_id,
-                "schema": JOURNAL_SCHEMA,
-                "manifest": manifest,
-                "specs": {
-                    key: _encode_spec(spec)
-                    for key, spec in state.specs.items()
-                },
-                "options": state.options,
-            }
-        )
+        lock = journal.lock()
     except OSError:
-        # No journal could be started (an unwritable cache dir), so there
-        # is nothing to resume: run the specs as a plain batch, whose
-        # failed cache writes are counted rather than raised.
-        RUNNER_METRICS.inc("runner.campaign_unjournaled")
-        campaign = None
-    return drive_campaign(
-        spec_list, directory=directory, jobs=jobs, timeout=timeout,
-        retries=retries, raise_on_error=raise_on_error, batch=batch,
-        telemetry=telemetry, campaign=campaign,
-    )
+        lock = None  # an unwritable cache dir: see below
+    with lock or nullcontext():
+        if lock is not None and journal.exists():
+            existing = replay(journal)
+            if existing.manifest != manifest:
+                raise SimulationError(
+                    f"campaign {campaign_id} already has a journal with a "
+                    f"different manifest ({len(existing.manifest)} slot(s) "
+                    f"vs {len(manifest)}); pick another campaign_id or "
+                    "resume it"
+                )
+            return _resume(
+                journal, existing, jobs=jobs, raise_on_error=raise_on_error,
+                telemetry=telemetry,
+            )
+        state = CampaignState(
+            campaign_id=campaign_id,
+            manifest=manifest,
+            specs=dict(zip(manifest, spec_list, strict=True)),
+            options={"timeout": timeout, "retries": retries, "batch": batch},
+        )
+        campaign: _Campaign | None = None
+        if lock is not None:
+            campaign = _Campaign(journal, state, telemetry)
+            try:
+                journal.append(
+                    {
+                        "type": "submit",
+                        "campaign": campaign_id,
+                        "schema": JOURNAL_SCHEMA,
+                        "manifest": manifest,
+                        "specs": {
+                            key: _encode_spec(spec)
+                            for key, spec in state.specs.items()
+                        },
+                        "options": state.options,
+                    }
+                )
+            except OSError:
+                campaign = None
+        if campaign is None:
+            # No journal could be started (an unwritable cache dir), so
+            # there is nothing to resume: run the specs as a plain batch,
+            # whose failed cache writes are counted rather than raised.
+            RUNNER_METRICS.inc("runner.campaign_unjournaled")
+        return drive_campaign(
+            spec_list, directory=directory, jobs=jobs, timeout=timeout,
+            retries=retries, raise_on_error=raise_on_error, batch=batch,
+            telemetry=telemetry, campaign=campaign,
+        )
 
 
 def resume_campaign(
@@ -896,24 +746,20 @@ def resume_campaign(
     force: bool = False,
     raise_on_error: bool = True,
     telemetry=None,
-    lease_stale_s: float = DEFAULT_LEASE_STALE_S,
     retries: int | None = None,
 ) -> list[RunResult | RunFailure]:
     """Replay a campaign's journal and finish its unfinished tail.
 
     Recovery steps, in order:
 
-    1. **replay** — fold the journal (unique-prefix ``campaign_id`` match,
-       like git) into the campaign state;
-    2. **lease audit** — a lease held by a *live* foreign pid with a fresh
-       heartbeat means another driver is still running: refuse, loudly.
-       Leases whose pid is dead, whose heartbeat is stale, or that belong
-       to this very process are reclaimed (journaled, counted);
-    3. **breaker handling** — ``force=True`` journals every open breaker
-       closed and returns failed/skipped specs to the tail; otherwise
-       they stay settled, and unfinished specs of an open family are
-       skipped;
-    4. **dispatch** — :func:`drive_campaign` runs the rest.  Its cache
+    1. **lock** — resolve ``campaign_id`` (unique prefixes match, like
+       git) and take the campaign lock.  A lock held by another process
+       means a live driver: refuse, loudly.  A driver that died, however
+       it died, held no lock past its death;
+    2. **replay** — fold the journal into the campaign state.  Failed
+       specs stay settled unless ``force=True`` returns them to the tail;
+       every other slot that is not completed is pending;
+    3. **dispatch** — :func:`drive_campaign` runs the rest.  Its cache
        lookup verifies every ``completed`` fingerprint through the cache's
        checked reader (``runner.campaign_verified``); a divergent entry is
        quarantined by the reader and the spec re-runs
@@ -921,51 +767,39 @@ def resume_campaign(
        result list is byte-identical to an uninterrupted run.
 
     ``retries`` overrides the journaled retry budget when given (e.g.
-    granting a poison spec more retries on a forced resume).
+    granting a failed spec more retries on a forced resume).
     """
     if cache_dir is None:
         raise SimulationError(
             "durable campaigns need a cache_dir (the journal lives there)"
         )
-    directory = Path(cache_dir)
-    journal = _find_journal(directory, campaign_id)
-    state = replay(journal)
-    RUNNER_METRICS.inc("runner.campaign_resumes")
-    pid = os.getpid()
-
-    for key, holder in list(state.leases.items()):
-        if (
-            holder != pid
-            and pid_alive(holder)
-            and journal.heartbeat_fresh(holder, lease_stale_s)
-        ):
-            raise SimulationError(
-                f"campaign {state.campaign_id} is still being driven by "
-                f"pid {holder} (live heartbeat); refusing to double-run. "
-                "Wait for it, or kill it and resume once its heartbeat "
-                f"goes stale (> {lease_stale_s:.0f}s)"
-            )
-        journal.append(
-            {"type": "reclaim", "fingerprint": key, "pid": holder}
+    journal = _find_journal(Path(cache_dir), campaign_id)
+    with journal.lock():
+        return _resume(
+            journal, replay(journal), jobs=jobs, force=force,
+            raise_on_error=raise_on_error, telemetry=telemetry,
+            retries=retries,
         )
-        del state.leases[key]
-        state.reclaimed += 1
-        RUNNER_METRICS.inc("runner.campaign_reclaimed")
 
+
+def _resume(
+    journal: CampaignJournal,
+    state: CampaignState,
+    *,
+    jobs: int | None,
+    raise_on_error: bool,
+    telemetry,
+    force: bool = False,
+    retries: int | None = None,
+) -> list[RunResult | RunFailure]:
+    """Drive a replayed campaign again; the caller holds its lock."""
+    RUNNER_METRICS.inc("runner.campaign_resumes")
     if force:
-        for family, record in list(state.breakers.items()):
-            journal.append(
-                {"type": "breaker", "family": family, "state": "closed",
-                 "fingerprint": record.get("fingerprint")}
-            )
-            del state.breakers[family]
         state.failed.clear()
-        state.skipped.clear()
-
     options = state.options
     return drive_campaign(
         [state.specs[key] for key in state.manifest],
-        directory=directory,
+        directory=journal.cache_dir,
         jobs=jobs,
         timeout=options.get("timeout"),
         retries=int(options.get("retries", 0) if retries is None else retries),
@@ -1026,9 +860,6 @@ def list_campaigns(cache_dir: str | Path) -> list[dict]:
                 "specs": len(state.order),
                 "completed": len(state.completed),
                 "failed": len(state.failed),
-                "skipped": len(state.skipped),
-                "leases": len(state.leases),
-                "breakers": sorted(state.breakers),
                 "sealed": state.sealed or "open",
             }
         )
@@ -1039,20 +870,15 @@ def list_campaigns(cache_dir: str | Path) -> list[dict]:
 
 
 def _classify_quarantined(path: Path) -> str:
-    """Re-derive why a quarantined cache entry was rejected."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return "unreadable"
-    if payload.get("fingerprint") != path.stem:
-        return "fingerprint_mismatch"
-    try:
-        from .results import result_from_dict
+    """Re-derive why a quarantined cache entry was rejected.
 
-        result_from_dict(payload["result"])
-    except Exception:
-        return "bad_shape"
-    return "recovered"  # would load cleanly now (e.g. a racing writer won)
+    ``recovered`` means it would load cleanly now (e.g. a racing writer
+    won); a file gone since the listing counts as ``unreadable``.
+    """
+    entry = _read_entry(path, path.stem)
+    if isinstance(entry, str):
+        return entry
+    return "unreadable" if entry is None else "recovered"
 
 
 def quarantine_entries(cache_dir: str | Path) -> list[dict]:
@@ -1077,8 +903,8 @@ def quarantine_entries(cache_dir: str | Path) -> list[dict]:
 def cache_stats(cache_dir: str | Path) -> dict:
     """Aggregate statistics for one cache directory.
 
-    Powers ``repro cache``: entry counts and bytes by kind, the result
-    format versions present, rollup/journal/quarantine/tmp tallies.
+    Powers ``repro cache``: entry count and bytes, the result format
+    versions present, rollup/journal/quarantine/tmp tallies.
     Purely a reader — never mutates, quarantines, or sweeps.
     """
     directory = Path(cache_dir)
@@ -1086,7 +912,6 @@ def cache_stats(cache_dir: str | Path) -> dict:
         "cache_dir": str(directory),
         "entries": 0,
         "bytes": 0,
-        "kinds": {},
         "format_versions": {},
         "unreadable": 0,
         "stale_tmp": 0,
@@ -1104,8 +929,6 @@ def cache_stats(cache_dir: str | Path) -> dict:
         except (OSError, ValueError):
             stats["unreadable"] += 1
             continue
-        kind = str(payload.get("kind", "?"))
-        stats["kinds"][kind] = stats["kinds"].get(kind, 0) + 1
         version = str(
             (payload.get("result") or {}).get("format_version", "?")
         )

@@ -124,12 +124,12 @@ class RunFailure:
 
     Takes the failed spec's slot in :func:`run_many`'s result list, so a
     partial campaign stays index-aligned with its input.  ``kind`` is
-    ``"timeout"``, ``"crash"`` (the pool broke and the serial re-run also
-    failed), ``"error"``, ``"interrupted"`` (an operator interrupt drained
-    the batch before this spec finished), or ``"breaker_open"`` (a durable
-    campaign's circuit breaker skipped the spec — see
-    :mod:`repro.sim.durable`); ``attempts`` counts every attempt made
-    (1 + retries at most).  Failures are never written to the cache.
+    ``"timeout"``, ``"error"`` (the attempt raised; a worker crash re-runs
+    its specs in-process, where an injected crash raises
+    :class:`~repro.errors.FaultError`), or ``"interrupted"`` (an operator
+    interrupt drained the batch before this spec finished); ``attempts``
+    counts every attempt made (1 + retries at most).  Failures are never
+    written to the cache.
     """
 
     workloads: tuple[str, ...]
@@ -381,31 +381,47 @@ def _quarantine(cache_dir: Path, path: Path, reason: str) -> None:
     RUNNER_METRICS.inc(f"cache.quarantined.{reason}")
 
 
-def _cache_load(
-    cache_dir: Path | None, key: str
-) -> RunResult | None:
-    if cache_dir is None:
-        return None
-    path = _cache_path(cache_dir, key)
+def _read_entry(path: Path, key: str) -> RunResult | str | None:
+    """Read one cache entry: its result, ``None`` if there is no file, or
+    why it is rejected.
+
+    The reasons are ``unreadable`` (the file cannot be read or parsed),
+    ``fingerprint_mismatch`` (it was stored under another key) and
+    ``bad_shape`` (parsed JSON whose shape no longer matches the result
+    format: a stale or mangled entry).  The cache's checked reader and
+    the quarantine inspector both decide through here.
+    """
     try:
         payload = json.loads(path.read_text())
     except FileNotFoundError:
-        return None  # a plain miss: nothing was ever stored
-    except (OSError, ValueError):
-        # The file exists but cannot be read or parsed: that is corruption,
-        # not a miss — quarantine it so it is observable and inspectable.
-        _quarantine(cache_dir, path, "unreadable")
         return None
+    except (OSError, ValueError):
+        return "unreadable"
     try:
         if payload.get("fingerprint") != key:
-            _quarantine(cache_dir, path, "fingerprint_mismatch")
-            return None
+            return "fingerprint_mismatch"
         return result_from_dict(payload["result"])
     except Exception:
-        # Parsed JSON whose shape no longer matches the result format —
-        # a stale or mangled entry.  Quarantine rather than swallow.
-        _quarantine(cache_dir, path, "bad_shape")
+        return "bad_shape"
+
+
+def _cache_load(
+    cache_dir: Path | None, key: str
+) -> RunResult | None:
+    """The cache's checked reader: a hit, or ``None`` for a miss.
+
+    A missing file is a plain miss.  A rejected entry is corruption, not
+    a miss: it is quarantined so it is observable and inspectable, and
+    the spec re-runs.
+    """
+    if cache_dir is None:
         return None
+    path = _cache_path(cache_dir, key)
+    entry = _read_entry(path, key)
+    if isinstance(entry, str):
+        _quarantine(cache_dir, path, entry)
+        return None
+    return entry
 
 
 def pid_alive(pid: int) -> bool:
@@ -453,7 +469,6 @@ def _cache_store(
     if cache_dir is None:
         return
     body = {
-        "kind": "run",
         "result": result_to_dict(result),
         "fingerprint": key,
         "workloads": list(spec.workloads),

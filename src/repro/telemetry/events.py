@@ -58,12 +58,8 @@ class EventType(str, enum.Enum):
     LANE_COMPLETE = "lane_complete"
     #: a campaign rollup was written beside the run cache (data: key, runs)
     CAMPAIGN_ROLLUP = "campaign_rollup"
-    #: a durable campaign leased one spec to a pid (data: fingerprint, pid)
-    CAMPAIGN_LEASE = "campaign_lease"
     #: a journal replay resumed a campaign (data: campaign, completed, ...)
     CAMPAIGN_RESUME = "campaign_resume"
-    #: a spec family burned its retries and tripped the circuit breaker
-    BREAKER_OPEN = "breaker_open"
 
 
 #: Narrative event types — everything except the high-frequency samples.

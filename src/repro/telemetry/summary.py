@@ -105,22 +105,11 @@ def narrative_line(event: Event) -> str:
             f"{data.get('runs', '?')} runs -> "
             f"rollup {str(data.get('key', '?'))[:12]}"
         )
-    elif event.type is EventType.CAMPAIGN_LEASE:
-        detail = (
-            f"spec {str(data.get('fingerprint', '?'))[:12]} leased by "
-            f"pid {data.get('pid', '?')}"
-        )
     elif event.type is EventType.CAMPAIGN_RESUME:
         detail = (
             f"campaign {data.get('campaign', '?')} resumed: "
             f"{data.get('completed', '?')} done, "
-            f"{data.get('pending', '?')} pending, "
-            f"{data.get('reclaimed', '?')} leases reclaimed"
-        )
-    elif event.type is EventType.BREAKER_OPEN:
-        detail = (
-            f"family {data.get('family', '?')} tripped open after "
-            f"{data.get('attempts', '?')} attempt(s)"
+            f"{data.get('pending', '?')} pending"
         )
     else:
         detail = ""
@@ -167,7 +156,7 @@ def durable_narrative(counters: dict[str, int]) -> list[str]:
 
     ``counters`` is the same flat counter mapping ``batch_narrative``
     consumes (``RUNNER_METRICS.counters``), read here for the
-    ``runner.campaign_*`` / ``runner.breaker_*`` keys written by
+    ``runner.campaign_*`` keys written by
     :mod:`repro.sim.durable`.  Empty when no journal-backed campaign ran
     in this process, so the section never perturbs plain-run summaries.
     """
@@ -179,19 +168,6 @@ def durable_narrative(counters: dict[str, int]) -> list[str]:
         lines.append(
             f"{resumes} campaign resume(s): {verified} cached result(s) "
             f"verified, {missing} re-dispatched after cache divergence"
-        )
-    reclaimed = counters.get("runner.campaign_reclaimed", 0)
-    if reclaimed:
-        lines.append(
-            f"{reclaimed} orphaned lease(s) reclaimed from dead or "
-            f"stale pids"
-        )
-    trips = counters.get("runner.breaker_trips", 0)
-    skipped = counters.get("runner.breaker_skipped", 0)
-    if trips or skipped:
-        lines.append(
-            f"circuit breaker: {trips} family(ies) tripped open, "
-            f"{skipped} spec(s) skipped while open"
         )
     drained = counters.get("runner.campaign_drained", 0)
     if drained:

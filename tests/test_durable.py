@@ -1,4 +1,4 @@
-"""Durable campaigns: journal, checkpoint/resume, breaker, graceful drain.
+"""Durable campaigns: journal, campaign lock, checkpoint/resume, drain.
 
 Interrupts are injected deterministically through
 :class:`~repro.faults.plan.WorkerFaultPlan.interrupt_attempts` (fires once
@@ -12,6 +12,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from repro.sim import (
 from repro.sim.durable import (
     CampaignJournal,
     _DrainSupervisor,
-    breaker_family,
+    _encode_spec,
     cache_stats,
     derive_campaign_id,
     list_campaigns,
@@ -76,10 +77,10 @@ def kinds(results):
 class TestJournal:
     def test_append_and_replay_round_trip(self, tmp_path):
         journal = CampaignJournal(tmp_path, "cafe0000")
-        journal.append({"type": "lease", "fingerprint": "f1", "pid": 7})
+        journal.append({"type": "failed", "fingerprint": "f1"})
         journal.append({"type": "completed", "fingerprint": "f1"})
         records = journal.records()
-        assert [r["type"] for r in records] == ["lease", "completed"]
+        assert [r["type"] for r in records] == ["failed", "completed"]
         assert [r["seq"] for r in records] == [0, 1]
         # a second journal instance continues the sequence
         again = CampaignJournal(tmp_path, "cafe0000")
@@ -88,10 +89,10 @@ class TestJournal:
 
     def test_unreadable_record_is_skipped_and_counted(self, tmp_path):
         journal = CampaignJournal(tmp_path, "cafe0001")
-        journal.append({"type": "lease", "fingerprint": "f1", "pid": 7})
+        journal.append({"type": "completed", "fingerprint": "f1"})
         (journal.root / f"00000001.{os.getpid()}.json").write_text("{torn")
         before = RUNNER_METRICS.counters.get("journal.unreadable_records", 0)
-        assert [r["type"] for r in journal.records()] == ["lease"]
+        assert [r["type"] for r in journal.records()] == ["completed"]
         assert (
             RUNNER_METRICS.counters["journal.unreadable_records"]
             == before + 1
@@ -99,16 +100,60 @@ class TestJournal:
 
     def test_replay_without_submit_is_loud(self, tmp_path):
         journal = CampaignJournal(tmp_path, "cafe0002")
-        journal.append({"type": "lease", "fingerprint": "f1", "pid": 7})
+        journal.append({"type": "completed", "fingerprint": "f1"})
         with pytest.raises(SimulationError, match="no submit record"):
             replay(journal)
 
-    def test_heartbeat_freshness(self, tmp_path):
-        journal = CampaignJournal(tmp_path, "cafe0003")
-        assert not journal.heartbeat_fresh(1234, 60.0)
-        journal.heartbeat(1234, beats=0)
-        assert journal.heartbeat_fresh(1234, 60.0)
-        assert not journal.heartbeat_fresh(1234, 0.0)
+    def test_older_grammar_journal_resumes_like_run_many(self, tmp_path):
+        # Older builds also journaled leases, reclaims, a circuit breaker
+        # per workload mix + policy, and the siblings it skipped.  Replay
+        # ignores those records: the skipped sibling runs, the failure
+        # stays settled.
+        specs = [
+            chaos_spec(("gzip", "gzip"), fail_attempts=5),
+            plain_spec(("gzip", "gzip"), seed=7),
+            plain_spec(("gcc", "swim")),
+        ]
+        keys = [spec_fingerprint(spec) for spec in specs]
+        campaign = derive_campaign_id(keys)
+        family = "gzip+gzip@" + specs[0].config.dtm_policy
+        dead = 2 ** 22 + 1  # beyond any default pid_max
+        journal = CampaignJournal(tmp_path, campaign)
+        for record in [
+            {"type": "submit", "campaign": campaign, "schema": 1,
+             "manifest": keys,
+             "specs": {key: _encode_spec(spec)
+                       for key, spec in zip(keys, specs)},
+             "options": {"timeout": None, "retries": 0, "batch": True}},
+            *({"type": "lease", "fingerprint": key, "pid": dead}
+              for key in keys),
+            {"type": "failed", "fingerprint": keys[0], "kind": "error",
+             "error": "FaultError: injected transient failure (attempt 0)",
+             "attempts": 1, "workloads": ["gzip", "gzip"]},
+            {"type": "breaker", "family": family, "state": "open",
+             "fingerprint": keys[0], "attempts": 1},
+            {"type": "seal", "status": "resumable", "completed": 0,
+             "failed": 1, "skipped": 0, "interrupted": 2},
+            {"type": "reclaim", "fingerprint": keys[1], "pid": dead},
+            {"type": "reclaim", "fingerprint": keys[2], "pid": dead},
+            {"type": "resume", "campaign": campaign, "pid": dead,
+             "completed": 0, "pending": 2, "reclaimed": 2, "force": False},
+            {"type": "skipped", "fingerprint": keys[1], "family": family},
+            {"type": "lease", "fingerprint": keys[2], "pid": dead},
+        ]:
+            journal.append(record)
+
+        resumed = resume_campaign(
+            campaign, cache_dir=tmp_path, jobs=1, raise_on_error=False
+        )
+        assert kinds(resumed) == ["error", "ok", "ok"]
+        clean = run_many(specs, jobs=1, cache_dir=None, raise_on_error=False)
+        assert results_to_canonical_json(resumed) == (
+            results_to_canonical_json(clean)
+        )
+        row = list_campaigns(tmp_path)[0]
+        assert (row["completed"], row["failed"]) == (2, 1)
+        assert row["sealed"] == "complete"
 
     def test_campaign_id_is_deterministic(self):
         specs = [plain_spec(("gcc", "swim")), plain_spec(("gzip", "mcf"))]
@@ -246,42 +291,6 @@ class TestDrainAndResume:
         # the corrupt entry was quarantined by the checked reader
         assert (tmp_path / "quarantine" / f"{key}.json").exists()
 
-    def test_dead_pid_lease_is_reclaimed(self, tmp_path):
-        specs = [plain_spec(("gcc", "swim"))]
-        campaign = campaign_id_of(specs)
-        run_durable(specs, cache_dir=tmp_path, jobs=1)
-        journal = CampaignJournal(tmp_path, campaign)
-        dead = 2 ** 22 + 1  # beyond any default pid_max
-        journal.append(
-            {"type": "lease",
-             "fingerprint": spec_fingerprint(specs[0]), "pid": dead}
-        )
-        before = RUNNER_METRICS.counters.get("runner.campaign_reclaimed", 0)
-        resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
-        assert (
-            RUNNER_METRICS.counters["runner.campaign_reclaimed"]
-            == before + 1
-        )
-        assert replay(journal).leases == {}
-
-    def test_live_foreign_lease_refuses_resume(self, tmp_path):
-        specs = [plain_spec(("gcc", "swim"))]
-        campaign = campaign_id_of(specs)
-        run_durable(specs, cache_dir=tmp_path, jobs=1)
-        journal = CampaignJournal(tmp_path, campaign)
-        journal.append(
-            {"type": "lease",
-             "fingerprint": spec_fingerprint(specs[0]), "pid": 1}
-        )
-        journal.heartbeat(1, beats=0)  # fresh heartbeat for live pid 1
-        with pytest.raises(SimulationError, match="still being driven"):
-            resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
-        # a stale heartbeat makes the same lease reclaimable
-        results = resume_campaign(
-            campaign, cache_dir=tmp_path, jobs=1, lease_stale_s=0.0
-        )
-        assert kinds(results) == ["ok"]
-
     def test_unknown_campaign_is_loud_and_prefix_matches(self, tmp_path):
         specs = [plain_spec(("gcc", "swim"))]
         run_durable(specs, cache_dir=tmp_path, jobs=1)
@@ -293,23 +302,18 @@ class TestDrainAndResume:
         ) == ["ok"]
 
 
-class TestCircuitBreaker:
-    """A terminal failure trips its family open; a resume skips siblings.
-
-    The failing spec's sibling (same family) is interrupted on the first
-    run, so it is still unfinished when the breaker is consulted at the
-    resume's lease time.
-    """
-
+class TestFailedSpecs:
     @pytest.fixture(autouse=True)
     def fresh_interrupts(self, monkeypatch):
-        # The interrupt hook fires once per process per fingerprint; every
-        # test here needs it to fire on its own first run.
+        # The interrupt hook fires once per process per fingerprint; the
+        # test needs it to fire on its own first run.
         from repro.sim import parallel
 
         monkeypatch.setattr(parallel, "_INTERRUPTED_ONCE", set())
 
-    def failing_campaign(self, tmp_path):
+    def test_failure_stays_settled_and_force_reruns_it(self, tmp_path):
+        # The failing spec and its interrupted sibling share a workload
+        # mix and policy: the resume runs the sibling like a clean run.
         specs = [
             chaos_spec(("gzip", "gzip"), fail_attempts=5),
             RunSpec(
@@ -320,44 +324,29 @@ class TestCircuitBreaker:
             ),
             plain_spec(("gcc", "swim")),
         ]
-        results = run_durable(
-            specs, cache_dir=tmp_path, jobs=1, raise_on_error=False,
+        campaign = campaign_id_of(specs)
+        first = run_durable(
+            specs, cache_dir=tmp_path / "k", jobs=1, raise_on_error=False,
         )
-        assert kinds(results) == ["error", "interrupted", "interrupted"]
-        return specs
+        assert kinds(first) == ["error", "interrupted", "interrupted"]
 
-    def resume(self, tmp_path, specs, **kwargs):
-        return resume_campaign(
-            campaign_id_of(specs), cache_dir=tmp_path, jobs=1,
-            raise_on_error=False, **kwargs,
+        resumed = resume_campaign(
+            campaign, cache_dir=tmp_path / "k", jobs=1, raise_on_error=False,
+        )
+        assert kinds(resumed) == ["error", "ok", "ok"]
+        clean = run_durable(
+            specs, cache_dir=tmp_path / "c", jobs=1, raise_on_error=False,
+        )
+        assert results_to_canonical_json(resumed) == (
+            results_to_canonical_json(clean)
         )
 
-    def test_terminal_failure_trips_family_and_skips_siblings(
-        self, tmp_path
-    ):
-        before = RUNNER_METRICS.counters.get("runner.breaker_trips", 0)
-        specs = self.failing_campaign(tmp_path)
-        assert RUNNER_METRICS.counters["runner.breaker_trips"] == before + 1
-        assert breaker_family(specs[0]) == breaker_family(specs[1])
-        assert breaker_family(specs[0]) != breaker_family(specs[2])
-        assert list_campaigns(tmp_path)[0]["breakers"] == [
-            breaker_family(specs[0])
-        ]
-        results = self.resume(tmp_path, specs)
-        assert kinds(results) == ["error", "breaker_open", "ok"]
-        assert "breaker is open" in results[1].error
-
-    def test_resume_keeps_breaker_open_without_force(self, tmp_path):
-        specs = self.failing_campaign(tmp_path)
-        self.resume(tmp_path, specs)
-        resumed = self.resume(tmp_path, specs)
-        assert kinds(resumed) == ["error", "breaker_open", "ok"]
-
-    def test_force_recloses_breaker_and_redispatches(self, tmp_path):
-        specs = self.failing_campaign(tmp_path)
-        resumed = self.resume(tmp_path, specs, force=True, retries=5)
-        assert kinds(resumed) == ["ok", "ok", "ok"]
-        assert list_campaigns(tmp_path)[0]["breakers"] == []
+        forced = resume_campaign(
+            campaign, cache_dir=tmp_path / "k", jobs=1, raise_on_error=False,
+            force=True, retries=5,
+        )
+        assert kinds(forced) == ["ok", "ok", "ok"]
+        assert list_campaigns(tmp_path / "k")[0]["failed"] == 0
 
 
 def checkpoint_specs():
@@ -408,6 +397,66 @@ class TestCheckpoint:
         )
 
 
+def holding_child(cache_dir: str) -> None:
+    """Drive the checkpoint campaign; hold it as the second spec starts.
+
+    Prints ``holding`` once the first spec is journaled, waits for its
+    stdin to close, then hard-exits with the campaign lock still held.
+    """
+    from repro.sim import parallel
+
+    execute = parallel._execute
+    started = []
+
+    def holding(spec):
+        started.append(spec)
+        if len(started) == 2:
+            print("holding", flush=True)
+            sys.stdin.read()
+            os._exit(17)  # no cleanup: the kernel drops the lock
+        return execute(spec)
+
+    parallel._execute = holding
+    run_durable(checkpoint_specs(), cache_dir=cache_dir, jobs=1)
+
+
+class TestCampaignLock:
+    def test_a_live_driver_holds_its_campaign_until_it_exits(self, tmp_path):
+        specs = checkpoint_specs()
+        campaign = campaign_id_of(specs)
+        child = subprocess.Popen(
+            [sys.executable, __file__, "--holding-child", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 300)
+            assert ready and child.stdout.readline() == "holding\n"
+            with pytest.raises(SimulationError, match="still being driven"):
+                resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
+            with pytest.raises(SimulationError, match="still being driven"):
+                run_durable(specs, cache_dir=tmp_path, jobs=1)
+        finally:
+            try:
+                # Closes the child's stdin: it hard-exits, lock held.
+                _, stderr = child.communicate(timeout=120)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                raise
+        assert child.returncode == 17, stderr
+
+        resumed = resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
+        clean = run_many(specs, jobs=1, cache_dir=None)
+        assert results_to_canonical_json(resumed) == (
+            results_to_canonical_json(clean)
+        )
+        records = CampaignJournal(tmp_path, campaign).records()
+        assert {r["type"] for r in records} == {
+            "submit", "completed", "resume", "seal"
+        }
+
+
 class TestDrainSupervisor:
     def test_sigterm_translates_to_keyboard_interrupt_once(self):
         supervisor = _DrainSupervisor()
@@ -416,7 +465,6 @@ class TestDrainSupervisor:
         try:
             with pytest.raises(KeyboardInterrupt, match="drain requested"):
                 os.kill(os.getpid(), signal.SIGTERM)
-            assert supervisor.draining
             # the handler restored the previous disposition for signal #2
             assert signal.getsignal(signal.SIGTERM) == previous
         finally:
@@ -548,7 +596,6 @@ class TestCacheInspection:
         (tmp_path / "bogus.json").write_text("{torn")
         stats = cache_stats(tmp_path)
         assert stats["entries"] == 3 and stats["unreadable"] == 1
-        assert stats["kinds"] == {"run": 2}
         assert stats["format_versions"] == {"1": 2}
         assert stats["rollups"] == 1 and stats["campaigns"] == 1
         assert stats["bytes"] > 0
@@ -651,3 +698,5 @@ class TestCampaignCli:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--checkpoint-child"]:
         checkpoint_child(sys.argv[2])
+    elif sys.argv[1:2] == ["--holding-child"]:
+        holding_child(sys.argv[2])
