@@ -91,11 +91,14 @@ def _is_columnar(path) -> bool:
     return path is not None and str(path).endswith(".npz")
 
 
-def _read_log(path):
-    """(event iterator, columnar metadata or None) for either log format."""
+def _read_log(path, retired: dict[str, int] | None = None):
+    """(event iterator, columnar metadata or None) for either log format.
+
+    Records of retired event types are skipped, counted in ``retired``.
+    """
     if _is_columnar(path):
-        return read_columnar(path), columnar_meta(path)
-    return read_events(path), None
+        return read_columnar(path, retired), columnar_meta(path)
+    return read_events(path, retired), None
 
 
 def cmd_run(args) -> int:
@@ -151,7 +154,8 @@ def _format_event(event) -> str:
 
 
 def cmd_events(args) -> int:
-    stream, meta = _read_log(args.log)
+    retired: dict[str, int] = {}
+    stream, meta = _read_log(args.log, retired)
     types = {EventType(name) for name in args.type} if args.type else None
     selected = iter_filtered(
         stream,
@@ -173,6 +177,7 @@ def cmd_events(args) -> int:
         print(reducer.render(
             batch_counters=RUNNER_METRICS.counters,
             ring=meta.get("ring") if meta else None,
+            retired=retired,
         ))
         return 0
     remaining = 0

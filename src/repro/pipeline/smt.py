@@ -30,7 +30,7 @@ complete → commit → issue → dispatch → fetch inline, over state held in
 locals for the length of the call (:meth:`SMTCore.step` is
 ``run_cycles(1)``).  Counters nobody reads inside a cycle are bumped once
 per group: rename and window writes once per thread's dispatch group, and
-``seq_counter``/``icount``/``fetched`` once per fetch block.
+``icount``/``fetched`` once per fetch block.
 """
 
 from __future__ import annotations
@@ -274,7 +274,6 @@ class SMTCore:
                         rob = thread.rob
                         if rob and rob[0].done:
                             uop = rob.popleft()
-                            uop.in_window = False
                             thread.icount -= 1
                             thread.committed += 1
                             if uop.is_mem:
@@ -310,7 +309,6 @@ class SMTCore:
                             counts[exec_block] += 1
                         if uop.is_mem:
                             counts[LSQ] += 1
-                        uop.issued = True
                         when = cycle + uop.latency
                         bucket = wheel.get(when)
                         if bucket is None:
@@ -348,7 +346,6 @@ class SMTCore:
                         if is_mem and lsq_used >= lsq_size:
                             break
                         queue.popleft()
-                        uop.in_window = True
                         deps = 0
                         for src in uop.srcs:
                             producer = writer_table[src]
@@ -425,7 +422,6 @@ class SMTCore:
                         next_uop = source.next_uop
                         queue = thread.fetch_queue
                         limit = min(budget, max_queue - len(queue))
-                        seq = thread.seq_counter
                         last_line = thread.last_fetch_line
                         fetched = 0
                         while fetched < limit:
@@ -445,7 +441,6 @@ class SMTCore:
                             if uop is None:
                                 thread.halted = True
                                 break
-                            uop.seq = seq + fetched
                             queue.append((decode_ready, uop))
                             fetched += 1
                             if uop.opclass == OP_BRANCH:
@@ -457,7 +452,6 @@ class SMTCore:
                                 break
                         thread.last_fetch_line = last_line
                         if fetched:
-                            thread.seq_counter = seq + fetched
                             thread.icount += fetched
                             thread.fetched += fetched
                             budget -= fetched

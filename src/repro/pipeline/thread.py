@@ -56,8 +56,6 @@ class ThreadContext:
         "cycles_normal",
         "cycles_cooling",
         "cycles_sedated",
-        "cycles_mem_blocked",
-        "seq_counter",
     )
 
     def __init__(self, tid: int, source: StreamCursor) -> None:
@@ -81,8 +79,6 @@ class ThreadContext:
         self.cycles_normal = 0
         self.cycles_cooling = 0
         self.cycles_sedated = 0
-        self.cycles_mem_blocked = 0
-        self.seq_counter = 0
 
     def fork(self, memo: dict[int, Uop]) -> "ThreadContext":
         """Mid-run clone for a pipeline fork (see :meth:`SMTCore.fork`).
@@ -121,8 +117,6 @@ class ThreadContext:
         clone.cycles_normal = self.cycles_normal
         clone.cycles_cooling = self.cycles_cooling
         clone.cycles_sedated = self.cycles_sedated
-        clone.cycles_mem_blocked = self.cycles_mem_blocked
-        clone.seq_counter = self.seq_counter
         return clone
 
     def ipc(self, cycles: int) -> float:

@@ -44,7 +44,7 @@ class Uop:
       (gates fetch until resolution).
 
     Scheduling fields (owned by the pipeline): ``deps``, ``consumers``,
-    ``latency``, ``done``, ``issued``, ``in_window``, ``seq``.
+    ``latency``, ``done``.
     """
 
     __slots__ = (
@@ -56,13 +56,10 @@ class Uop:
         "address",
         "taken",
         "mispredict",
-        "seq",
         "latency",
         "deps",
         "consumers",
         "done",
-        "issued",
-        "in_window",
         "is_mem",
     )
 
@@ -85,18 +82,15 @@ class Uop:
         self.address = address
         self.taken = taken
         self.mispredict = mispredict
-        self.seq = 0
         self.latency = OPCLASS_LATENCY[opclass]
         self.deps = 0
         self.consumers: list[Uop] | None = None
         self.done = False
-        self.issued = False
-        self.in_window = False
         self.is_mem = opclass == OP_LOAD or opclass == OP_STORE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Uop(t{self.thread} seq={self.seq} {OPCLASS_NAMES[self.opclass]} "
+            f"Uop(t{self.thread} {OPCLASS_NAMES[self.opclass]} "
             f"pc={self.pc:#x} dest={self.dest} srcs={self.srcs})"
         )
 
@@ -111,7 +105,7 @@ def fork_uop(uop: Uop, memo: dict[int, Uop]) -> Uop:
     ``id(uop)``) therefore maps every original to exactly one twin, and the
     twin is registered *before* consumers are recursed so shared consumers
     and self-referential paths resolve to the same object, like
-    ``copy.deepcopy`` — but touching only the sixteen slot fields.
+    ``copy.deepcopy`` — but touching only the thirteen slot fields.
     """
     key = id(uop)
     twin = memo.get(key)
@@ -127,7 +121,6 @@ def fork_uop(uop: Uop, memo: dict[int, Uop]) -> Uop:
     twin.address = uop.address
     twin.taken = uop.taken
     twin.mispredict = uop.mispredict
-    twin.seq = uop.seq
     twin.latency = uop.latency
     twin.deps = uop.deps
     consumers = uop.consumers
@@ -136,7 +129,5 @@ def fork_uop(uop: Uop, memo: dict[int, Uop]) -> Uop:
     else:
         twin.consumers = [fork_uop(consumer, memo) for consumer in consumers]
     twin.done = uop.done
-    twin.issued = uop.issued
-    twin.in_window = uop.in_window
     twin.is_mem = uop.is_mem
     return twin

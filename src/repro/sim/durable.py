@@ -204,30 +204,65 @@ class CampaignJournal:
                 continue
         return records
 
-    def lock(self):
-        """Take the campaign lock; returns the open file that holds it.
+    def lock(self) -> "_CampaignLock":
+        """Take the campaign lock; returns the handle that holds it.
 
         A POSIX record lock (``lockf``) on ``<root>/lock``: it belongs to
         this process alone, so forked pool workers do not inherit it, and
         the kernel drops it when the process dies or closes any descriptor
-        of the file.  Close the returned file to release it.  A lock held
-        by another process raises :class:`SimulationError`; any other
-        ``OSError`` (an unwritable cache dir) propagates.
+        of the file.  Since a record lock cannot see a second holder in
+        its own process, the process also keeps a registry of the locks it
+        holds, so a second campaign run from another thread is refused
+        before it opens (and, closing, would release) the file.  Close the returned
+        handle to release both.  A lock held by this or another process
+        raises :class:`SimulationError`; any other ``OSError`` (an
+        unwritable cache dir) propagates.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        handle = open(self.root / LOCK_FILE, "ab")
-        try:
-            fcntl.lockf(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError as error:
-            handle.close()
-            if error.errno not in (errno.EACCES, errno.EAGAIN):
-                raise
-            raise SimulationError(
-                f"campaign {self.campaign_id} is still being driven by "
-                "another process (it holds the campaign lock); refusing "
-                "to double-run.  Wait for it, or stop it and resume"
-            ) from None
-        return handle
+        path = (self.root / LOCK_FILE).resolve()
+        with _HELD_GUARD:
+            if path not in _HELD_LOCKS:
+                handle = open(path, "ab")
+                try:
+                    fcntl.lockf(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except OSError as error:
+                    handle.close()
+                    if error.errno not in (errno.EACCES, errno.EAGAIN):
+                        raise
+                else:
+                    _HELD_LOCKS.add(path)
+                    return _CampaignLock(handle, path)
+        raise SimulationError(
+            f"campaign {self.campaign_id} is still being driven (another "
+            "process, or another thread of this one, holds the campaign "
+            "lock); refusing to double-run.  Wait for it, or stop it and "
+            "resume"
+        )
+
+
+#: Campaign lock files this process holds, and the guard of that set.
+_HELD_LOCKS: set[Path] = set()
+_HELD_GUARD = threading.Lock()
+
+
+class _CampaignLock:
+    """A held campaign lock: the open lock file and its registry entry."""
+
+    def __init__(self, handle, path: Path) -> None:
+        self._handle = handle
+        self._path = path
+
+    def close(self) -> None:
+        with _HELD_GUARD:
+            if not self._handle.closed:
+                self._handle.close()
+                _HELD_LOCKS.discard(self._path)
+
+    def __enter__(self) -> "_CampaignLock":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass

@@ -59,6 +59,7 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from ..config import SimulationConfig
@@ -155,23 +156,78 @@ def default_jobs() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _plain(node):
-    """``dataclasses.asdict`` without its deep copies: a JSON-ready tree.
+#: The fingerprint's JSON encoder: sorted keys, no spaces, ASCII only.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    Dataclasses become dicts of their fields and tuples become lists, as
-    in ``asdict``; leaves are shared, not copied, since they are only
-    serialized.
+#: Canonical JSON text of frozen config dataclasses, keyed by ``id``.  Each
+#: entry holds its node, so no other object can take that id while the
+#: entry lives; the memo empties when full, like the thermal propagator
+#: cache.  Specs of one campaign share their sub-configs object for object,
+#: so most nodes are encoded once per process.
+_CANONICAL: dict[int, tuple[object, str]] = {}
+_CANONICAL_LIMIT = 1024
+
+
+def _has_dataclass(value) -> bool:
+    if hasattr(value, "__dataclass_fields__"):
+        return True
+    return isinstance(value, (list, tuple)) and any(map(_has_dataclass, value))
+
+
+def _leaf(value) -> str:
+    """``_ENCODE(value)`` with the common scalars spelled out, as the
+    encoder spells them, to skip building an encoder per call."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return _ENCODE(value)
+
+
+def _object_text(members: dict[str, str]) -> str:
+    """A JSON object from already-encoded member values, keys sorted."""
+    return "{" + ",".join(
+        f"{encode_basestring_ascii(key)}:{members[key]}"
+        for key in sorted(members)
+    ) + "}"
+
+
+def _canonical(node) -> str:
+    """``_ENCODE(dataclasses.asdict(node))``, memoized per frozen dataclass.
+
+    Dataclasses become objects of their fields and tuples become arrays,
+    as in ``asdict``; a node with no dataclass below it is one encoder
+    call, and a value JSON cannot encode raises instead of keying
+    unstably.  Only frozen nodes are memoized: their fields cannot be
+    reassigned, and every config dataclass holds tuples, not lists.
     """
-    if hasattr(node, "__dataclass_fields__"):
-        return {
-            field.name: _plain(getattr(node, field.name))
-            for field in dataclasses.fields(node)
-        }
     if isinstance(node, (list, tuple)):
-        return [_plain(value) for value in node]
-    if isinstance(node, dict):
-        return {key: _plain(value) for key, value in node.items()}
-    return node
+        return "[" + ",".join(map(_canonical, node)) + "]"
+    if not hasattr(node, "__dataclass_fields__"):
+        return _leaf(node)
+    entry = _CANONICAL.get(id(node))
+    if entry is not None:
+        return entry[1]
+    values = {
+        field.name: getattr(node, field.name)
+        for field in dataclasses.fields(node)
+    }
+    if any(map(_has_dataclass, values.values())):
+        text = _object_text(
+            {name: _canonical(value) for name, value in values.items()}
+        )
+    else:
+        text = _ENCODE(values)
+    if node.__dataclass_params__.frozen:
+        if len(_CANONICAL) >= _CANONICAL_LIMIT:
+            _CANONICAL.clear()
+        _CANONICAL[id(node)] = (node, text)
+    return text
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
@@ -179,25 +235,28 @@ def spec_fingerprint(spec: RunSpec) -> str:
 
     Hashes the *entire* configuration tree (every dataclass field), so any
     parameter change — thermal constants, cache geometry, seeds — yields a
-    different key.  JSON with sorted keys keeps the byte stream stable
-    across interpreter runs; there is deliberately no ``default=`` hook, so
-    a non-JSON-able config field is a loud error rather than a silently
+    different key.  The preimage is ``json.dumps`` of the payload with
+    ``config`` as ``dataclasses.asdict`` gives it, sorted keys and no
+    spaces, which keeps the byte stream stable across interpreter runs; it
+    is composed from the memoized text of each frozen sub-config
+    (:func:`_canonical`).  There is deliberately no ``default=`` hook, so a
+    non-JSON-able config field is a loud error rather than a silently
     unstable key.
     """
-    payload: dict = {
-        "schema": CACHE_SCHEMA,
-        "result_format": FORMAT_VERSION,
-        "kind": type(spec).__name__,
-        "config": _plain(spec.config),
-        "workloads": list(spec.workloads),
-        "quantum_cycles": spec.quantum_cycles,
-        "trace": spec.trace,
+    members = {
+        "schema": _leaf(CACHE_SCHEMA),
+        "result_format": _leaf(FORMAT_VERSION),
+        "kind": _leaf(type(spec).__name__),
+        "config": _canonical(spec.config),
+        "workloads": _canonical(spec.workloads),
+        "quantum_cycles": _leaf(spec.quantum_cycles),
+        "trace": _leaf(spec.trace),
     }
     # Only keyed when on: every telemetry-off fingerprint is byte-stable
     # with the pre-telemetry schema, so existing caches stay warm.
     if spec.telemetry:
-        payload["telemetry"] = True
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        members["telemetry"] = "true"
+    blob = _object_text(members)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -381,7 +440,7 @@ def _quarantine(cache_dir: Path, path: Path, reason: str) -> None:
     RUNNER_METRICS.inc(f"cache.quarantined.{reason}")
 
 
-def _read_entry(path: Path, key: str) -> RunResult | str | None:
+def _read_entry(path: str | Path, key: str) -> RunResult | str | None:
     """Read one cache entry: its result, ``None`` if there is no file, or
     why it is rejected.
 
@@ -392,7 +451,8 @@ def _read_entry(path: Path, key: str) -> RunResult | str | None:
     the quarantine inspector both decide through here.
     """
     try:
-        payload = json.loads(path.read_text())
+        with open(path, "rb") as handle:
+            payload = json.loads(handle.read())
     except FileNotFoundError:
         return None
     except (OSError, ValueError):
@@ -416,10 +476,11 @@ def _cache_load(
     """
     if cache_dir is None:
         return None
-    path = _cache_path(cache_dir, key)
+    # A plain string path: a hit builds no ``Path`` object.
+    path = os.path.join(cache_dir, f"{key}.json")
     entry = _read_entry(path, key)
     if isinstance(entry, str):
-        _quarantine(cache_dir, path, entry)
+        _quarantine(cache_dir, Path(path), entry)
         return None
     return entry
 

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SimulationError
-from .events import Event, EventType
+from .events import RETIRED_TYPES, Event, EventType
 
 FORMAT = "repro-columnar"
 VERSION = 1
@@ -256,12 +256,16 @@ def columnar_meta(path: str | Path) -> dict:
     return meta
 
 
-def read_columnar(path: str | Path) -> Iterator[Event]:
+def read_columnar(
+    path: str | Path, retired: dict[str, int] | None = None
+) -> Iterator[Event]:
     """Yield the archive's events in original emission order.
 
     The packed columns are held in memory (they are small); the ``Event``
     objects themselves are built lazily, so streaming reducers never hold
-    the whole object stream.
+    the whole object stream.  Events of a retired type (an older build's
+    type table lists them) are skipped as :func:`read_events` skips them,
+    counted in ``retired`` if given.
     """
     archive, meta = _open(path)
     try:
@@ -292,7 +296,10 @@ def read_columnar(path: str | Path) -> Iterator[Event]:
         archive.close()
 
     try:
-        types = [EventType(name) for name in meta["types"]]
+        types = [
+            None if name in RETIRED_TYPES else EventType(name)
+            for name in meta["types"]
+        ]
     except (KeyError, ValueError) as error:
         raise SimulationError(f"{path}: unknown event type ({error})") from error
 
@@ -301,6 +308,12 @@ def read_columnar(path: str | Path) -> Iterator[Event]:
     for i in range(int(meta["count"])):
         bits = int(flags[i])
         event_type = types[int(type_code[i])]
+        if event_type is None:
+            name = meta["types"][int(type_code[i])]
+            if retired is not None:
+                retired[name] = retired.get(name, 0) + 1
+            overflow_cursor += bool(bits & FLAG_OVERFLOW)
+            continue
         if bits & FLAG_OVERFLOW:
             yield Event.from_dict(json.loads(overflow[overflow_cursor]))
             overflow_cursor += 1

@@ -62,6 +62,13 @@ class EventType(str, enum.Enum):
     CAMPAIGN_RESUME = "campaign_resume"
 
 
+#: Event types that older builds wrote and this one no longer emits (the
+#: campaign lease and circuit breaker are gone).  Readers skip them and
+#: count the skips, so old logs still load; any other unknown type is an
+#: error.
+RETIRED_TYPES = frozenset({"campaign_lease", "breaker_open"})
+
+
 #: Narrative event types — everything except the high-frequency samples.
 #: ``repro events --summary`` and the pinned sequence regression use this
 #: set so the story is not drowned in sensor traffic.  Sensor/sampler fault
@@ -154,8 +161,14 @@ def write_events(events: Iterable[Event], path: str | Path) -> int:
     return count
 
 
-def read_events(path: str | Path) -> Iterator[Event]:
-    """Yield events from a JSONL log written by this module."""
+def read_events(
+    path: str | Path, retired: dict[str, int] | None = None
+) -> Iterator[Event]:
+    """Yield events from a JSONL log written by this module.
+
+    Records of a :data:`RETIRED_TYPES` type are skipped; ``retired``, if
+    given, counts them per type.
+    """
     try:
         handle = Path(path).open()
     except OSError as error:
@@ -166,11 +179,18 @@ def read_events(path: str | Path) -> Iterator[Event]:
             if not line:
                 continue
             try:
-                yield Event.from_dict(json.loads(line))
-            except (ValueError, KeyError) as error:
+                payload = json.loads(line)
+                name = payload["type"]
+                if name in RETIRED_TYPES:
+                    if retired is not None:
+                        retired[name] = retired.get(name, 0) + 1
+                    continue
+                event = Event.from_dict(payload)
+            except (ValueError, KeyError, TypeError) as error:
                 raise SimulationError(
                     f"{path}:{lineno}: bad event record ({error})"
                 ) from error
+            yield event
 
 
 def load_events(path: str | Path) -> list[Event]:

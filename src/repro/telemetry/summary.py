@@ -330,6 +330,7 @@ class StreamingSummary:
         self,
         batch_counters: dict[str, int] | None = None,
         ring: dict | None = None,
+        retired: dict[str, int] | None = None,
     ) -> str:
         """Counts, episodes, and the narrative — the ``--summary`` report.
 
@@ -337,11 +338,17 @@ class StreamingSummary:
         ran), adds a "batch execution" section describing how the runs
         behind the log were scheduled: lock-step groups, cohort splits,
         lane retention.  ``ring`` (bus accounting) adds a "ring buffer"
-        section when events were dropped or suppressed.
+        section when events were dropped or suppressed.  ``retired`` (the
+        reader's count of skipped records of retired types) adds a
+        "retired records skipped" section when any were skipped.
         """
         lines = ["event counts:"]
         for name, count in sorted(self.counts.items()):
             lines.append(f"  {name:<18} {count}")
+        if retired:
+            lines.append("retired records skipped:")
+            for name, count in sorted(retired.items()):
+                lines.append(f"  {name:<18} {count}")
         ring_lines = ring_narrative(ring)
         if ring_lines:
             lines.append("ring buffer:")

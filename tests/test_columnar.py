@@ -534,6 +534,58 @@ class TestCli:
         )
         assert size_ratio <= 0.25
 
+    def test_older_log_with_retired_records_summarizes(
+        self, capsys, tmp_path
+    ):
+        """An older build's lease and breaker records are skipped and counted."""
+        log = tmp_path / "old.jsonl"
+        log.write_text(
+            '{"cycle":0,"type":"campaign_lease",'
+            '"data":{"fingerprint":"f1","pid":4242}}\n'
+        )
+        assert main(["events", str(log), "--summary"]) == 0
+        out = capsys.readouterr().out
+        assert "retired records skipped:\n  campaign_lease     1" in out
+        log.write_text(
+            f'{{"cycle":3,"type":"sedate","thread":1,"block":{INT_RF},'
+            '"value":356.6}\n'
+            '{"cycle":4,"type":"breaker_open","data":{"family":"x"}}\n'
+        )
+        assert main(["events", str(log), "--summary"]) == 0
+        out = capsys.readouterr().out
+        assert "  sedate             1" in out
+        assert "  breaker_open       1" in out
+        assert [e.type for e in load_events(log)] == [EventType.SEDATE]
+        # Any other unknown type is still a bad record.
+        for line in ('{"cycle":0,"type":"no_such_type"}', "[1, 2]"):
+            log.write_text(line + "\n")
+            assert main(["events", str(log), "--summary"]) == 1
+            assert "bad event record" in capsys.readouterr().err
+
+    def test_older_archive_with_retired_types_loads(self, capsys, tmp_path):
+        """An archive whose type table lists a retired type still reads."""
+        import numpy as np
+
+        kept = [
+            Event(10, EventType.SEDATE, thread=1, block=INT_RF, value=356.6),
+            Event(20, EventType.RELEASE, thread=1, block=INT_RF, value=354.1),
+        ]
+        path = tmp_path / "old.npz"
+        write_columnar([kept[0], Event(15, EventType.LANE_COMPLETE), kept[1]],
+                       path)
+        # Rename the middle event's type in the table, as an older build's
+        # archive would name its lease event.
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        meta["types"][meta["types"].index("lane_complete")] = "campaign_lease"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez_compressed(path, **arrays)
+
+        assert load_columnar(path) == kept
+        assert main(["events", str(path), "--summary"]) == 0
+        assert "campaign_lease     1" in capsys.readouterr().out
+
     def test_run_channel_flag_thins_recording(self, capsys, tmp_path):
         log = tmp_path / "thin.npz"
         assert main(["run", "gzip", "variant2", "--policy", "sedation",

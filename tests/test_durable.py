@@ -16,6 +16,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,68 @@ class TestCampaignLock:
         assert {r["type"] for r in records} == {
             "submit", "completed", "resume", "seal"
         }
+
+    @staticmethod
+    def child_can_lock(journal) -> bool:
+        probe = (
+            "import fcntl, sys\n"
+            "handle = open(sys.argv[1], 'ab')\n"
+            "try:\n"
+            "    fcntl.lockf(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+            "except OSError:\n"
+            "    print('held')\n"
+            "else:\n"
+            "    print('free')\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", probe, str(journal.root / "lock")],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        return child.stdout.strip() == "free"
+
+    def test_a_second_lock_in_the_same_process_is_refused(self, tmp_path):
+        journal = CampaignJournal(tmp_path, "cafe0000")
+        held = journal.lock()
+        try:
+            with pytest.raises(SimulationError, match="still being driven"):
+                CampaignJournal(tmp_path, "cafe0000").lock()
+            # The refused second lock closed no descriptor of the file.
+            assert not self.child_can_lock(journal)
+        finally:
+            held.close()
+        assert self.child_can_lock(journal)
+        with journal.lock():
+            assert not self.child_can_lock(journal)
+        journal.lock().close()
+
+    def test_racing_threads_in_one_process_get_one_lock(self, tmp_path):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                barrier = threading.Barrier(8)
+                outcomes = []
+
+                def attempt():
+                    barrier.wait(timeout=60)
+                    try:
+                        outcomes.append(
+                            CampaignJournal(tmp_path, "cafe0000").lock()
+                        )
+                    except SimulationError:
+                        outcomes.append(None)
+
+                threads = [threading.Thread(target=attempt) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                held = [lock for lock in outcomes if lock is not None]
+                assert len(outcomes) == 8 and len(held) == 1
+                held[0].close()
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestDrainSupervisor:

@@ -124,12 +124,12 @@ class TestSkipCycles:
         core.run_cycles(200)
         assert core._wheel, "expected in-flight operations after warmup"
         before = {
-            when - core.cycle: [u.seq for u in uops]
+            when - core.cycle: [id(u) for u in uops]
             for when, uops in core._wheel.items()
         }
         core.skip_cycles(137)
         after = {
-            when - core.cycle: [u.seq for u in uops]
+            when - core.cycle: [id(u) for u in uops]
             for when, uops in core._wheel.items()
         }
         # Same remaining latency for the same uops: the stall froze the
