@@ -55,7 +55,7 @@ same engage/release cycles) never separate at all.
 
 :func:`~repro.sim.parallel.run_many` uses this as its middle execution
 tier: cache hit → lock-step batch groups (grouped by
-:func:`batch_fingerprint`) → process pool / serial scalar fallback.
+:func:`batch_fingerprint`) → scalar specs, with or without a pool.
 Because trajectory groups never interact, the runner can **shard** a group
 by trajectory (:func:`_shard_lanes`) and run each shard as an ordinary
 call over fewer trajectories, in this process or a pool worker; its lanes'

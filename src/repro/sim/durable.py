@@ -2,10 +2,10 @@
 
 :func:`drive_campaign` is the one driver every campaign runs through: it
 fingerprints and dedupes the slots, serves cache hits, dispatches the
-misses through :func:`~repro.sim.parallel.dispatch`'s tiers (each result
-cached as it lands), then fills every slot, emits the lane events,
+misses through :func:`~repro.sim.parallel.dispatch`'s round loop (each
+result cached as it lands), then fills every slot, emits the lane events,
 publishes the rollup and raises.  :func:`~repro.sim.parallel.run_many` is
-that driver without a journal.  The tiers survive flaky specs, hung
+that driver without a journal.  The loop survives flaky specs, hung
 workers and broken pools, but only *within* one process lifetime.  Kill
 the driver (OOM, SIGKILL, a pulled node) and nothing records which specs
 were in flight, which had failed, which campaign the runs belonged to.
@@ -575,8 +575,8 @@ def drive_campaign(
     """The one campaign driver: specs in, index-aligned results out.
 
     Fingerprints and dedupes the slots, serves hits from the cache and
-    hands the misses to :func:`~repro.sim.parallel.dispatch` (batch →
-    pool/serial tiers, each result cached as it lands).  Then it fills
+    hands the misses to :func:`~repro.sim.parallel.dispatch` (one round
+    loop, each result cached as it lands).  Then it fills
     every slot, emits one ``LANE_COMPLETE`` per slot, publishes the rollup
     (not after an interrupt) and raises as ``raise_on_error`` asks.  An
     interrupt anywhere in the dispatch leaves every unfinished slot an
@@ -623,7 +623,7 @@ def drive_campaign(
                 campaign.begin(len(ledger.work))
             dispatch(ledger, jobs, batch)
     except KeyboardInterrupt:
-        # Landed outside the tiers' own drain (they book and return).
+        # Landed outside the round loop's own drain (it books and returns).
         ledger.interrupt_rest()
     outcomes.update(ledger.outcomes)
     sources.update(ledger.sources)

@@ -7,18 +7,19 @@ makes two things safe that are normally hazardous for simulators:
 
 * **fan-out** — independent runs can execute in worker processes
   (``ProcessPoolExecutor``) and are guaranteed to produce byte-identical
-  statistics to the serial path;
+  statistics to in-process runs;
 * **memoization on disk** — a run is keyed by a SHA-256 fingerprint of its
   entire configuration plus workload list, so finished results can be
   reloaded from ``.repro_cache/`` instead of re-simulated, across
   interpreter invocations.
 
 This module is the execution half of a campaign: specs, fingerprints,
-cache I/O, the worker entry points, and :func:`dispatch`'s tiers, which
-store each result in the cache as they book it.  Where the lock-step
-kernel (:mod:`repro.sim.batch`) runs is decided here too: a batch
-group's shards are ordinary pool work items beside the scalar chunks,
-waited on, drained and recovered by one round loop (:func:`_run_pool`).
+cache I/O, the worker entry points, and :func:`dispatch`, which stores
+each result in the cache as it books it.  Every tier runs in one round
+loop, with or without a pool (:func:`_run_rounds`): a batch group's
+kernel shards are work items beside the scalar specs, and every scalar
+attempt, in a worker or in-process, is one :func:`_attempt`.  Where the
+lock-step kernel (:mod:`repro.sim.batch`) runs is decided here too.
 The slot-level driver — dedupe, cache lookup, result slots, events,
 rollup, errors — is :func:`repro.sim.durable.drive_campaign`;
 :func:`run_many` is that driver without a journal.  The experiment
@@ -28,11 +29,11 @@ harness (:class:`~repro.sim.experiment.ExperimentRunner`) routes through
 The runner is hardened against the three ways a big campaign dies
 (docs/robustness.md):
 
-* a **crashed worker** (``BrokenProcessPool``) — lost kernel shards
-  re-run in-process and the surviving specs serially, instead of
-  aborting the whole batch;
-* a **hung spec** — ``timeout`` bounds every attempt, in the pool (via
-  ``future.result(timeout)``) and serially (via a watchdog thread);
+* a **crashed worker** (``BrokenProcessPool``) — the round loop goes on
+  without a pool: lost kernel shards and the surviving specs re-run
+  in-process, instead of aborting the whole batch;
+* a **hung spec** — ``timeout`` bounds every attempt with a watchdog
+  thread, in a worker and in-process alike;
 * a **flaky spec** — ``retries`` bounds re-attempts, with exponential
   backoff and deterministic (fingerprint-salted, never wall-clock) jitter.
 
@@ -355,49 +356,42 @@ def _call_with_watchdog(call, budget: float, overrun: str):
     return value
 
 
-def _execute_with_watchdog(
-    spec: RunSpec, attempt: int, timeout: float
-) -> RunResult:
-    """One attempt under a per-spec wall-clock timeout.
+def _attempt(
+    spec: RunSpec, attempt: int, timeout: float | None
+) -> tuple[str, object]:
+    """One attempt, in a worker or in-process: ``(status, value)``.
 
-    Used serially (so the BrokenProcessPool fallback cannot hang forever on
-    a spec that is itself a hang) and *inside* pool workers running a chunk
-    of specs (so one hung spec cannot eat its chunk-mates' time budget).
+    ``("ok", result)``, ``("timeout", message)`` or ``("error", message)``.
+    Under ``timeout`` the attempt runs under a watchdog, so a hung spec
+    cannot eat the time of the specs after it.  ``KeyboardInterrupt``
+    propagates: an interrupt drains, it is not a failed attempt.
     """
-    return _call_with_watchdog(
-        lambda: _execute_attempt(spec, attempt),
-        timeout,
-        f"spec exceeded {timeout:.3f}s (watchdog)",
-    )
+    try:
+        if timeout is None:
+            value = _execute_attempt(spec, attempt)
+        else:
+            value = _call_with_watchdog(
+                lambda: _execute_attempt(spec, attempt),
+                timeout,
+                f"spec exceeded {timeout:.3f}s (watchdog)",
+            )
+    except TimeoutError as error:
+        return "timeout", str(error)
+    except Exception as error:
+        return "error", f"{type(error).__name__}: {error}"
+    return "ok", value
 
 
 def _execute_chunk(
     items: list[tuple[RunSpec, int]], timeout: float | None
 ) -> list[tuple[str, object]]:
-    """Pool worker entry point: run one chunk of (spec, attempt) pairs.
+    """Pool worker entry point: one :func:`_attempt` per (spec, attempt).
 
-    Returns one ``(status, value)`` slot per item, index-aligned with the
-    input: ``("ok", result)``, ``("timeout", message)`` or
-    ``("error", message)``.  Each spec gets its *own* ``timeout`` via the
-    in-worker watchdog, preserving per-spec attempt semantics even though
-    the pool only sees one future per chunk.  An injected worker crash
-    still hard-kills the process (the chunk's completed slots die with it
-    and its specs re-run serially — the pool-break path).
+    The slots are index-aligned with the input.  An injected worker crash
+    hard-kills the process: the chunk's completed slots die with it and
+    its specs re-run in-process (the pool-break path).
     """
-    results: list[tuple[str, object]] = []
-    for spec, attempt in items:
-        try:
-            if timeout is not None:
-                value = _execute_with_watchdog(spec, attempt, timeout)
-            else:
-                value = _execute_attempt(spec, attempt)
-        except TimeoutError as error:
-            results.append(("timeout", str(error)))
-        except Exception as error:
-            results.append(("error", f"{type(error).__name__}: {error}"))
-        else:
-            results.append(("ok", value))
-    return results
+    return [_attempt(spec, attempt, timeout) for spec, attempt in items]
 
 
 def _backoff_seconds(key: str, attempt: int) -> float:
@@ -674,35 +668,6 @@ class _Ledger:
         )
 
 
-def _run_serial(
-    work: list[tuple[str, RunSpec]],
-    ledger: _Ledger,
-    source: str = "serial",
-) -> None:
-    """Execute specs in-process with the full retry/timeout discipline."""
-    timeout = ledger.timeout
-    for key, spec in work:
-        while key not in ledger.outcomes:
-            attempt = ledger.attempts[key]
-            retry_list: list[tuple[str, RunSpec]] = []
-            try:
-                if timeout is not None:
-                    result = _execute_with_watchdog(spec, attempt, timeout)
-                else:
-                    result = _execute_attempt(spec, attempt)
-            except TimeoutError as error:
-                ledger.fail(key, "timeout", str(error), source, retry_list)
-            except Exception as error:
-                ledger.fail(
-                    key, "error", f"{type(error).__name__}: {error}", source,
-                    retry_list,
-                )
-            else:
-                ledger.book(key, result, source)
-            if retry_list:
-                time.sleep(_backoff_seconds(key, ledger.attempts[key]))
-
-
 #: Extra wall seconds granted to a chunk future beyond the sum of its
 #: specs' own watchdog budgets (process spawn, pickling, scheduling).
 CHUNK_TIMEOUT_GRACE_S = 5.0
@@ -759,8 +724,9 @@ class _Shard:
     """Lanes of one batch group that run as one kernel call.
 
     A group's first shard is ``local``: this process runs it.  The others
-    are pool work items.  ``settled`` turns true once the shard's lanes are
-    booked or sent to the scalar tiers.
+    are pool work items until a pool breaks; then every shard is local.
+    ``settled`` turns true once the shard's lanes are booked or sent to
+    the scalar tier.
     """
 
     members: list[tuple[str, RunSpec]]
@@ -886,8 +852,10 @@ def _book_shard(
     RUNNER_METRICS.inc("runner.batch_splits", shape["splits"])
 
 
-def _land(item, value, ledger: _Ledger, fallback: list | None) -> None:
-    """Book what one pool future returned: a shard's lanes or a chunk's slots.
+def _land(
+    item, value, ledger: _Ledger, fallback: list | None, source: str = "pool"
+) -> None:
+    """Book a shard's lanes, or a chunk's :func:`_attempt` slots as ``source``.
 
     A chunk's failed slots are failed attempts queued on ``fallback``; a
     drain passes ``None`` and keeps only successes.  Anything already
@@ -901,9 +869,9 @@ def _land(item, value, ledger: _Ledger, fallback: list | None) -> None:
         if key in ledger.outcomes:
             continue
         if status == "ok":
-            ledger.book(key, slot, "pool")
+            ledger.book(key, slot, source)
         elif fallback is not None:
-            ledger.fail(key, status, str(slot), "pool", fallback)
+            ledger.fail(key, status, str(slot), source, fallback)
 
 
 def _settle(future, item, ledger: _Ledger, fallback: list) -> None:
@@ -945,7 +913,7 @@ def _settle(future, item, ledger: _Ledger, fallback: list) -> None:
 
 
 def _drain_interrupted_pool(futures: list, ledger: _Ledger) -> None:
-    """Bounded drain of a pool round after an operator interrupt.
+    """Bounded drain of a round after an operator interrupt.
 
     Futures that never started are cancelled; chunks and shards already
     running in a worker get :data:`DRAIN_GRACE_S` to finish, and what they
@@ -996,51 +964,60 @@ def _submit_round(
         )
 
 
-def _run_pool(
+def _run_rounds(
     work: list[tuple[str, RunSpec]],
     ledger: _Ledger,
     workers: int,
-    shards: list[_Shard] | tuple = (),
+    shards: list[_Shard],
 ) -> None:
-    """Execute specs and kernel shards in a worker pool, in rounds.
+    """Run scalar specs and kernel shards in rounds, with or without a pool.
 
-    The first round submits every remote shard, then the specs in adaptive
-    chunks (see :func:`_chunk_size`), so the longest jobs start first.
-    This process runs the local shards meanwhile, then waits on every
-    future in submission order (:func:`_settle`).  Each spec inside a
-    chunk gets its own per-attempt ``timeout`` via the in-worker watchdog.
-    Failed attempts requeue, with backoff, and the lanes of failed shards
-    join them: the next round runs them on a fresh pool, clear of hung
-    workers.
+    A round makes a pool only when a worker has work: ``workers >= 2`` and
+    two or more specs or a remote shard.  With a pool it submits every
+    remote shard, then the specs in adaptive chunks (:func:`_chunk_size`),
+    runs the local shards here meanwhile, then waits on every future in
+    submission order (:func:`_settle`).  Without one it runs the local
+    shards, then gives each spec one :func:`_attempt` here, booked as
+    ``serial``.  Either way each attempt has its own ``timeout``.  Failed
+    attempts and the lanes of failed shards go to the next round, after
+    the failed attempts' backoff, on a fresh pool if it makes one.
 
-    A ``BrokenProcessPool`` — some worker hard-died, taking every
-    in-flight future's outcome with it — is graceful degradation, not
-    abort: every shard not yet booked re-runs here as a kernel call, then
-    every spec still unresolved runs through :func:`_run_serial`.
-    In-process, an injected crash raises
-    :class:`~repro.errors.FaultError` instead of killing the caller, so
-    the normal retry bookkeeping applies.
-
-    A ``KeyboardInterrupt`` (operator Ctrl-C, supervisor SIGTERM translated
-    by :mod:`repro.sim.durable`) triggers a *graceful drain* instead of a
-    stack unwind: the futures not yet waited on — shards and chunks alike
-    — are drained (:func:`_drain_interrupted_pool`), and every spec
-    without a result is booked as an ``interrupted`` :class:`RunFailure`.
+    A ``BrokenProcessPool`` (a worker hard-died, taking every in-flight
+    outcome with it) degrades instead of aborting: the loop goes on with
+    ``workers = 1``, so the unsettled shards re-run here as kernel calls
+    and every unresolved spec gets its attempt in-process, where an
+    injected crash raises :class:`~repro.errors.FaultError` and is retried
+    like any error.  A ``KeyboardInterrupt`` (Ctrl-C, or a SIGTERM that
+    :mod:`repro.sim.durable` translates) anywhere in a round drains the
+    futures not yet waited on (:func:`_drain_interrupted_pool`) and books
+    every spec still without a result ``interrupted``.
     """
-    remaining = work
-    while remaining or shards:
+    while work or shards:
         remote = [shard for shard in shards if not shard.local]
-        pool = _Pool(min(workers, len(remaining) + len(remote)))
+        pool = None
         futures: list = []  # (future, _Shard or chunk), not yet waited on
         next_round: list[tuple[str, RunSpec]] = []
         try:
-            for shard in remote:
-                futures.append((pool.submit(_execute_shard, shard.specs), shard))
-                RUNNER_METRICS.inc("runner.batch_pool_shards")
-            _submit_round(pool, remaining, ledger, workers, futures)
+            # A retry round waits out its backoff; a failed shard's lanes
+            # made no attempt and need none.
+            time.sleep(max(
+                (_backoff_seconds(key, ledger.attempts[key])
+                 for key, _ in work if ledger.attempts[key]),
+                default=0.0,
+            ))
+            if workers >= 2 and (len(work) >= 2 or remote):
+                pool = _Pool(min(workers, len(work) + len(remote)))
+                for shard in remote:
+                    futures.append((pool.submit(_execute_shard, shard.specs), shard))
+                    RUNNER_METRICS.inc("runner.batch_pool_shards")
+                _submit_round(pool, work, ledger, workers, futures)
             for shard in shards:
                 if shard.local:
                     _run_shard_here(shard, ledger, next_round)
+            if pool is None:
+                for key, spec in work:
+                    slot = _attempt(spec, ledger.attempts[key], ledger.timeout)
+                    _land([(key, spec)], [slot], ledger, next_round, "serial")
             while futures:
                 _settle(*futures[0], ledger, next_round)
                 del futures[0]
@@ -1050,87 +1027,44 @@ def _run_pool(
             return
         except BrokenProcessPool:
             RUNNER_METRICS.inc("runner.pool_breaks")
+            workers = 1
             for shard in shards:
-                if not shard.settled:
-                    _run_shard_here(shard, ledger, next_round)
-            _run_serial(ledger.unresolved(), ledger, "pool")
-            return
+                shard.local = True
+            lost = {key for shard in shards if not shard.settled
+                    for key, _ in shard.members}
+            next_round = [item for item in ledger.unresolved() if item[0] not in lost]
         finally:
-            pool.close()
-        shards = ()
-        remaining = next_round
-        try:
-            # Lanes of a failed shard made no attempt: they need no backoff.
-            time.sleep(
-                max(
-                    (
-                        _backoff_seconds(key, ledger.attempts[key])
-                        for key, _ in remaining
-                        if ledger.attempts[key]
-                    ),
-                    default=0.0,
-                )
-            )
-        except KeyboardInterrupt:
-            RUNNER_METRICS.inc("runner.interrupts")
-            ledger.interrupt_rest()
-            return
+            if pool is not None:
+                pool.close()
+        shards = [shard for shard in shards if not shard.settled]
+        work = next_round
 
 
 def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
-    """Run the ledger's unresolved specs through the execution tiers.
+    """Run the ledger's unresolved specs through one round loop.
 
     Compatible specs (same machine and event grid — see
     :func:`~repro.sim.batch.batch_fingerprint`) run lock-step, one shared
     pipeline per workloads/seed trajectory (:mod:`repro.sim.batch`);
-    whatever remains goes to the process pool or the serial path.  Every
-    outcome is booked into ``ledger`` as it lands.
+    whatever remains runs scalar.  Every outcome is booked into ``ledger``
+    as it lands.
 
     ``jobs`` bounds the run's worker processes (``None`` uses
-    :func:`default_jobs`).  ``jobs<=1`` runs everything in-process.  With
-    ``jobs>=2`` every batch group is split up front into up to ``jobs``
-    shards by trajectory; this process runs each group's first shard, and
-    the others are ordinary pool work items.  The run makes one pool of at
-    most ``jobs`` workers, and only when a worker has work: two or more
-    scalar specs, or a remote shard.  Remote shards are submitted first
-    and the scalar specs behind them, so the scalar tier runs beside the
-    kernel rather than after it (while this process runs its shards, up
-    to ``jobs + 1`` processes simulate).
-
-    A shard that fails — raises, or overruns ``timeout`` × its lanes —
-    sends only its own lanes to the scalar tiers.  An operator interrupt
-    drains: in-flight pool futures get a bounded grace to finish, and
-    every spec still unresolved is booked ``interrupted``.
+    :func:`default_jobs`).  With ``jobs>=2`` every batch group is split up
+    front into up to ``jobs`` shards by trajectory; this process runs each
+    group's first shard, and the others are pool work items.  Then
+    :func:`_run_rounds` runs it all, with or without a pool.  Remote
+    shards are submitted ahead of the scalar specs, so the scalar tier
+    runs beside the kernel rather than after it (while this process runs
+    its shards, up to ``jobs + 1`` processes simulate).  A shard that
+    fails sends only its own lanes to the scalar tier.
     """
     work = ledger.unresolved()
     workers = default_jobs() if jobs is None else max(1, jobs)
     shards = _plan_shards(work, workers) if batch else []
     batched = {key for shard in shards for key, _ in shard.members}
     scalar = [(key, spec) for key, spec in work if key not in batched]
-    try:
-        if workers >= 2 and (
-            len(scalar) >= 2 or any(not shard.local for shard in shards)
-        ):
-            _run_pool(scalar, ledger, workers, shards)
-        else:
-            for shard in shards:
-                # A failed shard's lanes stay unresolved: they run below.
-                _run_shard_here(shard, ledger, [])
-            unresolved = ledger.unresolved()
-            if workers >= 2 and len(unresolved) >= 2:
-                _run_pool(unresolved, ledger, workers)
-            elif unresolved:
-                _run_serial(unresolved, ledger)
-    except KeyboardInterrupt:
-        # The serial and in-process kernel tiers unwind to here on
-        # Ctrl-C/SIGTERM; the pool tier drains internally and returns.
-        RUNNER_METRICS.inc("runner.interrupts")
-        ledger.interrupt_rest()
-    directory = ledger.directory
-    if ledger.interrupted and directory is not None and directory.is_dir():
-        # A drain may have abandoned workers mid-write; their tmp files
-        # are dead-pid garbage once the pool is gone.
-        _sweep_stale_tmp(directory)
+    _run_rounds(scalar, ledger, workers, shards)
 
 
 def run_many(
@@ -1147,11 +1081,12 @@ def run_many(
 
     Results come back in input order.  Cache hits never touch a worker;
     duplicate specs within one batch execute once.  Cache misses go
-    through :func:`dispatch`'s tiers — the lock-step batch kernel, then
-    the process pool or the serial path — and each result is stored in
-    the cache as it lands.  ``batch=False`` disables the lock-step tier
-    (results are byte-identical either way; the knob exists for
-    benchmarking and for isolating the tier in tests).  ``cache_dir=None``
+    through :func:`dispatch`'s one round loop — the lock-step batch
+    kernel and the scalar specs, with or without a process pool — and
+    each result is stored in the cache as it lands.  ``batch=False``
+    disables the lock-step tier (results are byte-identical either way;
+    the knob exists for benchmarking and for isolating the tier in
+    tests).  ``cache_dir=None``
     disables the disk cache entirely.  ``jobs`` bounds the worker
     processes (``None`` reads ``REPRO_BENCH_JOBS``, see
     :func:`default_jobs`); byte-identity holds at any ``jobs``.
@@ -1159,8 +1094,8 @@ def run_many(
     Robustness knobs (docs/robustness.md):
 
     * ``timeout`` — wall seconds each *attempt* may take; a spec that
-      exceeds it counts as a failed attempt.  Enforced in the pool and in
-      serial execution alike.
+      exceeds it counts as a failed attempt.  Enforced by the same
+      watchdog in pool workers and in-process.
     * ``retries`` — failed attempts (timeouts, worker exceptions) are
       re-executed up to this many times, with exponential backoff and
       deterministic jitter, before the spec is declared failed.
@@ -1170,10 +1105,11 @@ def run_many(
       returns a :class:`RunFailure` in each failed spec's slot instead.
 
     A crashed worker process (``BrokenProcessPool``) never aborts the
-    batch: every spec without a result is re-executed serially, and a
-    kernel shard lost with the worker re-runs in this process.  A shard
-    that fails or overruns ``timeout`` × its lanes sends only its own
-    lanes to the scalar tiers (docs/robustness.md §2.1).
+    batch: the round loop goes on without a pool, so every kernel shard
+    lost with the worker re-runs in this process, and so does every spec
+    without a result (booked ``serial``).  A shard that fails or overruns
+    ``timeout`` × its lanes sends only its own lanes to the scalar tier
+    (docs/robustness.md §2.1).
 
     An operator interrupt (``KeyboardInterrupt``) triggers a graceful
     drain instead of an abort: dispatch stops, in-flight pool chunks get a

@@ -2,7 +2,7 @@
 
 Worker chaos is injected through :class:`~repro.faults.plan.WorkerFaultPlan`
 on the spec's own config — deterministic per attempt number, so every
-failure shape here (crash → pool break → serial fallback, hang → timeout,
+failure shape here (crash → pool break → in-process re-run, hang → timeout,
 transient → retry-then-succeed) reproduces identically at any job count.
 """
 
@@ -517,3 +517,107 @@ class TestShardedBatchTier:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
+
+
+class TestOneRoundLoop:
+    """Every tier is one round loop; a round makes a pool only when a worker
+    has work (``jobs >= 2`` and two or more specs or a remote shard), and
+    every scalar attempt, in a worker or in-process, follows one discipline.
+    """
+
+    def pools(self, monkeypatch):
+        """Record the worker count of every ``_Pool`` the run makes."""
+        from repro.sim import parallel
+
+        made: list[int] = []
+        real_init = parallel._Pool.__init__
+
+        def init(pool, workers):
+            made.append(workers)
+            real_init(pool, workers)
+
+        monkeypatch.setattr(parallel._Pool, "__init__", init)
+        return made
+
+    def sources(self, specs, **kwargs):
+        from repro.telemetry import EventType, TelemetrySession
+
+        session = TelemetrySession()
+        results = run_many(specs, cache_dir=None, telemetry=session, **kwargs)
+        sources = [
+            event.data["source"]
+            for event in session.events()
+            if event.type is EventType.LANE_COMPLETE
+        ]
+        return results, sources
+
+    def canonical(self, results):
+        from repro.sim.durable import results_to_canonical_json
+
+        return results_to_canonical_json(results)
+
+    def test_a_local_shard_and_one_scalar_spec_make_no_pool(self, monkeypatch):
+        base = tiny_config("ideal")
+        # One trajectory: the group is one shard, and it runs here.
+        group = [
+            RunSpec(("gcc", "swim"), base.with_policy(policy))
+            for policy in ("ideal", "stop_and_go", "sedation")
+        ]
+        scalar = RunSpec(("vpr", "twolf"), tiny_config())
+        made = self.pools(monkeypatch)
+        results, sources = self.sources(group + [scalar], jobs=2)
+        assert made == []
+        assert sources == ["batch"] * len(group) + ["serial"]
+        reference = run_many(group + [scalar], jobs=1, cache_dir=None, batch=False)
+        assert self.canonical(results) == self.canonical(reference)
+
+    def test_a_lone_retry_runs_in_process(self, monkeypatch):
+        flaky = chaos_spec(("gcc", "swim"), fail_attempts=1)
+        good = RunSpec(("gzip", "mcf"), tiny_config())
+        made = self.pools(monkeypatch)
+        results, sources = self.sources([flaky, good], jobs=2, retries=1)
+        assert made == [2]
+        assert sources == ["serial", "pool"]
+        assert all(isinstance(r, RunResult) for r in results)
+
+    def test_re_runs_after_a_pool_break_are_serial(self):
+        crash_once = chaos_spec(("art", "mcf"), crash_attempts=1)
+        good = RunSpec(("gzip", "vpr"), tiny_config())
+        before = RUNNER_METRICS.counters.get("runner.pool_breaks", 0)
+        results, sources = self.sources([crash_once, good], jobs=2, retries=1)
+        assert RUNNER_METRICS.counters["runner.pool_breaks"] == before + 1
+        # The crashed chunk is waited on first, so nothing was settled from
+        # the pool before it broke: both specs re-run here.
+        assert sources == ["serial", "serial"]
+        reference = run_many([crash_once, good], jobs=1, cache_dir=None, retries=1)
+        assert self.canonical(results) == self.canonical(reference)
+
+    def test_one_attempt_discipline_at_any_job_count(self):
+        specs = [
+            chaos_spec(("gcc", "mcf"), fail_attempts=1),
+            chaos_spec(("swim", "vpr"), hang_attempts=1, hang_seconds=5.0),
+            RunSpec(("gzip", "art"), tiny_config()),
+            chaos_spec(("ammp", "twolf"), fail_attempts=5),
+        ]
+        names = ("runner.attempt_error", "runner.attempt_timeout",
+                 "runner.retries", "runner.failures")
+        runs = {}
+        for jobs in (1, 2):
+            before = dict(RUNNER_METRICS.counters)
+            results = run_many(
+                specs, jobs=jobs, cache_dir=None, timeout=1.0, retries=1,
+                raise_on_error=False,
+            )
+            deltas = {
+                name: RUNNER_METRICS.counters.get(name, 0) - before.get(name, 0)
+                for name in names
+            }
+            attempts = [r.attempts for r in results if isinstance(r, RunFailure)]
+            runs[jobs] = (deltas, attempts, self.canonical(results))
+        assert runs[1] == runs[2]
+        deltas, attempts, _ = runs[1]
+        assert deltas == {
+            "runner.attempt_error": 3, "runner.attempt_timeout": 1,
+            "runner.retries": 3, "runner.failures": 1,
+        }
+        assert attempts == [2]
