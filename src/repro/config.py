@@ -177,6 +177,9 @@ class ThermalConfig:
             )
         if self.convection_resistance_k_per_w <= 0:
             raise ConfigError("convection resistance must be positive")
+        if min(self.block_time_constant_s, self.local_time_constant_s,
+               self.spreader_time_constant_s) <= 0:
+            raise ConfigError("thermal time constants must be positive")
         if self.sensor_noise_k < 0:
             raise ConfigError("sensor noise must be non-negative")
 

@@ -66,6 +66,7 @@ from pathlib import Path
 from ..config import SimulationConfig
 from ..errors import FaultError
 from ..telemetry.metrics import MetricsRegistry
+from ..thermal import RCThermalModel
 from .batch import (
     _shard_lanes,
     _trajectory_groups,
@@ -1040,6 +1041,22 @@ def _run_rounds(
         work = next_round
 
 
+def _solve_thermal_networks(work: list[tuple[str, RunSpec]]) -> None:
+    """Fill this process's eigenbasis memo for each thermal config in ``work``.
+
+    An ``eigh`` leaves OpenBLAS's threads busy-waiting for about 0.13
+    CPU-s, which a worker would steal from its neighbours; solved here, the
+    bases ride the fork (:func:`repro.thermal.rcmodel._eigenbasis`).  A
+    network that cannot be built is skipped here, whatever it raises: its
+    spec fails in its own attempt, which catches any exception.
+    """
+    for thermal in dict.fromkeys(spec.config.thermal for _, spec in work):
+        try:
+            RCThermalModel(thermal)
+        except Exception:
+            continue
+
+
 def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
     """Run the ledger's unresolved specs through one round loop.
 
@@ -1058,8 +1075,14 @@ def dispatch(ledger: _Ledger, jobs: int | None, batch: bool = True) -> None:
     runs beside the kernel rather than after it (while this process runs
     its shards, up to ``jobs + 1`` processes simulate).  A shard that
     fails sends only its own lanes to the scalar tier.
+
+    Before any pool forks, this process solves the thermal network of
+    every distinct ``spec.config.thermal`` in the work once
+    (:func:`_solve_thermal_networks`): forked workers inherit the
+    eigenbasis memo and never call LAPACK.
     """
     work = ledger.unresolved()
+    _solve_thermal_networks(work)
     workers = default_jobs() if jobs is None else max(1, jobs)
     shards = _plan_shards(work, workers) if batch else []
     batched = {key for shard in shards for key, _ in shard.members}

@@ -33,6 +33,13 @@ operating points, and per-area resistance/capacitance units follow.  Block
 time constants are area-independent design constants, while steady-state
 temperature rise scales inversely with area — small blocks run hotter, as
 physics demands, which is why the small register file is the natural target.
+
+**One eigendecomposition per network per process.**  The exact integrator
+needs the network's eigenbasis, and ``eigh`` costs more than its 46×46
+solve: OpenBLAS's threads busy-wait for a while after each call.  The basis
+is memoized by the exact bytes of the capacitance vector and conductance
+matrix (:func:`_eigenbasis`), so every model of one network, in a scalar
+run, a batch root or a forked pool worker, shares one read-only copy.
 """
 
 from __future__ import annotations
@@ -54,6 +61,49 @@ from .package import Package
 #: region during a burst; the deep share sets how warm the attack's average
 #: power keeps the cooling asymptote.
 LAYER_SHARES = (0.55, 0.25, 0.20)
+
+
+#: Most eigenbases :func:`_eigenbasis` keeps per process (oldest evicted).
+#: A campaign touches a handful of thermal networks; the bound only keeps
+#: a long sweep over many package variants from growing without limit.
+_EIGENBASIS_LIMIT = 32
+
+#: ``(capacitance bytes, conductance bytes) -> (modes, basis, basis_t_state,
+#: basis_t_input)``: everything ``eigh`` reads maps to everything it
+#: yields, so a hit is exact.  Per process; a forked pool worker inherits
+#: the driver's entries (:func:`repro.sim.parallel.dispatch` fills them
+#: before it forks).
+_EIGENBASES: dict[tuple[bytes, bytes], tuple[np.ndarray, ...]] = {}
+
+
+def _eigenbasis(
+    capacitance: np.ndarray, conductance: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The network's modes and scaled eigenvectors, solved once per process.
+
+    One ``eigh`` of the sqrt(C)-symmetrized network (see
+    :meth:`RCThermalModel._build_propagator_basis`).  The arrays are
+    read-only: every model of the same network shares them.
+    """
+    key = (capacitance.tobytes(), conductance.tobytes())
+    basis = _EIGENBASES.get(key)
+    if basis is None:
+        sqrt_c = np.sqrt(capacitance)
+        symmetric = -conductance / np.outer(sqrt_c, sqrt_c)
+        eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+        # Row/column scalings that undo the sqrt(C) substitution.
+        basis = (
+            eigenvalues,
+            eigenvectors / sqrt_c[:, None],
+            eigenvectors.T * sqrt_c[None, :],
+            eigenvectors.T / sqrt_c[None, :],
+        )
+        for array in basis:
+            array.flags.writeable = False
+        if len(_EIGENBASES) >= _EIGENBASIS_LIMIT:
+            del _EIGENBASES[next(iter(_EIGENBASES))]
+        _EIGENBASES[key] = basis
+    return basis
 
 
 @dataclass(frozen=True)
@@ -247,7 +297,10 @@ class RCThermalModel:
             E(dt) = exp(A dt),   F(dt) = A^{-1} (E(dt) - I) C^{-1}
 
         are diagonal in that basis — any span advances in O(1) regardless of
-        how many Euler substeps it would have needed.
+        how many Euler substeps it would have needed.  The basis itself comes
+        from the process-wide memo (:func:`_eigenbasis`), so every model of
+        the same network shares one read-only copy; the ``dt`` propagators
+        stay per model.
         """
         n = NUM_BLOCKS
         dim = 3 * n + 1
@@ -270,14 +323,9 @@ class RCThermalModel:
                 conductance[b, a] -= g
         conductance[sink, sink] += 1.0 / self.package.convection_resistance_k_per_w
 
-        sqrt_c = np.sqrt(capacitance)
-        symmetric = -conductance / np.outer(sqrt_c, sqrt_c)
-        eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-        # Row/column scalings that undo the sqrt(C) substitution.
-        self._modes = eigenvalues
-        self._basis = eigenvectors / sqrt_c[:, None]
-        self._basis_t_state = eigenvectors.T * sqrt_c[None, :]
-        self._basis_t_input = eigenvectors.T / sqrt_c[None, :]
+        self._modes, self._basis, self._basis_t_state, self._basis_t_input = (
+            _eigenbasis(capacitance, conductance)
+        )
         self._state_dim = dim
         self._sink_index = sink
 

@@ -133,6 +133,17 @@ class TestThermalConfig:
         with pytest.raises(ConfigError):
             ThermalConfig(time_scale=0.5)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["block_time_constant_s", "local_time_constant_s",
+         "spreader_time_constant_s"],
+    )
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_rejects_non_positive_time_constants(self, field, value):
+        # A zero capacitance would give the network NaN modes, silently.
+        with pytest.raises(ConfigError):
+            ThermalConfig(**{field: value})
+
 
 class TestSedationConfig:
     def test_ewma_x_is_power_of_two_reciprocal(self):

@@ -100,6 +100,82 @@ class TestExactThermalStepping:
         assert np.allclose(one.temperatures(), many.temperatures(), atol=1e-9)
 
 
+class TestEigenbasisMemo:
+    """One eigendecomposition per network per process, shared read-only."""
+
+    def cold_memo(self, monkeypatch) -> list[int]:
+        """Empty the memo and count the ``eigh`` calls that refill it."""
+        from repro.thermal import rcmodel
+
+        monkeypatch.setattr(rcmodel, "_EIGENBASES", {})
+        calls: list[int] = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(matrix):
+            calls.append(len(matrix))
+            return real_eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return calls
+
+    def test_cold_and_warm_memo_give_identical_bytes(self, monkeypatch):
+        from repro.sim import Simulator
+        from repro.sim.durable import results_to_canonical_json
+
+        calls = self.cold_memo(monkeypatch)
+        config = tiny_config("sedation")
+        runs = []
+        for _ in range(2):
+            simulator = Simulator(config, workloads=["gzip", "variant2"])
+            result = simulator.run()
+            runs.append((
+                results_to_canonical_json([result]),
+                simulator.thermal.perf_propagator_builds,
+            ))
+        assert calls == [3 * NUM_BLOCKS + 1]
+        assert runs[0] == runs[1]
+        assert runs[0][1] >= 1
+
+    def test_each_network_gets_its_own_basis(self, monkeypatch):
+        calls = self.cold_memo(monkeypatch)
+        config = tiny_config()
+        default = RCThermalModel(config.thermal)
+        # The ideal flag pins temperatures but leaves C and K alone, so it
+        # shares the default network's basis; a heat-sink variant does not.
+        ideal = RCThermalModel(config.with_ideal_sink().thermal)
+        variant = RCThermalModel(config.with_convection_resistance(0.4).thermal)
+        assert ideal._basis is default._basis
+        assert variant._basis is not default._basis
+        assert not np.array_equal(variant._modes, default._modes)
+        assert len(calls) == 2
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        from repro.thermal import rcmodel
+
+        calls = self.cold_memo(monkeypatch)
+        config = tiny_config()
+        limit = rcmodel._EIGENBASIS_LIMIT
+        resistances = [0.2 + 0.01 * step for step in range(limit + 3)]
+        for r_conv in resistances:
+            RCThermalModel(config.with_convection_resistance(r_conv).thermal)
+        assert len(rcmodel._EIGENBASES) == limit
+        assert len(calls) == limit + 3
+        # The newest networks are still held; the oldest was evicted.
+        RCThermalModel(config.with_convection_resistance(resistances[-1]).thermal)
+        assert len(calls) == limit + 3
+        RCThermalModel(config.with_convection_resistance(resistances[0]).thermal)
+        assert len(calls) == limit + 4
+        assert len(rcmodel._EIGENBASES) == limit
+
+    def test_shared_basis_is_read_only(self):
+        model = RCThermalModel(tiny_config().thermal)
+        for array in (model._modes, model._basis, model._basis_t_state,
+                      model._basis_t_input):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert model.fork()._basis is model._basis
+
+
 class TestSkipCycles:
     """A global stall shifts the completion wheel without losing latencies."""
 

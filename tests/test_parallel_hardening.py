@@ -621,3 +621,101 @@ class TestOneRoundLoop:
             "runner.retries": 3, "runner.failures": 1,
         }
         assert attempts == [2]
+
+
+class TestThermalBasisBeforeFork:
+    """The driver solves every thermal network before the pool forks, so
+    no worker calls LAPACK; a network it cannot solve fails only its spec."""
+
+    def test_no_worker_calls_eigh(self, monkeypatch):
+        """``np.linalg.eigh`` raises in any worker; the run must not notice."""
+        import numpy as np
+
+        from repro.sim import parallel
+        from repro.sim.durable import results_to_canonical_json
+        from repro.telemetry import EventType, TelemetrySession
+        from repro.thermal import rcmodel
+
+        base = tiny_config("ideal")
+        specs = [
+            # a local shard of three lanes and a remote one of two
+            *(RunSpec(("gcc", "swim"), base.with_policy(policy))
+              for policy in ("ideal", "stop_and_go", "sedation")),
+            *(RunSpec(("gzip", "mcf"), base.with_policy(policy))
+              for policy in ("ideal", "dvfs")),
+            # two scalar specs, one on its own heat-sink network
+            RunSpec(("gcc", "mcf"), base.with_convection_resistance(0.5)),
+            RunSpec(("swim", "vpr"), base, trace=True),
+        ]
+        reference = run_many(specs, jobs=1, cache_dir=None)
+        real_eigh = np.linalg.eigh
+
+        def eigh(*args, **kwargs):
+            if parallel._IN_WORKER:
+                raise RuntimeError("a pool worker solved a thermal network")
+            return real_eigh(*args, **kwargs)
+
+        # A cold memo: only the driver's warm-up can fill it before the fork.
+        monkeypatch.setattr(rcmodel, "_EIGENBASES", {})
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        before = dict(RUNNER_METRICS.counters)
+        session = TelemetrySession()
+        results = run_many(specs, jobs=2, cache_dir=None, telemetry=session)
+        assert results_to_canonical_json(results) == results_to_canonical_json(
+            reference
+        )
+
+        def delta(name):
+            return RUNNER_METRICS.counters.get(name, 0) - before.get(name, 0)
+
+        assert delta("runner.batch_pool_shards") == 1
+        for name in ("runner.batch_errors", "runner.attempt_error",
+                     "runner.failures"):
+            assert delta(name) == 0, name
+        sources = [
+            event.data["source"]
+            for event in session.events()
+            if event.type is EventType.LANE_COMPLETE
+        ]
+        assert sources == ["batch"] * 5 + ["pool"] * 2
+        assert len(rcmodel._EIGENBASES) == 2
+
+    def test_a_network_that_cannot_be_solved_fails_only_its_spec(
+        self, monkeypatch
+    ):
+        """Whatever building a spec's network raises, in the driver's
+        warm-up or in its attempt, only that spec fails."""
+        import numpy as np
+
+        from repro.sim.durable import results_to_canonical_json
+        from repro.thermal import rcmodel
+
+        base = tiny_config()
+        doomed = base.with_convection_resistance(0.5)
+        specs = [
+            RunSpec(("gcc", "swim"), base),
+            RunSpec(("gzip", "mcf"), doomed),
+            RunSpec(("swim", "vpr"), base),
+        ]
+        reference = run_many(
+            [specs[0], specs[2]], jobs=1, cache_dir=None, batch=False
+        )
+        real_build = rcmodel.RCThermalModel._build_propagator_basis
+
+        def build(model):
+            if model.package.convection_resistance_k_per_w == 0.5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            real_build(model)
+
+        monkeypatch.setattr(rcmodel, "_EIGENBASES", {})
+        monkeypatch.setattr(
+            rcmodel.RCThermalModel, "_build_propagator_basis", build
+        )
+        results = run_many(specs, jobs=2, cache_dir=None, batch=False,
+                           raise_on_error=False)
+        failure = results[1]
+        assert isinstance(failure, RunFailure)
+        assert failure.kind == "error" and "LinAlgError" in failure.error
+        assert results_to_canonical_json(
+            [results[0], results[2]]
+        ) == results_to_canonical_json(reference)
